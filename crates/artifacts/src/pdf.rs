@@ -365,8 +365,8 @@ mod tests {
     #[test]
     fn text_size_constants_fit_font() {
         // One glyph row must fit within the suggested page height.
-        assert!(GLYPH_H < PAGE_HEIGHT);
-        assert!(ADVANCE * 40 < PAGE_WIDTH);
+        const { assert!(GLYPH_H < PAGE_HEIGHT) };
+        const { assert!(ADVANCE * 40 < PAGE_WIDTH) };
     }
 }
 

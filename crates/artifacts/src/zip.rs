@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn truncated_archive_detected() {
         let mut a = ZipArchive::new();
-        a.add("file.bin", &vec![7u8; 100]);
+        a.add("file.bin", &[7u8; 100]);
         let bytes = a.to_bytes();
         // Keep the EOCD but cut out the middle so member data is missing.
         let mut cut = bytes[..20].to_vec();

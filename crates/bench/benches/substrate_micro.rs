@@ -317,7 +317,7 @@ fn main() {
     let decoded_ok =
         cb_artifacts::qrimage::decode_from_image(&qr_img).as_deref() == Some(payload.as_slice());
     assert!(decoded_ok, "QR fixture must round-trip");
-    let qr_iters = iters.min(400).max(1);
+    let qr_iters = iters.clamp(1, 400);
     let ns_qr = measure(qr_iters, || {
         std::hint::black_box(
             cb_artifacts::qrimage::decode_from_image(std::hint::black_box(&qr_img)).unwrap(),

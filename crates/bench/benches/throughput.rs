@@ -1,6 +1,5 @@
-//! Pipeline throughput baseline: one scan worker vs four, with the
-//! deterministic caches off and on, over a batch with deliberately skewed
-//! per-message cost (DESIGN.md §8).
+//! Pipeline throughput baseline: one scan worker vs four over a batch with
+//! deliberately skewed per-message cost (DESIGN.md §8).
 //!
 //! This is a plain-`main` bench (no harness) so it can emit the machine-
 //! readable `BENCH_pipeline.json` consumed by CI. Run modes:
@@ -12,7 +11,8 @@
 //! ```
 //!
 //! Besides timing, every arm's records are asserted byte-identical (via
-//! JSON serialization) to the one-worker cache-free reference — the bench
+//! JSON serialization) to the fresh-box reference (one worker, a new
+//! `CrawlerBox` per message, so no cache entry crosses messages) — the bench
 //! doubles as a determinism check on exactly the batch shape where
 //! completion order differs most from message order.
 //!
@@ -37,7 +37,6 @@ const WORKERS: usize = 4;
 
 struct ArmResult {
     workers: usize,
-    caches: bool,
     iters: usize,
     secs: f64,
     msgs_per_sec: f64,
@@ -129,13 +128,19 @@ fn main() {
         corpus.messages.len(),
     );
 
-    // One-worker cache-free reference: the identity baseline for every arm.
-    // The sorted per-record form is for the store arms, whose read-back
+    // Fresh-box reference: one worker and a new box per message, so no
+    // cache entry crosses messages. The identity baseline for every arm;
+    // the sorted per-record form is for the store arms, whose read-back
     // order is shard-major rather than batch order.
     let (reference_json, reference_sorted) = {
-        let mut cbx = CrawlerBox::new(&corpus.world).with_caching(false);
-        cbx.parallelism = 1;
-        let records = cbx.scan_all(&batch);
+        let records: Vec<ScanRecord> = batch
+            .iter()
+            .flat_map(|m| {
+                let mut cbx = CrawlerBox::new(&corpus.world);
+                cbx.parallelism = 1;
+                cbx.scan_all(std::slice::from_ref(m))
+            })
+            .collect();
         let json = cb_json::to_string(&records).expect("serialize reference");
         let mut sorted: Vec<String> = records
             .iter()
@@ -145,16 +150,14 @@ fn main() {
         (json, sorted)
     };
 
-    let arms = [(1, false), (WORKERS, false), (1, true), (WORKERS, true)];
-
     let mut results: Vec<ArmResult> = Vec::new();
-    for &(workers, caches) in &arms {
+    for workers in [1, WORKERS] {
         let mut secs = 0.0f64;
         let mut first_json: Option<String> = None;
         for _ in 0..iters {
             // Fresh box per iteration: lifetime caches start cold, so every
             // iteration measures the same work.
-            let mut cbx = CrawlerBox::new(&corpus.world).with_caching(caches);
+            let mut cbx = CrawlerBox::new(&corpus.world);
             cbx.parallelism = workers;
             let started = Instant::now();
             let records = cbx.scan_all(&batch);
@@ -166,37 +169,35 @@ fn main() {
         assert_eq!(
             first_json.as_deref(),
             Some(reference_json.as_str()),
-            "{workers} worker(s) caches={caches} produced different records than one-worker \
-             cache-free",
+            "{workers} worker(s) produced different records than the fresh-box reference",
         );
         let msgs = (batch.len() * iters) as f64;
         let r = ArmResult {
             workers,
-            caches,
             iters,
             secs,
             msgs_per_sec: if secs > 0.0 { msgs / secs } else { f64::INFINITY },
         };
         eprintln!(
-            "  workers={} caches={:<5} {:8.3}s  {:9.1} msgs/sec",
-            r.workers, r.caches, r.secs, r.msgs_per_sec
+            "  workers={} {:8.3}s  {:9.1} msgs/sec",
+            r.workers, r.secs, r.msgs_per_sec
         );
         results.push(r);
     }
 
-    let rate = |workers: usize, caches: bool| {
+    let rate = |workers: usize| {
         results
             .iter()
-            .find(|r| r.workers == workers && r.caches == caches)
+            .find(|r| r.workers == workers)
             .map(|r| r.msgs_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let speedup = rate(WORKERS, true) / rate(1, false);
-    eprintln!("speedup ({WORKERS} workers + caches over 1 worker uncached): {speedup:.2}x");
+    let speedup = rate(WORKERS) / rate(1);
+    eprintln!("speedup ({WORKERS} workers over 1 worker): {speedup:.2}x");
 
-    // Streaming arms: the same batch through `scan_stream` (caches on) at
-    // different window capacities. Each arm asserts record identity against
-    // the one-worker cache-free reference AND that residency stayed within
+    // Streaming arms: the same batch through `scan_stream` at different
+    // window capacities. Each arm asserts record identity against the
+    // fresh-box reference AND that residency stayed within
     // capacity + workers — the bench doubles as the bounded-memory check.
     let stream_arms = [(1, 32usize), (WORKERS, 4), (WORKERS, 32)];
     let mut stream_results: Vec<StreamArm> = Vec::new();
@@ -208,7 +209,6 @@ fn main() {
         let mut peak_bytes_retained = 0u64;
         for _ in 0..iters {
             let mut cbx = CrawlerBox::new(&corpus.world)
-                .with_caching(true)
                 .with_stream_capacity(capacity);
             cbx.parallelism = workers;
             let mut records: Vec<ScanRecord> = Vec::with_capacity(batch.len());
@@ -231,7 +231,7 @@ fn main() {
             first_json.as_deref(),
             Some(reference_json.as_str()),
             "stream {workers} worker(s) capacity={capacity} produced different records than \
-             one-worker cache-free",
+             the fresh-box reference",
         );
         let msgs = (batch.len() * iters) as f64;
         let r = StreamArm {
@@ -263,12 +263,10 @@ fn main() {
             .map(|r| r.msgs_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let streaming_ratio = stream_rate(WORKERS, 32) / rate(WORKERS, true);
-    eprintln!(
-        "streaming/batch throughput ratio ({WORKERS} workers, caches on): {streaming_ratio:.2}x"
-    );
+    let streaming_ratio = stream_rate(WORKERS, 32) / rate(WORKERS);
+    eprintln!("streaming/batch throughput ratio ({WORKERS} workers): {streaming_ratio:.2}x");
 
-    // Tracing overhead arms: the four-worker cached configuration with
+    // Tracing overhead arms: the four-worker configuration with
     // the telemetry tracer off and on, the trace drained inside the timed
     // region (exactly what `repro --trace` pays). DESIGN.md §10 targets a
     // < 10% throughput delta.
@@ -276,9 +274,7 @@ fn main() {
     for tracing in [false, true] {
         let mut secs = 0.0f64;
         for _ in 0..iters {
-            let mut cbx = CrawlerBox::new(&corpus.world)
-                .with_caching(true)
-                .with_tracing(tracing);
+            let mut cbx = CrawlerBox::new(&corpus.world).with_tracing(tracing);
             cbx.parallelism = WORKERS;
             let started = Instant::now();
             let records = cbx.scan_all(&batch);
@@ -297,7 +293,7 @@ fn main() {
         tracing_rates.push(msgs_per_sec);
     }
     let tracing_overhead_pct = (1.0 - tracing_rates[1] / tracing_rates[0]) * 100.0;
-    eprintln!("tracing overhead ({WORKERS} workers, caches on): {tracing_overhead_pct:.1}% (target < 10%)");
+    eprintln!("tracing overhead ({WORKERS} workers): {tracing_overhead_pct:.1}% (target < 10%)");
 
     // Store arms: the four-worker streaming configuration (capacity 32)
     // with and without persistence, each iteration against a fresh store
@@ -306,7 +302,7 @@ fn main() {
     // configuration — worker-side encoding (`StoreEncoder`), batched
     // appends (`EncodedStoreSink`, commit batch 256) and parallel shard
     // fan-out over 4 shards, in durable ingest mode. The persisted log is
-    // asserted record-identical to the serial cache-free reference; the
+    // asserted record-identical to the fresh-box reference; the
     // target is < 15% streaming throughput overhead for durable
     // persistence.
     let store_root = std::env::temp_dir().join(format!("cb-bench-store-{}", std::process::id()));
@@ -319,7 +315,6 @@ fn main() {
         let mut secs = 0.0f64;
         for iteration in 0..iters {
             let mut cbx = CrawlerBox::new(&corpus.world)
-                .with_caching(true)
                 .with_stream_capacity(store_capacity)
                 .with_artifact_capture(persist);
             cbx.parallelism = WORKERS;
@@ -349,7 +344,7 @@ fn main() {
                 persisted.sort();
                 assert_eq!(
                     persisted, reference_sorted,
-                    "persisted log diverged from the serial cache-free reference"
+                    "persisted log diverged from the fresh-box reference"
                 );
             } else {
                 let mut records: Vec<ScanRecord> = Vec::with_capacity(batch.len());
@@ -388,7 +383,6 @@ fn main() {
                 .expect("open recovery store");
             let mut sink = StoreSink::new(store);
             let mut cbx = CrawlerBox::new(&corpus.world)
-                .with_caching(true)
                 .with_stream_capacity(store_capacity)
                 .with_artifact_capture(true);
             cbx.parallelism = WORKERS;
@@ -424,8 +418,8 @@ fn main() {
     // the arms measure how group commit amortizes the durability barrier.
     // Batch 1 is the fsync-per-record baseline; batch ≥ 16 must come in
     // under 1.0 fsyncs/record — asserted here so CI's bench-smoke run is
-    // the gate. Arm 0 also re-checks record identity against the serial
-    // cache-free reference.
+    // the gate. Arm 0 also re-checks record identity against the fresh-box
+    // reference.
     let mut ingest_arms: Vec<IngestArm> = Vec::new();
     for commit_batch in [1usize, 16, 256] {
         for shards in [1usize, 4, 8] {
@@ -443,7 +437,6 @@ fn main() {
                 let store = Store::open_with(&dir, opts).expect("open ingest store");
                 let mut sink = EncodedStoreSink::new(store);
                 let mut cbx = CrawlerBox::new(&corpus.world)
-                    .with_caching(true)
                     .with_stream_capacity(store_capacity)
                     .with_artifact_capture(true);
                 cbx.parallelism = WORKERS;
@@ -512,7 +505,6 @@ fn main() {
     };
     let mut soak_store = Store::open_with(&soak_dir, soak_opts).expect("open soak store");
     let mut soak_cbx = CrawlerBox::new(&corpus.world)
-        .with_caching(true)
         .with_stream_capacity(store_capacity)
         .with_artifact_capture(true);
     soak_cbx.parallelism = WORKERS;
@@ -534,7 +526,7 @@ fn main() {
         let messages = wave.len();
         let mut sink = EncodedStoreSink::new(soak_store);
         let started = Instant::now();
-        soak_cbx.scan_stream_encoded(wave.into_iter(), &StoreEncoder, &mut sink);
+        soak_cbx.scan_stream_encoded(wave, &StoreEncoder, &mut sink);
         let (store, ()) = sink.finish().expect("finish soak round");
         let secs = started.elapsed().as_secs_f64();
         soak_store = store;
@@ -663,7 +655,6 @@ fn main() {
         },
         "arms": results.iter().map(|r| cb_json::json!({
             "workers": r.workers,
-            "caches": r.caches,
             "iters": r.iters,
             "secs": r.secs,
             "msgs_per_sec": r.msgs_per_sec,
@@ -680,7 +671,6 @@ fn main() {
         })).collect::<Vec<_>>(),
         "tracing": {
             "workers": WORKERS,
-            "caches": true,
             "off_msgs_per_sec": tracing_rates[0],
             "on_msgs_per_sec": tracing_rates[1],
             "overhead_pct": tracing_overhead_pct,
@@ -740,7 +730,7 @@ fn main() {
             "secs": adaptive_secs,
         },
         "adaptive_arms": adaptive_arms,
-        "speedup_parallel_cached_vs_one_worker_uncached": speedup,
+        "speedup_parallel_vs_one_worker": speedup,
         "streaming_vs_batch_parallel_ratio": streaming_ratio,
         "identical_records": true,
     });

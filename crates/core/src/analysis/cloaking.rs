@@ -186,11 +186,19 @@ mod tests {
     use super::*;
     use crate::pipeline::CrawlerBox;
     use cb_phishgen::{Corpus, CorpusSpec};
+    use std::sync::OnceLock;
 
     fn scan(scale: f64) -> (Corpus, Vec<ScanRecord>) {
         let corpus = Corpus::generate(&CorpusSpec::paper().with_scale(scale), 55);
         let records = CrawlerBox::new(&corpus.world).scan_all(&corpus.messages);
         (corpus, records)
+    }
+
+    /// The scale-0.2 scan, generated once and shared by the three tests
+    /// that only read it.
+    fn scan_02() -> &'static (Corpus, Vec<ScanRecord>) {
+        static SCAN: OnceLock<(Corpus, Vec<ScanRecord>)> = OnceLock::new();
+        SCAN.get_or_init(|| scan(0.2))
     }
 
     #[test]
@@ -202,8 +210,8 @@ mod tests {
 
     #[test]
     fn measured_counts_track_ground_truth() {
-        let (corpus, recs) = scan(0.2);
-        let p = prevalence(&recs);
+        let (corpus, recs) = scan_02();
+        let p = prevalence(recs);
         let truth = |f: &dyn Fn(&cb_phishkit::CloakConfig) -> bool| -> usize {
             corpus
                 .messages
@@ -250,8 +258,8 @@ mod tests {
 
     #[test]
     fn faulty_qr_counted() {
-        let (corpus, recs) = scan(0.2);
-        let p = prevalence(&recs);
+        let (corpus, recs) = scan_02();
+        let p = prevalence(recs);
         let truth = corpus
             .messages
             .iter()
@@ -274,8 +282,8 @@ mod tests {
 
     #[test]
     fn noise_detection_matches_truth() {
-        let (corpus, recs) = scan(0.2);
-        let p = prevalence(&recs);
+        let (corpus, recs) = scan_02();
+        let p = prevalence(recs);
         let truth = corpus.messages.iter().filter(|m| m.truth.noise_padded).count();
         assert!(
             p.noise_padded_messages.abs_diff(truth) <= truth / 10 + 2,

@@ -179,7 +179,7 @@ pub fn volume_t_test(monthly_2023: &[usize; 10], figure2: &Figure2) -> Option<TT
 mod tests {
     use super::*;
     use crate::pipeline::CrawlerBox;
-    use cb_phishgen::{Corpus, CorpusSpec, CorpusSpec as _Spec};
+    use cb_phishgen::{Corpus, CorpusSpec};
 
     fn records(scale: f64) -> (Vec<ScanRecord>, CorpusSpec) {
         let spec = CorpusSpec::paper().with_scale(scale);

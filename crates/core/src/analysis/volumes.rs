@@ -92,16 +92,22 @@ mod tests {
     use super::*;
     use crate::pipeline::CrawlerBox;
     use cb_phishgen::{Corpus, CorpusSpec};
+    use std::sync::OnceLock;
 
-    fn stats(scale: f64) -> DomainVolumeStats {
-        let corpus = Corpus::generate(&CorpusSpec::paper().with_scale(scale), 61);
-        let records = CrawlerBox::new(&corpus.world).scan_all(&corpus.messages);
-        domain_volumes(&records)
+    /// Volume stats of the scale-0.3 scan, computed once and shared by
+    /// both tests.
+    fn stats_03() -> &'static DomainVolumeStats {
+        static STATS: OnceLock<DomainVolumeStats> = OnceLock::new();
+        STATS.get_or_init(|| {
+            let corpus = Corpus::generate(&CorpusSpec::paper().with_scale(0.3), 61);
+            let records = CrawlerBox::new(&corpus.world).scan_all(&corpus.messages);
+            domain_volumes(&records)
+        })
     }
 
     #[test]
     fn volume_shape_matches_paper() {
-        let s = stats(0.3);
+        let s = stats_03();
         assert!(s.domains > 50);
         // median 1 message per domain, skewed mean
         assert_eq!(s.median_messages, 1.0);
@@ -119,7 +125,7 @@ mod tests {
 
     #[test]
     fn top_queried_domain_is_the_most_reported() {
-        let s = stats(0.3);
+        let s = stats_03();
         assert_eq!(s.top_by_queries.len(), 3);
         let (_, top_queries, top_msgs) = &s.top_by_queries[0];
         // the headline domain: by far the highest query volume and the most

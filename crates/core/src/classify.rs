@@ -8,12 +8,30 @@ use cb_imagehash::HashPair;
 use cb_phishkit::Brand;
 use cb_web::{render, Document};
 use cb_json::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The classifier with its reference hash set.
 #[derive(Debug, Clone)]
 pub struct SpearClassifier {
-    references: Vec<(Brand, HashPair)>,
+    references: &'static [(Brand, HashPair)],
     threshold: u32,
+}
+
+/// The companies' login pages rendered at the crawler viewport and hashed.
+/// They depend only on constant page templates, so every classifier in the
+/// process shares one rendering.
+fn reference_hashes() -> &'static [(Brand, HashPair)] {
+    static REFERENCES: OnceLock<Vec<(Brand, HashPair)>> = OnceLock::new();
+    REFERENCES.get_or_init(|| {
+        Brand::companies()
+            .into_iter()
+            .map(|brand| {
+                let doc = Document::parse(&brand.login_html(""));
+                let shot = render::rasterize(&doc, VIEWPORT.0, VIEWPORT.1);
+                (brand, HashPair::of(&shot))
+            })
+            .collect()
+    })
 }
 
 /// A positive classification.
@@ -30,24 +48,16 @@ pub struct SpearMatch {
 pub const DEFAULT_THRESHOLD: u32 = 14;
 
 impl SpearClassifier {
-    /// Build references by rendering each company's legitimate login page
-    /// at the crawler viewport.
+    /// The classifier at [`DEFAULT_THRESHOLD`], against each company's
+    /// legitimate login page rendered at the crawler viewport.
     pub fn new() -> SpearClassifier {
         Self::with_threshold(DEFAULT_THRESHOLD)
     }
 
     /// Build with a custom similarity threshold.
     pub fn with_threshold(threshold: u32) -> SpearClassifier {
-        let references = Brand::companies()
-            .into_iter()
-            .map(|brand| {
-                let doc = Document::parse(&brand.login_html(""));
-                let shot = render::rasterize(&doc, VIEWPORT.0, VIEWPORT.1);
-                (brand, HashPair::of(&shot))
-            })
-            .collect();
         SpearClassifier {
-            references,
+            references: reference_hashes(),
             threshold,
         }
     }

@@ -101,19 +101,14 @@ impl VisitLog {
 
 /// Scan, cache and streaming instrumentation accumulated by a
 /// [`CrawlerBox`](crate::pipeline::CrawlerBox) across its scans: message
-/// counts, hit/miss counts of the enrichment, artifact-decode and
-/// screenshot caches, and streaming-window residency peaks. Counters are
-/// observability only — they never feed back into scan results, which stay
-/// bit-identical with caches on or off.
+/// counts, hit/miss counts of the artifact-decode and screenshot caches,
+/// and streaming-window residency peaks. Counters are observability only —
+/// they never feed back into scan results, which are bit-identical to a
+/// scan where every message gets a fresh box and so a cold cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanStats {
     /// Messages scanned.
     pub messages: u64,
-    /// Host-enrichment cache hits (per-scan WHOIS/CT/passive-DNS/banner
-    /// bundles served from memory).
-    pub enrich_hits: u64,
-    /// Host-enrichment cache misses (bundles fetched from the registries).
-    pub enrich_misses: u64,
     /// Artifact-decode cache hits (image/PDF decodes replayed by content
     /// hash).
     pub artifact_hits: u64,
@@ -153,12 +148,11 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
-    /// Aggregate hit rate over all three deterministic caches (enrichment,
-    /// artifact decode, screenshot analysis), in `[0, 1]`. Zero when no
-    /// cache was consulted (e.g. caching disabled).
+    /// Aggregate hit rate over both deterministic caches (artifact decode,
+    /// screenshot analysis), in `[0, 1]`. Zero when no cache was consulted.
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.enrich_hits + self.artifact_hits + self.screenshot_hits;
-        let total = hits + self.enrich_misses + self.artifact_misses + self.screenshot_misses;
+        let hits = self.artifact_hits + self.screenshot_hits;
+        let total = hits + self.artifact_misses + self.screenshot_misses;
         if total == 0 {
             0.0
         } else {
@@ -171,12 +165,10 @@ impl std::fmt::Display for ScanStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "messages {} skipped {} dropped {} | enrich {}/{} artifact {}/{} screenshot {}/{} (hits/misses) | peak in-flight {} reorder {} bytes {}",
+            "messages {} skipped {} dropped {} | artifact {}/{} screenshot {}/{} (hits/misses) | peak in-flight {} reorder {} bytes {}",
             self.messages,
             self.skipped_known,
             self.store_dropped,
-            self.enrich_hits,
-            self.enrich_misses,
             self.artifact_hits,
             self.artifact_misses,
             self.screenshot_hits,
@@ -456,16 +448,16 @@ mod tests {
     fn scan_stats_serialize_and_display() {
         let stats = ScanStats {
             messages: 4,
-            enrich_hits: 2,
+            artifact_hits: 2,
             ..Default::default()
         };
         let json = cb_json::to_string(&stats).unwrap();
-        assert!(json.contains("\"enrich_hits\":2"), "{json}");
+        assert!(json.contains("\"artifact_hits\":2"), "{json}");
         let back: ScanStats = cb_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
         let shown = stats.to_string();
         assert!(shown.contains("messages 4 "), "{shown}");
-        assert!(shown.contains("enrich 2/0"), "{shown}");
+        assert!(shown.contains("artifact 2/0"), "{shown}");
     }
 
     #[test]
@@ -490,8 +482,6 @@ mod tests {
     #[test]
     fn cache_hit_rate_aggregates_all_caches() {
         let stats = ScanStats {
-            enrich_hits: 3,
-            enrich_misses: 1,
             artifact_hits: 2,
             artifact_misses: 1,
             screenshot_hits: 1,
@@ -499,7 +489,7 @@ mod tests {
             ..Default::default()
         };
         let rate = stats.cache_hit_rate();
-        assert!((rate - 6.0 / 8.0).abs() < 1e-12, "{rate}");
+        assert!((rate - 3.0 / 4.0).abs() < 1e-12, "{rate}");
         assert_eq!(ScanStats::default().cache_hit_rate(), 0.0);
     }
 

@@ -21,7 +21,6 @@ use cb_telemetry::{
     CounterHandle, Determinism, ExportMode, GaugeHandle, HistogramHandle, MetricsRegistry, Trace,
     Tracer,
 };
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 
@@ -129,15 +128,11 @@ impl ScanPolicy {
 }
 
 /// Scan-local mutable state threaded through one message's crawls: the
-/// circuit-breaker bank plus the per-scan host-enrichment cache. Both are
-/// scoped to a single [`CrawlerBox::scan`] call, so concurrent scans share
-/// nothing and `scan_all` stays bit-identical to serial scanning.
+/// circuit-breaker bank plus the captured artifacts. Both are scoped to a
+/// single [`CrawlerBox::scan`] call, so concurrent scans share nothing and
+/// `scan_all` stays bit-identical to serial scanning.
 struct ScanCtx<'p> {
     breakers: BreakerBank<'p>,
-    /// Host → enrichment bundle, filled on first lookup. Sound because the
-    /// registries are immutable during a scan and every enrichment lookup
-    /// in one scan uses the same `(delivered_at, window)` arguments.
-    enrich: HashMap<String, HostEnrichment>,
     /// Raw bytes captured for the blob store (message, screenshots), in
     /// deterministic order: the message first, then one entry per
     /// screenshot in visit order. Empty unless capture is enabled.
@@ -148,7 +143,6 @@ impl<'p> ScanCtx<'p> {
     fn new(policy: &'p ScanPolicy) -> ScanCtx<'p> {
         ScanCtx {
             breakers: BreakerBank::new(policy),
-            enrich: HashMap::new(),
             artifacts: Vec::new(),
         }
     }
@@ -261,8 +255,6 @@ struct PipelineMetrics {
     /// already recorded in a reopened store).
     skipped: CounterHandle,
     faults: CounterHandle,
-    enrich_hits: CounterHandle,
-    enrich_misses: CounterHandle,
     artifact_hits: CounterHandle,
     artifact_misses: CounterHandle,
     shot_hits: CounterHandle,
@@ -284,18 +276,16 @@ struct PipelineMetrics {
 impl PipelineMetrics {
     /// Register every pipeline instrument. Classes follow the determinism
     /// contract: scan-local facts (message counts, fault observations,
-    /// per-scan enrichment cache traffic, sim-time latency and backoff) are
-    /// `Deterministic`; anything depending on thread interleaving (shared
-    /// artifact/screenshot caches, streaming residency) is `Advisory` and
-    /// excluded from canonical exports.
+    /// sim-time latency and backoff) are `Deterministic`; anything
+    /// depending on thread interleaving (shared artifact/screenshot caches,
+    /// streaming residency) is `Advisory` and excluded from canonical
+    /// exports.
     fn register(reg: &MetricsRegistry) -> PipelineMetrics {
         use Determinism::{Advisory, Deterministic};
         PipelineMetrics {
             messages: reg.counter("scan.messages", Deterministic),
             skipped: reg.counter("scan.skipped_known", Deterministic),
             faults: reg.counter("net.faults_observed", Deterministic),
-            enrich_hits: reg.counter("cache.enrich.hits", Deterministic),
-            enrich_misses: reg.counter("cache.enrich.misses", Deterministic),
             artifact_hits: reg.counter("cache.artifact.hits", Advisory),
             artifact_misses: reg.counter("cache.artifact.misses", Advisory),
             shot_hits: reg.counter("cache.screenshot.hits", Advisory),
@@ -326,9 +316,6 @@ pub struct CrawlerBox<'a> {
     /// Worker threads for [`scan_all`](Self::scan_all) and the streaming
     /// scans. Records are bit-identical at every worker count.
     pub parallelism: usize,
-    /// Master switch for the deterministic memoization caches (artifact
-    /// decode, screenshot analysis, per-scan host enrichment).
-    caching: bool,
     /// Content-keyed artifact-decode cache, shared across the box's whole
     /// lifetime (values depend only on artifact bytes).
     artifacts: ArtifactMemo,
@@ -375,7 +362,6 @@ impl<'a> CrawlerBox<'a> {
             classifier: SpearClassifier::new(),
             policy: ScanPolicy::default(),
             parallelism: 4,
-            caching: true,
             artifacts,
             shots: RwLock::new(HashMap::new()),
             stream_capacity: 32,
@@ -431,18 +417,6 @@ impl<'a> CrawlerBox<'a> {
         self.known.as_ref().map_or(0, HashSet::len)
     }
 
-    /// Enable or disable the deterministic memoization caches. Records are
-    /// bit-identical either way; only throughput changes.
-    pub fn with_caching(mut self, on: bool) -> CrawlerBox<'a> {
-        self.caching = on;
-        self
-    }
-
-    /// Whether the deterministic caches are enabled.
-    pub fn caching_enabled(&self) -> bool {
-        self.caching
-    }
-
     /// Scan, cache and streaming counters accumulated over this box's lifetime,
     /// read from the metrics registry (the artifact memo shares the
     /// registry's `cache.artifact.*` handles, so its traffic shows up here
@@ -450,8 +424,6 @@ impl<'a> CrawlerBox<'a> {
     pub fn stats(&self) -> ScanStats {
         ScanStats {
             messages: self.m.messages.get(),
-            enrich_hits: self.m.enrich_hits.get(),
-            enrich_misses: self.m.enrich_misses.get(),
             artifact_hits: self.m.artifact_hits.get(),
             artifact_misses: self.m.artifact_misses.get(),
             screenshot_hits: self.m.shot_hits.get(),
@@ -551,12 +523,11 @@ impl<'a> CrawlerBox<'a> {
     }
 
     /// Open a probe session: the supervision state (per-host circuit
-    /// breakers, enrichment cache) shared by every [`probe`](Self::probe)
-    /// made through it. A multi-visit adaptive race accumulates breaker
-    /// state across its visits the way one scan's URLs do, while staying
-    /// isolated from every other concurrently running race — the same
-    /// scan-local-state rule that keeps `scan_all` bit-identical across
-    /// worker counts.
+    /// breakers) shared by every [`probe`](Self::probe) made through it.
+    /// A multi-visit adaptive race accumulates breaker state across its
+    /// visits the way one scan's URLs do, while staying isolated from
+    /// every other concurrently running race — the same scan-local-state
+    /// rule that keeps `scan_all` bit-identical across worker counts.
     pub fn probe_session(&self) -> ProbeSession<'_> {
         ProbeSession {
             ctx: ScanCtx::new(&self.policy),
@@ -598,11 +569,10 @@ impl<'a> CrawlerBox<'a> {
             t.instant("parse.result", vec![("ok", parsed.is_some().to_string())]);
             t.end();
         });
-        let memo = if self.caching { Some(&self.artifacts) } else { None };
         cb_telemetry::with_active(|t| t.begin("extract", Vec::new()));
         let (extracted, auth_pass, blank_line_run, delivered_at) = match &parsed {
             Some(msg) => (
-                extract_resources_memo(msg, memo),
+                extract_resources_memo(msg, Some(&self.artifacts)),
                 msg.header("Authentication-Results")
                     .map(|v| v.contains("spf=pass") && v.contains("dkim=pass") && v.contains("dmarc=pass"))
                     .unwrap_or(false),
@@ -637,10 +607,10 @@ impl<'a> CrawlerBox<'a> {
             t.end();
         });
 
-        // Crawl distinct URLs (first occurrence order). Breaker and
-        // enrichment-cache state is scoped to this scan: concurrent scans
-        // share nothing mutable with attempt-dependent inputs, which keeps
-        // `scan_all` bit-identical to serial scanning.
+        // Crawl distinct URLs (first occurrence order). Breaker state is
+        // scoped to this scan: concurrent scans share nothing mutable with
+        // attempt-dependent inputs, which keeps `scan_all` bit-identical to
+        // serial scanning.
         let mut urls: Vec<&str> = Vec::new();
         for r in &extracted {
             if !urls.contains(&r.url.as_str()) {
@@ -708,8 +678,7 @@ impl<'a> CrawlerBox<'a> {
     /// Scan a batch in parallel, preserving order. A panicking message
     /// yields a degraded record (`error` set) without disturbing the rest
     /// of the batch: the result always has exactly one record per message,
-    /// and every record is bit-identical across worker counts and cache
-    /// settings.
+    /// and every record is bit-identical across worker counts.
     ///
     /// This is the streaming engine collecting into a `Vec`: it applies no
     /// incremental-scan filter and traces no deliveries.
@@ -1145,34 +1114,29 @@ impl<'a> CrawlerBox<'a> {
                         t.instant_adv("screenshot", Vec::new(), vec![("cache", cache.to_string())])
                     });
                 };
-                let analysis = if self.caching {
-                    let key = shot.content_fingerprint();
-                    let cached = self
-                        .shots
-                        .read()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get(&key)
-                        .copied();
-                    match cached {
-                        Some(a) => {
-                            self.m.shot_hits.incr();
-                            shot_event("hit");
-                            a
-                        }
-                        None => {
-                            self.m.shot_misses.incr();
-                            shot_event("miss");
-                            let a = (HashPair::of(shot), self.classifier.classify(shot));
-                            self.shots
-                                .write()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .insert(key, a);
-                            a
-                        }
+                let key = shot.content_fingerprint();
+                let cached = self
+                    .shots
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get(&key)
+                    .copied();
+                let analysis = match cached {
+                    Some(a) => {
+                        self.m.shot_hits.incr();
+                        shot_event("hit");
+                        a
                     }
-                } else {
-                    shot_event("off");
-                    (HashPair::of(shot), self.classifier.classify(shot))
+                    None => {
+                        self.m.shot_misses.incr();
+                        shot_event("miss");
+                        let a = (HashPair::of(shot), self.classifier.classify(shot));
+                        self.shots
+                            .write()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(key, a);
+                        a
+                    }
                 };
                 (
                     Some(analysis.0),
@@ -1194,49 +1158,19 @@ impl<'a> CrawlerBox<'a> {
             })
             .unwrap_or(false);
 
-        // Host enrichment is pure in `(host, delivered_at, window)`;
-        // `delivered_at` and the window are fixed for the whole scan, so
-        // the per-scan cache keys on host alone.
-        let landing_host = visit.final_url().host.clone();
-        let window = SimDuration::days(30);
-        let enrichment = if self.caching {
-            // The enrichment cache is scan-local, so its hit/miss pattern is
-            // deterministic and may carry into canonical traces.
-            match ctx.enrich.entry(landing_host) {
-                Entry::Occupied(o) => {
-                    self.m.enrich_hits.incr();
-                    cb_telemetry::with_active(|t| {
-                        t.instant(
-                            "enrich.cache",
-                            vec![("host", o.key().clone()), ("cache", "hit".to_string())],
-                        )
-                    });
-                    o.get().clone()
-                }
-                Entry::Vacant(v) => {
-                    self.m.enrich_misses.incr();
-                    cb_telemetry::with_active(|t| {
-                        t.instant(
-                            "enrich.cache",
-                            vec![("host", v.key().clone()), ("cache", "miss".to_string())],
-                        )
-                    });
-                    let e = self.world.enrich(v.key(), delivered_at, window);
-                    v.insert(e).clone()
-                }
-            }
-        } else {
-            self.world.enrich(&landing_host, delivered_at, window)
-        };
+        // WHOIS, CT-log, passive-DNS and banner lookups for the landing
+        // host over the 30 days before delivery.
         let HostEnrichment {
             whois,
             first_certificate: cert,
             dns_volume,
             banner,
-        } = enrichment;
+        } = self
+            .world
+            .enrich(&visit.final_url().host, delivered_at, SimDuration::days(30));
         // A stable certificate identity for campaign clustering: serial,
         // subject and notBefore hashed together — a pure function of the
-        // certificate, so identical across worker counts and cache settings.
+        // certificate, so identical across worker counts.
         let cert_fingerprint = cert.as_ref().map(|c| {
             fingerprint::fnv128_iter(
                 c.serial
@@ -1694,36 +1628,40 @@ mod tests {
     /// single worker and a parallel pool.
     const WORKERS: [usize; 2] = [1, 4];
 
-    #[test]
-    fn parallelism_and_caching_builders_set_knobs() {
-        let corpus = corpus();
-        let cbx = CrawlerBox::new(&corpus.world);
-        assert_eq!(cbx.parallelism, 4, "default");
-        assert!(cbx.caching_enabled(), "caches default on");
-        let cbx = cbx.with_caching(false);
-        assert!(!cbx.caching_enabled());
+    /// The cache-isolated reference: one worker, and a fresh `CrawlerBox`
+    /// per message, so no memo entry can carry from one message to the next.
+    fn fresh_box_reference(world: &Internet, messages: &[ReportedMessage]) -> Vec<ScanRecord> {
+        messages
+            .iter()
+            .flat_map(|m| {
+                let mut cbx = CrawlerBox::new(world);
+                cbx.parallelism = 1;
+                cbx.scan_all(std::slice::from_ref(m))
+            })
+            .collect()
     }
 
     #[test]
-    fn every_worker_count_and_cache_setting_is_bit_identical() {
+    fn parallelism_defaults_to_four_workers() {
+        let corpus = corpus();
+        assert_eq!(CrawlerBox::new(&corpus.world).parallelism, 4);
+    }
+
+    #[test]
+    fn every_worker_count_matches_the_fresh_box_reference() {
         let corpus = corpus();
         let subset = &corpus.messages[..24.min(corpus.messages.len())];
-        let reference: Vec<ScanRecord> = {
-            let cbx = CrawlerBox::new(&corpus.world).with_caching(false);
-            subset.iter().map(|m| cbx.scan(m)).collect()
-        };
-        let reference_json = cb_json::to_string(&reference).unwrap();
+        let reference_json =
+            cb_json::to_string(&fresh_box_reference(&corpus.world, subset)).unwrap();
         for workers in WORKERS {
-            for caching in [false, true] {
-                let mut cbx = CrawlerBox::new(&corpus.world).with_caching(caching);
-                cbx.parallelism = workers;
-                let records = cbx.scan_all(subset);
-                assert_eq!(
-                    cb_json::to_string(&records).unwrap(),
-                    reference_json,
-                    "{workers} worker(s) caching={caching} diverged from inline cache-free"
-                );
-            }
+            let mut cbx = CrawlerBox::new(&corpus.world);
+            cbx.parallelism = workers;
+            let records = cbx.scan_all(subset);
+            assert_eq!(
+                cb_json::to_string(&records).unwrap(),
+                reference_json,
+                "{workers} worker(s) diverged from the fresh-box reference"
+            );
         }
     }
 
@@ -1732,11 +1670,8 @@ mod tests {
         let corpus = corpus();
         let subset: Vec<cb_phishgen::ReportedMessage> =
             corpus.messages[..24.min(corpus.messages.len())].to_vec();
-        let batch_json = {
-            let mut cbx = CrawlerBox::new(&corpus.world).with_caching(false);
-            cbx.parallelism = 1;
-            cb_json::to_string(&cbx.scan_all(&subset)).unwrap()
-        };
+        let batch_json =
+            cb_json::to_string(&fresh_box_reference(&corpus.world, &subset)).unwrap();
         for workers in WORKERS {
             let mut cbx = CrawlerBox::new(&corpus.world).with_stream_capacity(4);
             cbx.parallelism = workers;
@@ -1853,25 +1788,8 @@ mod tests {
         let stats = cbx.stats();
         assert_eq!(stats.messages, subset.len() as u64);
         assert!(
-            stats.enrich_hits + stats.enrich_misses > 0,
-            "scans with visits must touch the enrichment cache: {stats}"
-        );
-        // Cache-off boxes report no cache traffic at all.
-        let mut off = CrawlerBox::new(&corpus.world).with_caching(false);
-        off.parallelism = 1;
-        let _ = off.scan_all(subset);
-        let s = off.stats();
-        assert_eq!(
-            (
-                s.enrich_hits,
-                s.enrich_misses,
-                s.artifact_hits,
-                s.artifact_misses,
-                s.screenshot_hits,
-                s.screenshot_misses
-            ),
-            (0, 0, 0, 0, 0, 0),
-            "caching off bypasses every cache: {s}"
+            stats.screenshot_hits + stats.screenshot_misses > 0,
+            "scans with visits must touch the screenshot cache: {stats}"
         );
     }
 

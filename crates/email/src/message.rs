@@ -444,8 +444,7 @@ mod tests {
             .unwrap();
         // the EML leaf's bytes are themselves a parseable message
         let inner_parsed =
-            MimeEntity::parse(&String::from_utf8(eml_leaf.body_bytes().unwrap().to_vec()).unwrap())
-                .unwrap();
+            MimeEntity::parse(std::str::from_utf8(eml_leaf.body_bytes().unwrap()).unwrap()).unwrap();
         assert_eq!(inner_parsed.header("Subject"), Some("inner message"));
         assert!(inner_parsed.body_text().unwrap().contains("evil.example"));
     }

@@ -374,7 +374,7 @@ mod tests {
         let net = world();
         let site = PhishingSite::new(Brand::Amadora, "https://c2.example", CloakConfig::none())
             .with_waf();
-        net.host("evil-site.example", site.clone());
+        net.host("evil-site.example", site);
         let pup = Browser::new(CrawlerProfile::PuppeteerStealth)
             .visit(&net, "https://evil-site.example/");
         assert!(!pup.shows_login_form());

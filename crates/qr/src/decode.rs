@@ -196,7 +196,7 @@ mod tests {
         let payload = b"https://ok.example/";
         let s = encode_bytes(payload, EcLevel::L).unwrap();
         let mut damaged = s.matrix().clone();
-        for &(r, c) in damaged.data_positions().clone().iter().step_by(2) {
+        for &(r, c) in damaged.data_positions().iter().step_by(2) {
             let v = damaged.get(r, c);
             damaged.set(r, c, !v);
         }

@@ -502,8 +502,8 @@ mod tests {
         assert!(m.get(17, 3));
         // separator is light
         assert!(!m.get(7, 7));
-        // dark module
-        assert!(m.get(4 * 1 + 9, 8));
+        // dark module at (4·version + 9, 8)
+        assert!(m.get(4 + 9, 8));
     }
 
     #[test]

@@ -264,7 +264,7 @@ mod tests {
         let data: Vec<u8> = (0..30).collect();
         let ec = 10;
         let parity = encode(&data, ec);
-        let mut cw = data.clone();
+        let mut cw = data;
         cw.extend(&parity);
         for pos in [0usize, 3, 6, 9, 12, 15, 18] {
             cw[pos] ^= 0xA5; // 7 errors > ec/2 = 5

@@ -423,7 +423,7 @@ mod tests {
     fn duration_arithmetic() {
         let a = SimDuration::days(2) + SimDuration::hours(3);
         assert_eq!(a.as_hours(), 51);
-        assert_eq!((a - SimDuration::days(3)).is_negative(), true);
+        assert!((a - SimDuration::days(3)).is_negative());
         assert_eq!(SimDuration::hours(-5).abs(), SimDuration::hours(5));
     }
 

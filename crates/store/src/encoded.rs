@@ -20,7 +20,6 @@
 
 use crate::frame::{encode_blob_refs, encode_frame, KIND_BLOB_REF, KIND_RECORD};
 use crate::index::RecordMeta;
-use cb_sim::SimTime;
 use crawlerbox::{CapturedArtifact, RecordEncoder, ScanRecord};
 use std::io;
 
@@ -29,8 +28,6 @@ use std::io;
 /// append on the owning shard.
 #[derive(Debug, Clone)]
 pub struct EncodedRecord {
-    /// Delivery instant of the record (for sim-time commit caps).
-    pub delivered_at: SimTime,
     /// Derived index meta. `seq` is a placeholder (0) until the store
     /// assigns the shard-local log position at insert.
     pub meta: RecordMeta,
@@ -69,7 +66,6 @@ pub fn encode_record(record: &mut ScanRecord) -> io::Result<EncodedRecord> {
     }
     frame.extend_from_slice(&encode_frame(KIND_RECORD, &payload));
     Ok(EncodedRecord {
-        delivered_at: record.delivered_at,
         meta,
         payload_len: payload.len(),
         frame,

@@ -20,8 +20,7 @@
 //! delivery-thread serialization.
 
 use crate::encoded::EncodedRecord;
-use crate::store::Store;
-use cb_sim::{SimDuration, SimTime};
+use crate::store::{Store, COMMIT_MAX_BYTES};
 use crawlerbox::{EncodedSink, RecordSink, ScanRecord};
 use std::io;
 
@@ -112,11 +111,9 @@ impl<S: RecordSink> RecordSink for StoreSink<S> {
 }
 
 /// The group-commit ingest sink: buffers worker-encoded records and
-/// appends them in batches sized by the store's commit knobs
-/// ([`commit_batch`](crate::StoreOptions::commit_batch) records,
-/// [`commit_max_bytes`](crate::StoreOptions::commit_max_bytes) frame
-/// bytes, [`commit_max_hold`](crate::StoreOptions::commit_max_hold) of
-/// delivery sim-time). Records are forwarded to the inner sink
+/// appends them in batches sized like the store's group commits
+/// ([`commit_batch`](crate::StoreOptions::commit_batch) records, or
+/// 4 MiB of frame bytes). Records are forwarded to the inner sink
 /// immediately in delivery order; the on-disk log is bit-identical to the
 /// [`StoreSink`] oracle at any batch size.
 #[derive(Debug)]
@@ -128,7 +125,6 @@ pub struct EncodedStoreSink<S = ()> {
     dropped: usize,
     buf: Vec<EncodedRecord>,
     buf_bytes: u64,
-    buf_span: Option<(SimTime, SimTime)>,
 }
 
 impl EncodedStoreSink<()> {
@@ -149,7 +145,6 @@ impl<S: RecordSink> EncodedStoreSink<S> {
             dropped: 0,
             buf: Vec::new(),
             buf_bytes: 0,
-            buf_span: None,
         }
     }
 
@@ -182,22 +177,7 @@ impl<S: RecordSink> EncodedStoreSink<S> {
     /// Whether the buffered records must flush now — mirrors the store's
     /// own commit caps so batches arrive commit-sized.
     fn flush_due(&self) -> bool {
-        if self.buf.len() >= self.store.commit_batch() {
-            return true;
-        }
-        let max_bytes = self.store.commit_max_bytes();
-        if max_bytes > 0 && self.buf_bytes >= max_bytes {
-            return true;
-        }
-        let hold = self.store.commit_max_hold();
-        if hold > SimDuration::ZERO {
-            if let Some((oldest, newest)) = self.buf_span {
-                if newest.since(oldest) >= hold {
-                    return true;
-                }
-            }
-        }
-        false
+        self.buf.len() >= self.store.commit_batch() || self.buf_bytes >= COMMIT_MAX_BYTES
     }
 
     fn flush_buf(&mut self) {
@@ -206,7 +186,6 @@ impl<S: RecordSink> EncodedStoreSink<S> {
         }
         let batch = std::mem::take(&mut self.buf);
         self.buf_bytes = 0;
-        self.buf_span = None;
         let n = batch.len();
         if self.error.is_some() {
             self.dropped += n;
@@ -246,11 +225,6 @@ impl<S: RecordSink> EncodedSink<io::Result<EncodedRecord>> for EncodedStoreSink<
             match encoded {
                 Ok(enc) => {
                     self.buf_bytes += enc.frame.len() as u64;
-                    let at = enc.delivered_at;
-                    self.buf_span = Some(match self.buf_span {
-                        None => (at, at),
-                        Some((lo, hi)) => (lo.min(at), hi.max(at)),
-                    });
                     self.buf.push(enc);
                     if self.flush_due() {
                         self.flush_buf();

@@ -50,7 +50,6 @@ use crate::query::{Campaign, CampaignClusterer};
 use crate::shard::{shard_of, RepairReport, Shard, ShardHealth, TornTail};
 use crate::vfs::{RealVfs, Vfs};
 use cb_phishgen::MessageClass;
-use cb_sim::{SimDuration, SimTime};
 use cb_telemetry::{
     with_active, CounterHandle, Determinism, GaugeHandle, HistogramHandle, MetricsRegistry, Trace,
     Tracer,
@@ -64,6 +63,12 @@ use std::sync::{Arc, Mutex};
 /// Trace "message id" used for store-level (non-per-record) events like
 /// fsync, so they sort after every per-record span in the merged trace.
 const STORE_OP_TRACE_ID: usize = usize::MAX;
+
+/// Byte cap on a group commit: in durable ingest mode the barrier also
+/// fires once this many pending frame bytes accumulate, whatever the batch
+/// count says, and [`EncodedStoreSink`](crate::EncodedStoreSink) flushes
+/// its buffer at the same size.
+pub(crate) const COMMIT_MAX_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Tuning and behaviour knobs for [`Store::open_with`].
 #[derive(Debug, Clone)]
@@ -82,16 +87,6 @@ pub struct StoreOptions {
     /// A record is **acked** only once a barrier covering it completes.
     /// 1 (the default) reproduces fsync-per-append exactly.
     pub commit_batch: usize,
-    /// Byte cap on a group commit: the barrier also fires once this many
-    /// pending frame bytes accumulate, whatever the batch count says.
-    /// 0 disables the cap.
-    pub commit_max_bytes: u64,
-    /// Sim-time cap on a group commit: the barrier also fires when the
-    /// delivery-time span of the pending records reaches this duration.
-    /// [`SimDuration::ZERO`] (the default) disables the cap — corpus
-    /// delivery times span months of sim time, so any small cap would
-    /// degenerate to a commit per record.
-    pub commit_max_hold: SimDuration,
     /// Record `store.*` telemetry spans (metrics counters are always on).
     pub tracing: bool,
     /// Shard count for a store created by this open. An existing store's
@@ -108,8 +103,6 @@ impl Default for StoreOptions {
             segment_target_bytes: 4 * 1024 * 1024,
             fsync_each_append: false,
             commit_batch: 1,
-            commit_max_bytes: 4 * 1024 * 1024,
-            commit_max_hold: SimDuration::ZERO,
             tracing: false,
             shards: 4,
             recovery_workers: std::thread::available_parallelism()
@@ -372,8 +365,6 @@ pub struct Store {
     pending_records: u64,
     /// Frame bytes appended since the last barrier.
     pending_bytes: u64,
-    /// Delivery-time span `(oldest, newest)` of the pending records.
-    pending_span: Option<(SimTime, SimTime)>,
     /// Records acked by a completed barrier this session.
     acked: u64,
     /// Whether the one-shot `store.poisoned` instant fired.
@@ -477,7 +468,6 @@ impl Store {
             tracer,
             pending_records: 0,
             pending_bytes: 0,
-            pending_span: None,
             acked: 0,
             poison_noted: false,
         })
@@ -567,7 +557,7 @@ impl Store {
             });
         }
 
-        self.note_pending(wrote, record.delivered_at);
+        self.note_pending(wrote);
         self.commit_if_due()
     }
 
@@ -688,7 +678,7 @@ impl Store {
 
         // Index and account in batch (delivery) order.
         for (pos, rec) in batch.into_iter().enumerate() {
-            let EncodedRecord { delivered_at, meta, payload_len, refs, .. } = rec;
+            let EncodedRecord { meta, payload_len, refs, .. } = rec;
             let sid = shard_of(meta.content_hash, shard_count);
             let hash = meta.content_hash;
             let message_id = meta.message_id;
@@ -718,43 +708,24 @@ impl Store {
                     t.end();
                 });
             }
-            self.note_pending(wrote_by_pos[pos], delivered_at);
+            self.note_pending(wrote_by_pos[pos]);
         }
         self.commit_if_due()
     }
 
     /// Track one appended-but-unacked record.
-    fn note_pending(&mut self, bytes: u64, at: SimTime) {
+    fn note_pending(&mut self, bytes: u64) {
         self.pending_records += 1;
         self.pending_bytes += bytes;
         self.m.append_pending.add(1);
-        self.pending_span = Some(match self.pending_span {
-            None => (at, at),
-            Some((lo, hi)) => (lo.min(at), hi.max(at)),
-        });
     }
 
     /// Whether the pending window must commit now (durable ingest mode
-    /// only): batch count reached, byte cap reached, or the sim-time hold
-    /// cap exceeded.
+    /// only): batch count or [`COMMIT_MAX_BYTES`] reached.
     fn commit_due(&self) -> bool {
-        if !self.opts.fsync_each_append || self.pending_records == 0 {
-            return false;
-        }
-        if self.pending_records >= self.opts.commit_batch.max(1) as u64 {
-            return true;
-        }
-        if self.opts.commit_max_bytes > 0 && self.pending_bytes >= self.opts.commit_max_bytes {
-            return true;
-        }
-        if self.opts.commit_max_hold > SimDuration::ZERO {
-            if let Some((oldest, newest)) = self.pending_span {
-                if newest.since(oldest) >= self.opts.commit_max_hold {
-                    return true;
-                }
-            }
-        }
-        false
+        self.opts.fsync_each_append
+            && (self.pending_records >= self.opts.commit_batch.max(1) as u64
+                || self.pending_bytes >= COMMIT_MAX_BYTES)
     }
 
     fn commit_if_due(&mut self) -> io::Result<()> {
@@ -793,16 +764,6 @@ impl Store {
     /// The configured group-commit batch size.
     pub fn commit_batch(&self) -> usize {
         self.opts.commit_batch.max(1)
-    }
-
-    /// The configured group-commit byte cap (0 = disabled).
-    pub fn commit_max_bytes(&self) -> u64 {
-        self.opts.commit_max_bytes
-    }
-
-    /// The configured group-commit sim-time hold cap (ZERO = disabled).
-    pub fn commit_max_hold(&self) -> SimDuration {
-        self.opts.commit_max_hold
     }
 
     /// Flush buffered log writes to the OS (no fsync).
@@ -850,7 +811,6 @@ impl Store {
             self.acked += self.pending_records;
             self.pending_records = 0;
             self.pending_bytes = 0;
-            self.pending_span = None;
         }
         Ok(())
     }

@@ -10,6 +10,11 @@
 //! (`--port 0` picks a free port), serves the wire API described in
 //! [`crawlerbox_suite::daemon`], and exits 0 after `POST /shutdown`
 //! drains every shard queue and flushes every pending commit batch.
+//!
+//! `--commit-batch N` (default 1) is the number of records a shard worker
+//! hands the store per `append_batch` call while it drains a burst of
+//! queued tasks. It does not set how often the store fsyncs: the barrier
+//! runs once per drained burst, whatever N is.
 
 use crawlerbox_suite::daemon::{run, DaemonConfig};
 use std::path::PathBuf;

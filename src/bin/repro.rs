@@ -3,9 +3,8 @@
 //!
 //! ```text
 //! repro [EXPERIMENT] [--scale F] [--seed N] [--json] [--log FILE.jsonl]
-//!       [--workers N] [--no-cache]
-//!       [--stream] [--stream-capacity N] [--store DIR] [--store-shards N]
-//!       [--commit-batch N] [--budget N] [--fault-rate F]
+//!       [--workers N] [--stream] [--stream-capacity N] [--store DIR]
+//!       [--store-shards N] [--commit-batch N] [--budget N] [--fault-rate F]
 //!       [--trace FILE.jsonl] [--trace-chrome FILE.json] [--metrics FILE.json]
 //!
 //! EXPERIMENT: all (default) | table1 | ablation | table2 | figure2 |
@@ -17,7 +16,6 @@
 //! --workers N:    scan worker threads, 1..=256 (default: the available
 //!                 parallelism); records are identical at every worker
 //!                 count — only throughput changes
-//! --no-cache:     disable the deterministic memoization caches
 //! --stream:       bounded-memory mode: generate messages lazily and scan
 //!                 them through the streaming pipeline, holding at most
 //!                 stream-capacity + workers messages in memory. Reports
@@ -80,7 +78,6 @@ struct Args {
     json: bool,
     log: Option<String>,
     workers: usize,
-    caching: bool,
     stream: bool,
     stream_capacity: usize,
     store: Option<String>,
@@ -102,7 +99,7 @@ impl Args {
 fn usage_exit(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!(
-        "usage: repro [EXPERIMENT] [--scale F] [--seed N] [--json] [--log FILE.jsonl] [--workers N] [--no-cache] [--stream] [--stream-capacity N] [--store DIR] [--store-shards N] [--commit-batch N] [--budget N] [--fault-rate F] [--trace FILE.jsonl] [--trace-chrome FILE.json] [--metrics FILE.json]"
+        "usage: repro [EXPERIMENT] [--scale F] [--seed N] [--json] [--log FILE.jsonl] [--workers N] [--stream] [--stream-capacity N] [--store DIR] [--store-shards N] [--commit-batch N] [--budget N] [--fault-rate F] [--trace FILE.jsonl] [--trace-chrome FILE.json] [--metrics FILE.json]"
     );
     std::process::exit(2);
 }
@@ -115,7 +112,6 @@ fn parse_args() -> Args {
         json: false,
         log: None,
         workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-        caching: true,
         stream: false,
         stream_capacity: 32,
         store: None,
@@ -152,7 +148,6 @@ fn parse_args() -> Args {
                     _ => usage_exit("--workers needs an integer in 1..=256"),
                 };
             }
-            "--no-cache" => args.caching = false,
             "--stream" => args.stream = true,
             "--stream-capacity" => {
                 args.stream_capacity = match iter.next().and_then(|v| v.parse().ok()) {
@@ -240,9 +235,7 @@ fn parse_args() -> Args {
         // The arms race generates its own campaign worlds: every
         // corpus/stream knob is meaningless here, and --store means
         // "persist the bandit's policy memory", not "ingest records".
-        if scale_set || args.stream || args.log.is_some() || !args.caching
-            || args.commit_batch.is_some()
-        {
+        if scale_set || args.stream || args.log.is_some() || args.commit_batch.is_some() {
             usage_exit("adaptive races synthetic campaigns; it takes only --seed, --budget, --fault-rate, --workers, --json, --store (policy memory) and the telemetry flags");
         }
     } else {
@@ -400,7 +393,6 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
     let (corpus, stream) = Corpus::stream(spec, args.seed);
     let total = stream.len();
     let mut cbx = CrawlerBox::new(&corpus.world)
-        .with_caching(args.caching)
         .with_stream_capacity(args.stream_capacity)
         .with_tracing(args.trace.is_some() || args.trace_chrome.is_some());
     cbx.parallelism = args.workers;
@@ -650,7 +642,6 @@ fn main() {
         corpus.messages.len()
     );
     let mut cbx = CrawlerBox::new(&corpus.world)
-        .with_caching(args.caching)
         .with_tracing(args.trace.is_some() || args.trace_chrome.is_some());
     cbx.parallelism = args.workers;
     let records = cbx.scan_all(&corpus.messages);

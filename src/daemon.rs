@@ -19,8 +19,8 @@
 //! | `POST /shutdown`    | drain queues, flush every pending batch, exit  |
 //!
 //! **Ack vs durable.** `POST /ingest` answers `202 Accepted` the moment
-//! tasks are queued; each task reaches `durable` only after its commit
-//! batch passes the store's fsync barrier ([`Store::sync`]). The
+//! tasks are queued; each task reaches `durable` only after the burst
+//! that carried it passes the store's fsync barrier ([`Store::sync`]). The
 //! black-box suite SIGKILLs the daemon mid-ingest and asserts exactly
 //! this split: every task seen `durable` is present after recovery, and
 //! nothing stronger is promised for `202`.
@@ -64,7 +64,10 @@ pub struct DaemonConfig {
     pub shards: usize,
     /// Root directory; partitions live at `<root>/part-NN`.
     pub store_root: PathBuf,
-    /// Group-commit batch size per partition (1 = fsync per record).
+    /// Records per [`Store::append_batch`] call while a shard worker drains
+    /// a burst. It does not set the fsync cadence: the partitions run
+    /// without `fsync_each_append`, so the durable barrier runs once per
+    /// drained burst (up to 256 queued tasks) whatever this value is.
     pub commit_batch: usize,
     /// World seed (must match the corpus the messages came from for the
     /// crawls to resolve).

@@ -10,6 +10,8 @@ use cb_sim::prop::{bytes, check, check_from, one_of, string, vec};
 use cb_sim::{prop_assert, prop_assert_eq};
 use std::sync::OnceLock;
 
+mod common;
+
 /// A tiny shared corpus for pipeline fuzzing: generated once, scanned many
 /// times with mutated message bytes.
 fn fuzz_corpus() -> &'static cb_phishgen::Corpus {
@@ -304,19 +306,20 @@ fn describe_is_translation_equivariant() {
 /// Transient fault rates the determinism properties sweep.
 const FAULT_RATES: [f64; 4] = [0.0, 0.1, 0.2, 0.3];
 
-// Few cases: each one generates and double-scans a fresh corpus.
+// Few cases: each one generates and triple-scans a fresh corpus.
 #[test]
-fn cached_parallel_scan_is_byte_identical_to_one_worker_uncached() {
+fn shared_box_scan_is_byte_identical_to_fresh_box_reference() {
     let inputs = (0u64..1_000, 0u64..1_000, one_of(&FAULT_RATES));
     check(
-        "cached_parallel_scan_is_byte_identical_to_one_worker_uncached",
+        "shared_box_scan_is_byte_identical_to_fresh_box_reference",
         6,
         inputs,
         |(corpus_seed, fault_seed, fault_rate)| {
             // The tentpole determinism invariant: over random corpora and fault
-            // rates (up to 30% transient faults), a four-worker scan with every
-            // cache enabled produces byte-identical records to a one-worker
-            // cache-free scan of the same batch.
+            // rates (up to 30% transient faults), one box scanning the whole
+            // batch at one or four workers, its caches shared across
+            // messages, produces byte-identical records to the fresh-box
+            // reference, where no cache entry crosses messages.
             use crawlerbox::CrawlerBox;
             let corpus = cb_phishgen::Corpus::generate(
                 &cb_phishgen::CorpusSpec::paper().with_scale(0.01),
@@ -327,15 +330,17 @@ fn cached_parallel_scan_is_byte_identical_to_one_worker_uncached() {
                 .set_fault_plan(cb_netsim::FaultPlan::uniform(fault_seed, fault_rate));
             let subset = &corpus.messages[..corpus.messages.len().min(16)];
 
-            let mut one = CrawlerBox::new(&corpus.world).with_caching(false);
-            one.parallelism = 1;
-            let mut four = CrawlerBox::new(&corpus.world).with_caching(true);
-            four.parallelism = 4;
-
-            prop_assert_eq!(
-                cb_json::to_string(&four.scan_all(subset)).unwrap(),
-                cb_json::to_string(&one.scan_all(subset)).unwrap()
-            );
+            let (reference, _) = common::fresh_box_scan(&corpus.world, subset, |b| b);
+            let reference_json = cb_json::to_string(&reference).unwrap();
+            for workers in [1, 4] {
+                let mut cbx = CrawlerBox::new(&corpus.world);
+                cbx.parallelism = workers;
+                prop_assert_eq!(
+                    cb_json::to_string(&cbx.scan_all(subset)).unwrap(),
+                    reference_json.clone(),
+                    "diverged for {} worker(s)", workers
+                );
+            }
             Ok(())
         },
     );
@@ -349,10 +354,10 @@ fn streamed_scan_is_byte_identical_to_batch() {
         6,
         inputs,
         |(corpus_seed, fault_seed, fault_rate, capacity)| {
-            // The streaming pipeline's purity invariant: at every worker count,
-            // caches on or off, and transient fault rates up to 30%, driving
-            // the same messages through `scan_stream` yields records
-            // byte-identical to a one-worker cache-free `scan_all` of the batch.
+            // The streaming pipeline's purity invariant: at every worker count
+            // and transient fault rates up to 30%, driving the same messages
+            // through `scan_stream` yields records byte-identical to the
+            // fresh-box reference.
             use crawlerbox::{CrawlerBox, ScanRecord};
             let corpus = cb_phishgen::Corpus::generate(
                 &cb_phishgen::CorpusSpec::paper().with_scale(0.01),
@@ -363,27 +368,22 @@ fn streamed_scan_is_byte_identical_to_batch() {
                 .set_fault_plan(cb_netsim::FaultPlan::uniform(fault_seed, fault_rate));
             let subset = &corpus.messages[..corpus.messages.len().min(16)];
 
-            let mut reference = CrawlerBox::new(&corpus.world).with_caching(false);
-            reference.parallelism = 1;
-            let reference_json = cb_json::to_string(&reference.scan_all(subset)).unwrap();
+            let (reference, _) = common::fresh_box_scan(&corpus.world, subset, |b| b);
+            let reference_json = cb_json::to_string(&reference).unwrap();
 
             for workers in [1, 4] {
-                for caching in [false, true] {
-                    let mut cbx = CrawlerBox::new(&corpus.world)
-                        .with_caching(caching)
-                        .with_stream_capacity(capacity);
-                    cbx.parallelism = workers;
-                    let mut streamed: Vec<ScanRecord> = Vec::new();
-                    let delivered = cbx.scan_stream(subset.iter().cloned(), &mut streamed);
-                    prop_assert_eq!(delivered, subset.len());
-                    let bound = (cbx.stream_capacity() + cbx.parallelism) as u64;
-                    prop_assert!(cbx.stats().peak_in_flight <= bound);
-                    prop_assert_eq!(
-                        cb_json::to_string(&streamed).unwrap(),
-                        reference_json.clone(),
-                        "diverged for {} worker(s) caching {}", workers, caching
-                    );
-                }
+                let mut cbx = CrawlerBox::new(&corpus.world).with_stream_capacity(capacity);
+                cbx.parallelism = workers;
+                let mut streamed: Vec<ScanRecord> = Vec::new();
+                let delivered = cbx.scan_stream(subset.iter().cloned(), &mut streamed);
+                prop_assert_eq!(delivered, subset.len());
+                let bound = (cbx.stream_capacity() + cbx.parallelism) as u64;
+                prop_assert!(cbx.stats().peak_in_flight <= bound);
+                prop_assert_eq!(
+                    cb_json::to_string(&streamed).unwrap(),
+                    reference_json.clone(),
+                    "diverged for {} worker(s)", workers
+                );
             }
             Ok(())
         },

@@ -1,8 +1,8 @@
 //! End-to-end tests for the persistent crawl store: on-disk byte
-//! determinism across worker counts and cache settings, torn-tail crash
-//! recovery with incremental re-scan, blob dedup and orphan GC, shard
-//! quarantine + repair degradation, v1 layout migration, compaction,
-//! campaign clustering from disk, and the `crawl-log store` /
+//! determinism across worker counts, torn-tail crash recovery with
+//! incremental re-scan, blob dedup and orphan GC, shard quarantine +
+//! repair degradation, v1 layout migration, compaction, campaign
+//! clustering from disk, and the `crawl-log store` /
 //! `repro --store` CLI surfaces.
 
 use cb_artifacts::fingerprint;
@@ -12,6 +12,8 @@ use cb_store::{encode_record, shard_of, EncodedStoreSink, Store, StoreEncoder, S
 use crawlerbox::{ArtifactKind, CapturedArtifact, CrawlerBox, RecordSink, ScanRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+mod common;
 
 /// Worker counts every determinism check compares.
 const WORKERS: [usize; 2] = [1, 4];
@@ -92,21 +94,15 @@ fn hash_in_shard(shard: usize, n: usize, salt: u128) -> u128 {
 }
 
 /// The tentpole acceptance check: streaming a corpus through `StoreSink`
-/// writes byte-identical segment files at every worker count, with caches on
-/// or off, and the payloads read back equal to the canonical encoding of
-/// an in-memory reference capture (grouped by shard, delivery order within
-/// each shard). Reopening the store reproduces the same log with a clean
-/// verify.
+/// writes byte-identical segment files at every worker count, and the
+/// payloads read back equal to the canonical encoding of the fresh-box
+/// reference (grouped by shard, delivery order within each shard).
+/// Reopening the store reproduces the same log with a clean verify.
 #[test]
 fn store_round_trip_is_byte_identical_across_configs() {
     let (corpus, subset) = corpus_subset(11, 24);
-    let mut reference: Vec<ScanRecord> = Vec::new();
-    let mut reference_box = CrawlerBox::new(&corpus.world)
-        .with_caching(false)
-        .with_artifact_capture(true)
-        .with_stream_capacity(4);
-    reference_box.parallelism = 1;
-    reference_box.scan_stream(subset.iter().cloned(), &mut reference);
+    let (reference, _) =
+        common::fresh_box_scan(&corpus.world, &subset, |b| b.with_artifact_capture(true));
     assert_eq!(reference.len(), subset.len());
     assert!(
         reference.iter().any(|r| !r.artifacts.is_empty()),
@@ -124,51 +120,44 @@ fn store_round_trip_is_byte_identical_across_configs() {
 
     let mut golden: Option<Vec<Vec<u8>>> = None;
     for workers in WORKERS {
-        for caching in [false, true] {
-            let dir = scratch(&format!("rt-{workers}-{caching}"));
-            let mut cbx = CrawlerBox::new(&corpus.world)
-                .with_caching(caching)
-                .with_artifact_capture(true)
-                .with_stream_capacity(4);
-            cbx.parallelism = workers;
-            let mut sink = StoreSink::new(Store::open(&dir).unwrap());
-            let delivered = cbx.scan_stream(subset.iter().cloned(), &mut sink);
-            assert_eq!(
-                delivered,
-                subset.len(),
-                "{workers} worker(s) caching {caching}"
-            );
-            assert_eq!(sink.appended(), subset.len());
-            let (mut store, ()) = sink.finish().unwrap();
-            assert_eq!(store.shard_count(), shards);
-            assert_eq!(
-                store.read_payloads().unwrap(),
-                expected,
-                "payloads diverged ({workers} worker(s), caching {caching})"
-            );
-            drop(store);
+        let dir = scratch(&format!("rt-{workers}"));
+        let mut cbx = CrawlerBox::new(&corpus.world)
+            .with_artifact_capture(true)
+            .with_stream_capacity(4);
+        cbx.parallelism = workers;
+        let mut sink = StoreSink::new(Store::open(&dir).unwrap());
+        let delivered = cbx.scan_stream(subset.iter().cloned(), &mut sink);
+        assert_eq!(delivered, subset.len(), "{workers} worker(s)");
+        assert_eq!(sink.appended(), subset.len());
+        let (mut store, ()) = sink.finish().unwrap();
+        assert_eq!(store.shard_count(), shards);
+        assert_eq!(
+            store.read_payloads().unwrap(),
+            expected,
+            "payloads diverged ({workers} worker(s))"
+        );
+        drop(store);
 
-            let mut reopened = Store::open(&dir).unwrap();
-            assert!(reopened.recovery().torn.is_empty());
-            assert!(reopened.recovery().quarantined.is_empty());
-            assert_eq!(reopened.len(), subset.len());
-            assert_eq!(
-                reopened.read_payloads().unwrap(),
-                expected,
-                "reopen replay diverged ({workers} worker(s), caching {caching})"
-            );
-            assert!(reopened.verify().unwrap().is_clean());
+        let mut reopened = Store::open(&dir).unwrap();
+        assert!(reopened.recovery().torn.is_empty());
+        assert!(reopened.recovery().quarantined.is_empty());
+        assert_eq!(reopened.len(), subset.len());
+        assert_eq!(
+            reopened.read_payloads().unwrap(),
+            expected,
+            "reopen replay diverged ({workers} worker(s))"
+        );
+        assert!(reopened.verify().unwrap().is_clean());
 
-            let bytes = segment_bytes(&dir);
-            match &golden {
-                None => golden = Some(bytes),
-                Some(g) => assert_eq!(
-                    &bytes, g,
-                    "on-disk segment bytes diverged ({workers} worker(s), caching {caching})"
-                ),
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
+        let bytes = segment_bytes(&dir);
+        match &golden {
+            None => golden = Some(bytes),
+            Some(g) => assert_eq!(
+                &bytes, g,
+                "on-disk segment bytes diverged ({workers} worker(s))"
+            ),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -315,7 +315,7 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
             acked.len(),
             recovered.len()
         );
-        if recovered.len() % batch != 0 {
+        if !recovered.len().is_multiple_of(batch) {
             partial_batch_recoveries += 1;
         }
         let _ = store.gc_orphan_blobs().unwrap();

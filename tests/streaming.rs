@@ -16,6 +16,8 @@ use cb_sim::SimTime;
 use crawlerbox::analysis::tables::ClassMix;
 use crawlerbox::{ClassMixSink, CountingSink, CrawlerBox, ScanRecord, TruthLedger};
 
+mod common;
+
 /// Worker counts every determinism check compares.
 const WORKERS: [usize; 2] = [1, 4];
 
@@ -92,8 +94,8 @@ fn streamed_class_mix_and_agreement_match_batch() {
     );
 }
 
-/// Streaming must be bit-identical to the batch path at every worker count,
-/// with and without caches, including under transient network faults.
+/// Streaming must be bit-identical to the fresh-box reference at every
+/// worker count, including under transient network faults.
 #[test]
 fn scan_stream_is_bit_identical_to_scan_all_under_faults() {
     let corpus = Corpus::generate(&CorpusSpec::paper().with_scale(0.01), 7);
@@ -102,25 +104,20 @@ fn scan_stream_is_bit_identical_to_scan_all_under_faults() {
         .set_fault_plan(cb_netsim::FaultPlan::uniform(99, 0.2));
     let subset: Vec<ReportedMessage> = corpus.messages.iter().take(20).cloned().collect();
 
-    let mut reference = CrawlerBox::new(&corpus.world).with_caching(false);
-    reference.parallelism = 1;
-    let reference_json = cb_json::to_string(&reference.scan_all(&subset)).unwrap();
+    let (reference, _) = common::fresh_box_scan(&corpus.world, &subset, |b| b);
+    let reference_json = cb_json::to_string(&reference).unwrap();
 
     for workers in WORKERS {
-        for caching in [false, true] {
-            let mut cbx = CrawlerBox::new(&corpus.world)
-                .with_caching(caching)
-                .with_stream_capacity(3);
-            cbx.parallelism = workers;
-            let mut records: Vec<ScanRecord> = Vec::new();
-            let delivered = cbx.scan_stream(subset.iter().cloned(), &mut records);
-            assert_eq!(delivered, subset.len());
-            assert_eq!(
-                cb_json::to_string(&records).unwrap(),
-                reference_json,
-                "stream diverged from batch ({workers} worker(s), caching {caching})"
-            );
-        }
+        let mut cbx = CrawlerBox::new(&corpus.world).with_stream_capacity(3);
+        cbx.parallelism = workers;
+        let mut records: Vec<ScanRecord> = Vec::new();
+        let delivered = cbx.scan_stream(subset.iter().cloned(), &mut records);
+        assert_eq!(delivered, subset.len());
+        assert_eq!(
+            cb_json::to_string(&records).unwrap(),
+            reference_json,
+            "stream diverged from the fresh-box reference ({workers} worker(s))"
+        );
     }
 }
 
@@ -158,7 +155,7 @@ fn streaming_panic_degrades_exactly_one_record() {
         let mut cbx = CrawlerBox::new(&net).with_stream_capacity(2);
         cbx.parallelism = workers;
         let mut records: Vec<ScanRecord> = Vec::new();
-        let delivered = cbx.scan_stream(batch.clone().into_iter(), &mut records);
+        let delivered = cbx.scan_stream(batch.clone(), &mut records);
 
         assert_eq!(
             delivered,
@@ -184,7 +181,7 @@ fn streaming_panic_degrades_exactly_one_record() {
         let mut counts = CountingSink::new();
         let mut cbx2 = CrawlerBox::new(&net).with_stream_capacity(2);
         cbx2.parallelism = workers;
-        cbx2.scan_stream(batch.clone().into_iter(), &mut counts);
+        cbx2.scan_stream(batch.clone(), &mut counts);
         assert_eq!(counts.records, batch.len());
         assert_eq!(counts.degraded, 1);
     }

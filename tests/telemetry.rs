@@ -1,9 +1,10 @@
 //! The golden-trace harness for the telemetry subsystem (DESIGN.md §10):
-//! canonical exports must be byte-identical across worker counts, caching
-//! settings and fault rates (the determinism contract, tier-1); a committed
-//! golden trace pins the canonical byte layout; faulted runs must leave
-//! retry/backoff provenance in their traces; and the `repro` CLI must
-//! reject malformed invocations and wire `--trace`/`--metrics` end to end.
+//! canonical exports must be byte-identical across worker counts and fault
+//! rates, and to the fresh-box reference (the determinism contract,
+//! tier-1); a committed golden trace pins the canonical byte layout;
+//! faulted runs must leave retry/backoff provenance in their traces; and
+//! the `repro` CLI must reject malformed invocations and wire
+//! `--trace`/`--metrics` end to end.
 //!
 //! Environment knobs (used by the CI seed matrix):
 //! * `CB_SEED` — corpus seed for the determinism property (default 2024)
@@ -14,10 +15,13 @@
 //! never be rescanned.
 
 use cb_phishgen::{Corpus, CorpusSpec};
-use cb_telemetry::TraceEvent;
+use cb_telemetry::{MetricsRegistry, TraceEvent};
 use crawlerbox::{CrawlerBox, ExportMode};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
+
+mod common;
 
 /// Corpus scale for the determinism property (~100 messages).
 const PROPERTY_SCALE: f64 = 0.02;
@@ -36,23 +40,19 @@ fn seed_from_env() -> u64 {
         .unwrap_or(2024)
 }
 
-/// Scan a fresh corpus and return `(canonical trace JSONL, canonical
-/// metrics JSON)`.
-fn canonical_run(
-    scale: f64,
-    seed: u64,
-    fault_rate: f64,
-    caching: bool,
-    workers: usize,
-) -> (String, String) {
-    let mut spec = CorpusSpec::paper().with_scale(scale);
+fn fresh_corpus(seed: u64, fault_rate: f64) -> Corpus {
+    let mut spec = CorpusSpec::paper().with_scale(PROPERTY_SCALE);
     if fault_rate > 0.0 {
         spec = spec.with_fault_rate(fault_rate);
     }
-    let corpus = Corpus::generate(&spec, seed);
-    let mut cbx = CrawlerBox::new(&corpus.world)
-        .with_caching(caching)
-        .with_tracing(true);
+    Corpus::generate(&spec, seed)
+}
+
+/// Scan a fresh corpus with one box at `workers` and return `(canonical
+/// trace JSONL, canonical metrics JSON)`.
+fn canonical_run(seed: u64, fault_rate: f64, workers: usize) -> (String, String) {
+    let corpus = fresh_corpus(seed, fault_rate);
+    let mut cbx = CrawlerBox::new(&corpus.world).with_tracing(true);
     cbx.parallelism = workers;
     let _ = cbx.scan_all(&corpus.messages);
     (
@@ -61,30 +61,41 @@ fn canonical_run(
     )
 }
 
+/// The same exports from the fresh-box reference: every message gets its
+/// own box, all of them recording into one metrics registry.
+fn canonical_fresh_box_run(seed: u64, fault_rate: f64) -> (String, String) {
+    let corpus = fresh_corpus(seed, fault_rate);
+    let registry = Arc::new(MetricsRegistry::new());
+    let (_, trace) = common::fresh_box_scan(&corpus.world, &corpus.messages, |b| {
+        b.with_tracing(true).with_metrics(registry.clone())
+    });
+    (
+        trace.to_jsonl(ExportMode::Canonical),
+        registry.export_json(ExportMode::Canonical),
+    )
+}
+
 /// The tier-1 determinism contract: for one seed and config, the canonical
-/// trace and metrics exports are byte-identical whether one worker or four
-/// ran the batch — at 0% and 20% fault rates, caches on and off.
+/// trace and metrics exports of a batch scanned by one box, at one worker
+/// or four, are byte-identical to the fresh-box reference — at 0% and 20%
+/// fault rates.
 #[test]
 fn canonical_exports_are_byte_identical_across_worker_counts() {
     let seed = seed_from_env();
     for fault_rate in [0.0, FAULT_RATE] {
-        for caching in [true, false] {
-            let (ref_trace, ref_metrics) =
-                canonical_run(PROPERTY_SCALE, seed, fault_rate, caching, 1);
-            assert!(
-                !ref_trace.is_empty(),
-                "one-worker reference recorded an empty trace"
-            );
-            let (trace, metrics) = canonical_run(PROPERTY_SCALE, seed, fault_rate, caching, 4);
+        let (ref_trace, ref_metrics) = canonical_fresh_box_run(seed, fault_rate);
+        assert!(!ref_trace.is_empty(), "fresh-box reference recorded an empty trace");
+        for workers in [1, 4] {
+            let (trace, metrics) = canonical_run(seed, fault_rate, workers);
             assert_eq!(
                 trace, ref_trace,
-                "canonical trace diverged between 1 and 4 workers: \
-                 fault_rate {fault_rate}, caching {caching}, seed {seed}"
+                "canonical trace diverged from the fresh-box reference: \
+                 {workers} worker(s), fault_rate {fault_rate}, seed {seed}"
             );
             assert_eq!(
                 metrics, ref_metrics,
-                "canonical metrics diverged between 1 and 4 workers: \
-                 fault_rate {fault_rate}, caching {caching}, seed {seed}"
+                "canonical metrics diverged from the fresh-box reference: \
+                 {workers} worker(s), fault_rate {fault_rate}, seed {seed}"
             );
         }
     }
@@ -224,8 +235,6 @@ fn scan_stats_and_registry_agree() {
     let export = cbx.export_metrics(ExportMode::Full);
     for (name, value) in [
         ("scan.messages", stats.messages),
-        ("cache.enrich.hits", stats.enrich_hits),
-        ("cache.enrich.misses", stats.enrich_misses),
         ("cache.artifact.hits", stats.artifact_hits),
         ("cache.artifact.misses", stats.artifact_misses),
         ("cache.screenshot.hits", stats.screenshot_hits),
