@@ -57,7 +57,10 @@ pub const MAX_PAYLOAD_LEN: u32 = 64 * 1024 * 1024;
 
 /// Encode one frame.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_PAYLOAD_LEN as usize, "payload too large");
+    assert!(
+        payload.len() <= MAX_PAYLOAD_LEN as usize,
+        "payload too large"
+    );
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.push(kind);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -98,16 +101,25 @@ pub fn next_frame(buf: &[u8], at: usize) -> FrameStep<'_> {
     if at + FRAME_HEADER_LEN > buf.len() {
         return FrameStep::Torn {
             at,
-            reason: format!("partial header ({} of {FRAME_HEADER_LEN} bytes)", buf.len() - at),
+            reason: format!(
+                "partial header ({} of {FRAME_HEADER_LEN} bytes)",
+                buf.len() - at
+            ),
         };
     }
     let kind = buf[at];
     if kind != KIND_RECORD && kind != KIND_BLOB_REF {
-        return FrameStep::Torn { at, reason: format!("unknown frame kind {kind:#x}") };
+        return FrameStep::Torn {
+            at,
+            reason: format!("unknown frame kind {kind:#x}"),
+        };
     }
     let len = u32::from_le_bytes(buf[at + 1..at + 5].try_into().expect("4 bytes"));
     if len > MAX_PAYLOAD_LEN {
-        return FrameStep::Torn { at, reason: format!("implausible payload length {len}") };
+        return FrameStep::Torn {
+            at,
+            reason: format!("implausible payload length {len}"),
+        };
     }
     let want = u32::from_le_bytes(buf[at + 5..at + 9].try_into().expect("4 bytes"));
     let start = at + FRAME_HEADER_LEN;
@@ -126,7 +138,11 @@ pub fn next_frame(buf: &[u8], at: usize) -> FrameStep<'_> {
             reason: format!("crc mismatch (stored {want:#010x}, computed {got:#010x})"),
         };
     }
-    FrameStep::Frame { kind, payload, next: end }
+    FrameStep::Frame {
+        kind,
+        payload,
+        next: end,
+    }
 }
 
 #[cfg(test)]
@@ -142,7 +158,11 @@ mod tests {
         let mut seen = Vec::new();
         loop {
             match next_frame(&buf, at) {
-                FrameStep::Frame { kind, payload, next } => {
+                FrameStep::Frame {
+                    kind,
+                    payload,
+                    next,
+                } => {
                     assert_eq!(kind, KIND_RECORD);
                     seen.push(payload.to_vec());
                     at = next;
@@ -151,7 +171,10 @@ mod tests {
                 FrameStep::Torn { at, reason } => panic!("torn at {at}: {reason}"),
             }
         }
-        assert_eq!(seen, vec![b"first".to_vec(), Vec::new(), b"third payload".to_vec()]);
+        assert_eq!(
+            seen,
+            vec![b"first".to_vec(), Vec::new(), b"third payload".to_vec()]
+        );
     }
 
     #[test]
@@ -180,9 +203,19 @@ mod tests {
         let payload = encode_blob_refs(&hashes);
         assert_eq!(decode_blob_refs(&payload), Some(hashes));
         assert_eq!(decode_blob_refs(&[]), Some(Vec::new()));
-        assert_eq!(decode_blob_refs(&[0u8; 15]), None, "partial hash is invalid");
+        assert_eq!(
+            decode_blob_refs(&[0u8; 15]),
+            None,
+            "partial hash is invalid"
+        );
         let frame = encode_frame(KIND_BLOB_REF, &payload);
-        assert!(matches!(next_frame(&frame, 0), FrameStep::Frame { kind: KIND_BLOB_REF, .. }));
+        assert!(matches!(
+            next_frame(&frame, 0),
+            FrameStep::Frame {
+                kind: KIND_BLOB_REF,
+                ..
+            }
+        ));
     }
 
     #[test]

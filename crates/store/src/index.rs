@@ -223,7 +223,11 @@ impl StoreIndex {
     }
 
     fn push_meta(&mut self, meta: RecordMeta) {
-        debug_assert_eq!(meta.seq, self.metas.len(), "metas must be pushed in seq order");
+        debug_assert_eq!(
+            meta.seq,
+            self.metas.len(),
+            "metas must be pushed in seq order"
+        );
         let seq = meta.seq;
         self.by_hash.insert(meta.content_hash, seq);
         for d in &meta.domains {
@@ -307,7 +311,9 @@ impl StoreIndex {
 
     /// Landing domains in the index, with record counts (sorted by domain).
     pub fn domain_counts(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.by_domain.iter().map(|(d, seqs)| (d.as_str(), seqs.len()))
+        self.by_domain
+            .iter()
+            .map(|(d, seqs)| (d.as_str(), seqs.len()))
     }
 
     /// Class histogram over the whole log (sorted by class).
@@ -334,15 +340,27 @@ mod tests {
         assert_eq!(url_token_scheme("https://a.example/track?id=9"), None);
         assert_eq!(url_token_scheme("https://a.example/"), None);
         assert_eq!(url_token_scheme("https://a.example"), None);
-        assert_eq!(url_token_scheme("https://a.example/verify-account-22"), Some("m17".into()));
-        assert_eq!(url_token_scheme("https://a.example/12345/678"), Some("d5/d3".into()));
+        assert_eq!(
+            url_token_scheme("https://a.example/verify-account-22"),
+            Some("m17".into())
+        );
+        assert_eq!(
+            url_token_scheme("https://a.example/12345/678"),
+            Some("d5/d3".into())
+        );
     }
 
     #[test]
     fn hex_beats_alpha_only_when_digits_present() {
         // "deadbeef" is all hex digits but also all alphabetic; the alpha
         // class must win so ordinary words don't read as tokens.
-        assert_eq!(url_token_scheme("https://x.example/deadbeef"), Some("a8".into()));
-        assert_eq!(url_token_scheme("https://x.example/dead8eef"), Some("x8".into()));
+        assert_eq!(
+            url_token_scheme("https://x.example/deadbeef"),
+            Some("a8".into())
+        );
+        assert_eq!(
+            url_token_scheme("https://x.example/dead8eef"),
+            Some("x8".into())
+        );
     }
 }

@@ -121,7 +121,11 @@ const VISIT_REQUIRED: [&str; 18] = [
 /// Any syntax error, truncation, trailing bytes, duplicated or missing
 /// required field, or mistyped extracted field.
 pub(crate) fn scan_record(payload: &[u8]) -> Result<ScannedRecord<'_>, ScanError> {
-    let mut c = Cursor { b: payload, at: 0, depth: 0 };
+    let mut c = Cursor {
+        b: payload,
+        at: 0,
+        depth: 0,
+    };
     let rec = c.record()?;
     c.skip_ws();
     if c.at != c.b.len() {
@@ -138,7 +142,10 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn err(&self, reason: impl Into<String>) -> ScanError {
-        ScanError { at: self.at, reason: reason.into() }
+        ScanError {
+            at: self.at,
+            reason: reason.into(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -576,11 +583,7 @@ impl<'a> Cursor<'a> {
 /// Record `key` as seen, rejecting duplicates of the fields the scan
 /// extracts or requires (the derived decoder's duplicate-field error; duplicates of
 /// unknown fields are ignored, as the decoder ignores them).
-fn track_seen(
-    c: &Cursor<'_>,
-    seen: &mut Vec<&str>,
-    key: Cow<'_, str>,
-) -> Result<(), ScanError> {
+fn track_seen(c: &Cursor<'_>, seen: &mut Vec<&str>, key: Cow<'_, str>) -> Result<(), ScanError> {
     const TRACKED: [&str; 31] = [
         "message_id",
         "content_hash",
@@ -673,7 +676,10 @@ mod tests {
         assert_eq!(rec.visits.len(), 1);
         let visit = &rec.visits[0];
         assert_eq!(visit.requested_url, "https://evil.example/go");
-        assert_eq!(visit.final_url.as_deref(), Some("https://landing.example/p"));
+        assert_eq!(
+            visit.final_url.as_deref(),
+            Some("https://landing.example/p")
+        );
         assert_eq!(visit.cert_fingerprint, Some(777));
         assert_eq!(visit.phash, Some(11));
     }
@@ -736,14 +742,20 @@ mod tests {
         // Dropping any required record field fails the scan.
         for field in RECORD_REQUIRED {
             let without = good.replace(&format!("\"{field}\":"), &format!("\"_{field}\":"));
-            assert!(scan_record(without.as_bytes()).is_err(), "missing {field} must fail");
+            assert!(
+                scan_record(without.as_bytes()).is_err(),
+                "missing {field} must fail"
+            );
         }
         // Same per visit.
         let v = visit_json("https://a.example/q", "[]", "null", "null");
         let good = record_json(&format!("[{v}]"));
         for field in VISIT_REQUIRED {
             let without = good.replace(&format!("\"{field}\":"), &format!("\"_{field}\":"));
-            assert!(scan_record(without.as_bytes()).is_err(), "missing {field} must fail");
+            assert!(
+                scan_record(without.as_bytes()).is_err(),
+                "missing {field} must fail"
+            );
         }
     }
 
@@ -761,7 +773,10 @@ mod tests {
         ] {
             let bad = good.replace(from, to);
             assert_ne!(bad, good, "replacement {from:?} must apply");
-            assert!(scan_record(bad.as_bytes()).is_err(), "{to} must fail the scan");
+            assert!(
+                scan_record(bad.as_bytes()).is_err(),
+                "{to} must fail the scan"
+            );
         }
         let v = visit_json("https://a.example/q", "[]", "\"tampered\"", "null");
         assert!(scan_record(record_json(&format!("[{v}]")).as_bytes()).is_err());

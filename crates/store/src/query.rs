@@ -30,7 +30,10 @@ struct UnionFind {
 
 impl UnionFind {
     fn new() -> UnionFind {
-        UnionFind { parent: Vec::new(), size: Vec::new() }
+        UnionFind {
+            parent: Vec::new(),
+            size: Vec::new(),
+        }
     }
 
     /// Add a fresh singleton node; returns its id.
@@ -273,9 +276,13 @@ impl CampaignClusterer {
                 for &node in &nodes {
                     let meta = &self.metas[node];
                     campaign.domains.extend(meta.domains.iter().cloned());
-                    campaign.cert_fingerprints.extend(meta.cert_fingerprints.iter().copied());
+                    campaign
+                        .cert_fingerprints
+                        .extend(meta.cert_fingerprints.iter().copied());
                     campaign.phashes.extend(meta.phashes.iter().copied());
-                    campaign.url_schemes.extend(meta.url_schemes.iter().cloned());
+                    campaign
+                        .url_schemes
+                        .extend(meta.url_schemes.iter().cloned());
                     *campaign.classes.entry(meta.class).or_insert(0) += 1;
                 }
                 campaign
@@ -340,9 +347,17 @@ mod tests {
             meta(5, &[0xBB], &[9], &["m9"]),
         ]);
         assert_eq!(campaigns.len(), 3);
-        assert_eq!(campaigns[0].members, vec![(0, 0), (0, 1), (0, 2)], "transitively linked");
+        assert_eq!(
+            campaigns[0].members,
+            vec![(0, 0), (0, 1), (0, 2)],
+            "transitively linked"
+        );
         assert_eq!(campaigns[1].members, vec![(0, 3), (0, 4)]);
-        assert_eq!(campaigns[2].members, vec![(0, 5)], "singleton survives as its own cluster");
+        assert_eq!(
+            campaigns[2].members,
+            vec![(0, 5)],
+            "singleton survives as its own cluster"
+        );
         assert_eq!(campaigns[0].id, 0);
         assert_eq!(campaigns[2].id, 2);
         assert_eq!(campaigns[0].phashes.len(), 1);

@@ -56,7 +56,11 @@ impl SegmentWriter {
     /// writer never silently clobbers a segment).
     pub fn create(vfs: &Arc<dyn Vfs>, dir: &Path, index: u32) -> std::io::Result<SegmentWriter> {
         let file = vfs.create_new(&dir.join(segment_file_name(index)))?;
-        Ok(SegmentWriter { file, index, bytes: 0 })
+        Ok(SegmentWriter {
+            file,
+            index,
+            bytes: 0,
+        })
     }
 
     /// Reopen an existing segment for append; `bytes` is its current

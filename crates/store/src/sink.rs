@@ -46,7 +46,13 @@ impl StoreSink<()> {
 impl<S: RecordSink> StoreSink<S> {
     /// A sink that persists every record and forwards it to `inner`.
     pub fn with_inner(store: Store, inner: S) -> StoreSink<S> {
-        StoreSink { store, inner, error: None, appended: 0, dropped: 0 }
+        StoreSink {
+            store,
+            inner,
+            error: None,
+            appended: 0,
+            dropped: 0,
+        }
     }
 
     /// Records appended so far (excludes records dropped after poisoning).
