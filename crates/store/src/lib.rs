@@ -14,9 +14,10 @@
 //!   (the same `cb_json` byte encoding the determinism tests compare),
 //!   appended in message order via [`StoreSink`] on `scan_stream`'s
 //!   delivery path — so the on-disk bytes are identical across worker counts.
-//! * **Blob store** — content-addressed artifact bytes (raw messages,
+//! * **Blob pack** — content-addressed artifact bytes (raw messages,
 //!   screenshots) keyed on the pipeline's existing fnv128 hashes,
-//!   deduplicating identical bytes across messages and campaigns.
+//!   deduplicating identical bytes across messages and campaigns, appended
+//!   to one [pack](blob) per store behind a small hint index.
 //! * **Shards, recovery & queries** — the log is partitioned by
 //!   content-hash prefix into independent [shards](shard), each with its
 //!   own generation pointer. [`Store::open`] replays every shard in

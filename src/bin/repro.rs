@@ -398,8 +398,8 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
     cbx.parallelism = args.workers;
     let store = args.store.as_ref().map(|dir| {
         // --commit-batch switches on durable group-commit ingest: every
-        // batch ends with the blob-dir → segment → watermark barrier and
-        // records are acked batch-at-a-time. Without it the run syncs
+        // batch ends with the pack → index → segment → watermark barrier
+        // and records are acked batch-at-a-time. Without it the run syncs
         // once, at finish.
         let opts = cb_store::StoreOptions {
             shards: args.store_shards,

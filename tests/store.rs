@@ -1,14 +1,18 @@
 //! End-to-end tests for the persistent crawl store: on-disk byte
 //! determinism across worker counts, torn-tail crash recovery with
 //! incremental re-scan, blob dedup and orphan GC, shard quarantine +
-//! repair degradation, v1 layout migration, compaction, campaign
+//! repair degradation, refusal of older layouts, compaction, campaign
 //! clustering from disk, and the `crawl-log store` /
 //! `repro --store` CLI surfaces.
 
 use cb_artifacts::fingerprint;
 use cb_phishgen::{Corpus, CorpusSpec, MessageClass, ReportedMessage};
 use cb_sim::SimTime;
-use cb_store::{encode_record, shard_of, EncodedStoreSink, Store, StoreEncoder, StoreOptions, StoreSink};
+use cb_store::blob::{index_file_name, pack_file_name};
+use cb_store::{
+    encode_record, shard_of, BlobStore, EncodedStoreSink, RealVfs, Store, StoreEncoder,
+    StoreOptions, StoreSink,
+};
 use crawlerbox::{ArtifactKind, CapturedArtifact, CrawlerBox, RecordSink, ScanRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -41,7 +45,7 @@ fn one_shard() -> StoreOptions {
 
 /// Raw bytes of every segment file across every shard's active
 /// generation, in (shard, segment) order — the strongest possible
-/// determinism witness for the v2 layout.
+/// determinism witness for the record log.
 fn segment_bytes(root: &Path) -> Vec<Vec<u8>> {
     let mut shards: Vec<String> = std::fs::read_dir(root)
         .unwrap()
@@ -64,6 +68,14 @@ fn segment_bytes(root: &Path) -> Vec<Vec<u8>> {
         }
     }
     out
+}
+
+/// Raw bytes of the generation-0 blob pack and its index.
+fn pack_bytes(root: &Path) -> (Vec<u8>, Vec<u8>) {
+    (
+        std::fs::read(root.join(pack_file_name(0))).unwrap(),
+        std::fs::read(root.join(index_file_name(0))).unwrap(),
+    )
 }
 
 fn synthetic_record(id: usize, hash: u128, class: MessageClass) -> ScanRecord {
@@ -118,7 +130,8 @@ fn store_round_trip_is_byte_identical_across_configs() {
         }
     }
 
-    let mut golden: Option<Vec<Vec<u8>>> = None;
+    type Witness = (Vec<Vec<u8>>, (Vec<u8>, Vec<u8>));
+    let mut golden: Option<Witness> = None;
     for workers in WORKERS {
         let dir = scratch(&format!("rt-{workers}"));
         let mut cbx = CrawlerBox::new(&corpus.world)
@@ -149,12 +162,12 @@ fn store_round_trip_is_byte_identical_across_configs() {
         );
         assert!(reopened.verify().unwrap().is_clean());
 
-        let bytes = segment_bytes(&dir);
+        let bytes = (segment_bytes(&dir), pack_bytes(&dir));
         match &golden {
             None => golden = Some(bytes),
             Some(g) => assert_eq!(
                 &bytes, g,
-                "on-disk segment bytes diverged ({workers} worker(s))"
+                "on-disk segment or blob pack bytes diverged ({workers} worker(s))"
             ),
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -166,8 +179,9 @@ fn store_round_trip_is_byte_identical_across_configs() {
 /// `EncodedStoreSink`, parallel per-shard fan-out in `append_batch`)
 /// writes segment files byte-identical to the owned-record `StoreSink`
 /// oracle for every worker count × commit batch × shard count, with durable
-/// ingest on — and at batch ≥ 16 the barrier is amortized to well under
-/// one fsync per record.
+/// ingest on, and the same blob pack — and at batch ≥ 16 the barrier is
+/// amortized: ingest costs less than half the fsyncs of batch 1 (every
+/// fsync counts: pack, index, segments and directories).
 #[test]
 fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
     let (corpus, subset) = corpus_subset(13, 16);
@@ -182,9 +196,10 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
         let mut sink = StoreSink::new(Store::open_with(&oracle_dir, opts).unwrap());
         cbx.scan_stream(subset.iter().cloned(), &mut sink);
         let (_store, ()) = sink.finish().unwrap();
-        let golden = segment_bytes(&oracle_dir);
+        let golden = (segment_bytes(&oracle_dir), pack_bytes(&oracle_dir));
 
         for workers in WORKERS {
+            let mut batch_one_fsyncs = 0u64;
             for batch in [1usize, 16, 256] {
                 let dir = scratch(&format!("enc-{shards}-{workers}-{batch}"));
                 let opts = StoreOptions {
@@ -197,7 +212,9 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
                     .with_artifact_capture(true)
                     .with_stream_capacity(4);
                 cbx.parallelism = workers;
-                let mut sink = EncodedStoreSink::new(Store::open_with(&dir, opts).unwrap());
+                let store = Store::open_with(&dir, opts).unwrap();
+                let opened_fsyncs = store.stats().fsyncs;
+                let mut sink = EncodedStoreSink::new(store);
                 let delivered =
                     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
                 assert_eq!(delivered, subset.len(), "{shards} {workers} {batch}");
@@ -207,18 +224,20 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
                 assert_eq!(stats.appended, subset.len() as u64);
                 assert_eq!(stats.acked, subset.len() as u64, "finish acks everything");
                 assert_eq!(stats.pending, 0);
-                if batch >= 16 {
+                let ingest_fsyncs = stats.fsyncs - opened_fsyncs;
+                if batch == 1 {
+                    batch_one_fsyncs = ingest_fsyncs;
+                } else {
                     assert!(
-                        stats.fsyncs < stats.appended,
-                        "group commit must amortize fsyncs: {} fsyncs / {} records \
-                         ({shards} shards, batch {batch})",
-                        stats.fsyncs,
+                        ingest_fsyncs * 2 < batch_one_fsyncs,
+                        "group commit must amortize fsyncs: {ingest_fsyncs} fsyncs at batch \
+                         {batch} vs {batch_one_fsyncs} at batch 1 ({shards} shards, {} records)",
                         stats.appended,
                     );
                 }
                 drop(store);
                 assert_eq!(
-                    segment_bytes(&dir),
+                    (segment_bytes(&dir), pack_bytes(&dir)),
                     golden,
                     "encoded log diverged from oracle \
                      ({shards} shards, {workers} worker(s), batch {batch})"
@@ -512,16 +531,34 @@ fn blob_store_dedups_reads_back_and_gcs_orphans() {
     // append) reopens fine and is collected by GC; live blobs survive.
     let orphan = b"orphaned by a crash".to_vec();
     let orphan_hash = fingerprint::fnv128(&orphan);
-    std::fs::write(dir.join("blobs").join(format!("{orphan_hash:032x}.blob")), &orphan).unwrap();
+    let mut blobs = BlobStore::open(RealVfs::arc(), &dir).unwrap();
+    assert!(blobs.put(orphan_hash, &orphan).unwrap());
+    blobs.sync().unwrap();
+    drop(blobs);
 
     let mut store = Store::open(&dir).unwrap();
     assert_eq!(store.recovery().blobs, 5);
     assert!(store.blobs().contains(shared_hash));
+    assert_eq!(store.blobs().generation(), 0);
     let removed = store.gc_orphan_blobs().unwrap();
     assert_eq!(removed, vec![orphan_hash]);
     assert_eq!(store.blobs().len(), 4);
+    assert_eq!(store.blobs().generation(), 1, "GC rewrote the pack");
     assert!(store.blob(shared_hash).unwrap().is_some(), "live blob survives GC");
+    assert_eq!(store.blob(orphan_hash).unwrap(), None);
     assert!(store.verify().unwrap().is_clean());
+    assert_eq!(store.gc_orphan_blobs().unwrap(), Vec::<u128>::new(), "GC is idempotent");
+    assert_eq!(store.blobs().generation(), 1, "nothing to collect, nothing rewritten");
+    drop(store);
+
+    // The rewritten generation is what the next open serves; the old
+    // generation's files are gone.
+    let mut store = Store::open(&dir).unwrap();
+    assert_eq!(store.blobs().len(), 4);
+    assert_eq!(store.blob(shared_hash).unwrap().as_deref(), Some(shared.as_slice()));
+    assert!(store.verify().unwrap().is_clean());
+    assert!(!dir.join(pack_file_name(0)).exists());
+    assert!(!dir.join(index_file_name(0)).exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -642,36 +679,45 @@ fn interior_corruption_quarantines_one_shard_and_repair_restores_it() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A v1 store (CURRENT + segments-* at the root) migrates in place to a
-/// single-shard v2 layout on open, with every record preserved.
+/// A v1 store (CURRENT + segments-* at the root) is refused by name: the
+/// open fails with `InvalidData` and touches nothing, rather than reading
+/// as an empty store.
 #[test]
-fn v1_layout_migrates_to_single_shard_v2() {
+fn v1_layout_is_refused_by_name() {
     use cb_store::frame::{encode_frame, KIND_RECORD};
-    let dir = scratch("migrate");
+    let dir = scratch("refuse-v1");
     let seg_dir = dir.join("segments-00000");
     std::fs::create_dir_all(&seg_dir).unwrap();
-    let mut bytes = Vec::new();
-    for id in 0..3usize {
-        let record = synthetic_record(id, id as u128 + 40, MessageClass::ErrorPage);
-        bytes.extend_from_slice(&encode_frame(KIND_RECORD, &cb_json::to_vec(&record).unwrap()));
-    }
-    std::fs::write(seg_dir.join("seg-00000.cbl"), &bytes).unwrap();
+    let record = synthetic_record(0, 40, MessageClass::ErrorPage);
+    let frame = encode_frame(KIND_RECORD, &cb_json::to_vec(&record).unwrap());
+    std::fs::write(seg_dir.join("seg-00000.cbl"), &frame).unwrap();
     std::fs::write(dir.join("CURRENT"), b"segments-00000").unwrap();
 
-    let mut store = Store::open(&dir).unwrap();
-    assert_eq!(store.shard_count(), 1, "legacy stores migrate to one shard");
-    assert_eq!(store.len(), 3);
-    assert!(!store.is_degraded());
-    assert!(dir.join("shard-00").join("CURRENT").exists());
-    assert!(!dir.join("CURRENT").exists(), "root pointer moved into shard 0");
-    assert!(store.verify().unwrap().is_clean());
+    let err = Store::open(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("format v1"), "{err}");
+    assert!(!dir.join("STORE").exists(), "a refused store is left as it was");
+    assert!(!dir.join(pack_file_name(0)).exists());
+    assert!(dir.join("CURRENT").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
-    // The migrated store accepts appends and reopens as v2.
-    store.append(&synthetic_record(3, 99, MessageClass::Download)).unwrap();
-    store.sync().unwrap();
-    drop(store);
-    let store = Store::open(&dir).unwrap();
-    assert_eq!(store.len(), 4);
+/// A v2 store (one file per blob under `blobs/`) is refused by name: its
+/// records would otherwise replay against an empty blob pack.
+#[test]
+fn v2_layout_is_refused_by_name() {
+    let dir = scratch("refuse-v2");
+    std::fs::create_dir_all(dir.join("blobs")).unwrap();
+    let body = b"raw message".to_vec();
+    let hash = fingerprint::fnv128(&body);
+    std::fs::write(dir.join("blobs").join(format!("{hash:032x}.blob")), &body).unwrap();
+    std::fs::write(dir.join("STORE"), b"v2 shards=4\n").unwrap();
+
+    let err = Store::open(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("format v2"), "{err}");
+    assert!(!dir.join(pack_file_name(0)).exists(), "a refused store is left as it was");
+    assert!(!dir.join("shard-00").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -28,9 +28,17 @@
 use cb_artifacts::fingerprint::fnv128;
 use cb_phishgen::MessageClass;
 use cb_sim::SimTime;
-use cb_store::{encode_record, FaultVfs, IoFaultKind, IoFaultPlan, Store, StoreOptions, Vfs};
+use cb_store::blob::{index_file_name, pack_file_name, INDEX_ENTRY_LEN, PACK_HEADER_LEN};
+use cb_store::vfs::VfsFile;
+use cb_store::{
+    encode_record, BlobStore, FaultVfs, IoFaultKind, IoFaultPlan, RealVfs, Store, StoreOptions,
+    Vfs,
+};
 use crawlerbox::{ArtifactKind, CapturedArtifact, ScanRecord};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -331,7 +339,7 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
 }
 
 /// The blob-write/frame-append crash window, pinned: crash exactly at the
-/// segment fsync that follows the blob-directory fsync. The blob is
+/// segment fsync that follows the blob pack and index fsyncs. The blob is
 /// durable, the frame is not — recovery must either keep the whole pair
 /// (the tail happened to survive) or drop the frame and leave an orphan
 /// blob for GC. It must never surface a record whose blob is gone.
@@ -341,8 +349,9 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
     let record = &records[0];
     assert!(!record.artifacts.is_empty(), "the window needs an artifact");
 
-    // Probe the op count of open + one acked append; the run's last three
-    // ops are: blobs sync-dir, segment fsync, generation sync-dir.
+    // Probe the op count of open + one acked append; the run's last five
+    // ops are: pack fsync, pack-index fsync, root sync-dir (the new pack's
+    // entry), segment fsync, generation sync-dir.
     let probe_dir = scratch("window-probe");
     let probe = FaultVfs::new(IoFaultPlan::counting(0));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
@@ -369,7 +378,7 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
         assert!(store.verify().unwrap().is_clean(), "seed {seed}: dangling evidence");
         if store.is_empty() {
             // Frame torn away; the blob write before it must remain as a
-            // GC-able orphan (the blob directory was fsynced first).
+            // GC-able orphan (the blob pack was fsynced first).
             let removed = store.gc_orphan_blobs().unwrap();
             assert!(!removed.is_empty(), "seed {seed}: durable blob should be orphaned");
             assert!(store.blobs().is_empty());
@@ -427,4 +436,332 @@ fn transient_io_faults_fail_appends_without_corrupting_the_log() {
     }
     assert!(store.verify().unwrap().is_clean());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A durable store holding every chaos record plus two orphan blobs (put
+/// straight into the pack, as a crash between blob write and frame append
+/// would leave them). Returns the orphans' addresses.
+fn store_with_orphans(dir: &Path) -> Vec<u128> {
+    let mut store = Store::open_with(dir, sweep_opts(2, 1)).unwrap();
+    for r in chaos_records() {
+        store.append(&r).unwrap();
+    }
+    drop(store);
+    let mut blobs = BlobStore::open(RealVfs::arc(), dir).unwrap();
+    let mut orphans = Vec::new();
+    for bytes in [&b"orphan one"[..], &b"orphan two, a little longer"[..]] {
+        let hash = fnv128(bytes);
+        assert!(blobs.put(hash, bytes).unwrap());
+        orphans.push(hash);
+    }
+    blobs.sync().unwrap();
+    orphans
+}
+
+/// Every artifact the chaos records carry, by address.
+fn chaos_blobs() -> BTreeMap<u128, Vec<u8>> {
+    chaos_records()
+        .into_iter()
+        .flat_map(|r| r.artifacts)
+        .map(|a| (a.hash, a.bytes))
+        .collect()
+}
+
+/// Orphan GC rewrites the pack into a new generation and swaps the
+/// `BLOBS` pointer. Crash at every mutating op of that rewrite: after each
+/// power cut the store reopens with exactly the old blob set or exactly
+/// the new one, verifies clean, and every live blob reads back
+/// byte-equal; a GC run after recovery then finishes the job.
+#[test]
+fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
+    let seed = env_u64("CB_CHAOS_SEED", 1);
+    let live = chaos_blobs();
+    let new_set: Vec<u128> = live.keys().copied().collect();
+
+    let probe_dir = scratch("gc-probe");
+    let mut orphans = store_with_orphans(&probe_dir);
+    orphans.sort_unstable();
+    let mut old_set: Vec<u128> = new_set.iter().chain(&orphans).copied().collect();
+    old_set.sort_unstable();
+    let probe = FaultVfs::new(IoFaultPlan::counting(seed));
+    let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
+    let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(2, 1), probe_vfs).unwrap();
+    let before_gc = probe.ops();
+    assert_eq!(store.gc_orphan_blobs().unwrap(), orphans, "GC returns the orphans, sorted");
+    drop(store);
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+    let ops = probe.ops();
+    assert!(ops > before_gc + 6, "the rewrite must be a multi-op sequence");
+
+    let (mut kept_old, mut got_new) = (0usize, 0usize);
+    for crash_at in before_gc + 1..=ops {
+        let dir = scratch(&format!("gc-{crash_at}"));
+        store_with_orphans(&dir);
+        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, crash_at));
+        let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
+        let mut store = Store::open_with_vfs(&dir, sweep_opts(2, 1), vfs).unwrap();
+        let _ = store.gc_orphan_blobs();
+        drop(store);
+        assert!(fault.crashed(), "crash point {crash_at}/{ops} was never reached");
+        fault.apply_crash().unwrap();
+
+        let mut store = Store::open_with(&dir, sweep_opts(2, 1)).unwrap();
+        assert!(store.recovery().quarantined.is_empty(), "gc crash {crash_at}");
+        assert_eq!(store.len(), chaos_records().len(), "gc crash {crash_at}: record lost");
+        let set = store.blobs().hashes();
+        if set == old_set {
+            kept_old += 1;
+        } else if set == new_set {
+            got_new += 1;
+        } else {
+            panic!("gc crash {crash_at}: blob set is neither the old nor the new one: {set:x?}");
+        }
+        assert!(store.verify().unwrap().is_clean(), "gc crash {crash_at}");
+        for (hash, bytes) in &live {
+            assert_eq!(
+                store.blob(*hash).unwrap().as_ref(),
+                Some(bytes),
+                "gc crash {crash_at}: live blob {hash:032x} lost or changed"
+            );
+        }
+        store.gc_orphan_blobs().unwrap();
+        assert_eq!(store.blobs().hashes(), new_set, "gc crash {crash_at}");
+        drop(store);
+        let mut store = Store::open_with(&dir, sweep_opts(2, 1)).unwrap();
+        assert_eq!(store.blobs().hashes(), new_set, "gc crash {crash_at}: after reopen");
+        assert!(store.verify().unwrap().is_clean(), "gc crash {crash_at}: after reopen");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(kept_old > 0 && got_new > 0, "old {kept_old}, new {got_new}: both outcomes must be swept");
+    eprintln!(
+        "gc sweep seed={seed}: {} crash points, {kept_old} kept the old pack, {got_new} the new",
+        ops - before_gc
+    );
+}
+
+/// A [`Vfs`] that fails exactly the `nth` (1-based) write to a `.pack`
+/// file with `kind` and passes everything else through.
+#[derive(Debug)]
+struct PackWriteFault {
+    kind: IoFaultKind,
+    nth: usize,
+    writes: Arc<AtomicUsize>,
+}
+
+#[derive(Debug)]
+struct PackWriteFaultFile {
+    inner: Box<dyn VfsFile>,
+    kind: IoFaultKind,
+    nth: usize,
+    writes: Arc<AtomicUsize>,
+}
+
+impl VfsFile for PackWriteFaultFile {
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.writes.fetch_add(1, Ordering::SeqCst) + 1 != self.nth {
+            return self.inner.write_all(bytes);
+        }
+        match self.kind {
+            IoFaultKind::ShortWrite => {
+                self.inner.write_all(&bytes[..bytes.len() / 2])?;
+                Err(io::Error::new(io::ErrorKind::WriteZero, "injected short write"))
+            }
+            _ => Err(io::Error::new(io::ErrorKind::StorageFull, "injected disk full")),
+        }
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+impl PackWriteFault {
+    fn wrap(&self, path: &Path, inner: Box<dyn VfsFile>) -> Box<dyn VfsFile> {
+        if path.extension().is_some_and(|e| e == "pack") {
+            Box::new(PackWriteFaultFile {
+                inner,
+                kind: self.kind,
+                nth: self.nth,
+                writes: Arc::clone(&self.writes),
+            })
+        } else {
+            inner
+        }
+    }
+}
+
+impl Vfs for PackWriteFault {
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        RealVfs.create_dir_all(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+        RealVfs.remove_dir_all(path)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealVfs.remove_file(path)
+    }
+    fn read_dir_names(&self, path: &Path) -> io::Result<Vec<String>> {
+        RealVfs.read_dir_names(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealVfs.read(path)
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        RealVfs.read_at(path, offset, len)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        RealVfs.write(path, bytes)
+    }
+    fn create_new(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(self.wrap(path, RealVfs.create_new(path)?))
+    }
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+        Ok(self.wrap(path, RealVfs.open_append(path)?))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        RealVfs.rename(from, to)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        RealVfs.truncate(path, len)
+    }
+    fn fsync(&self, path: &Path) -> io::Result<()> {
+        RealVfs.fsync(path)
+    }
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        RealVfs.sync_dir(path)
+    }
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        RealVfs.len(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        RealVfs.exists(path)
+    }
+    fn is_dir(&self, path: &Path) -> bool {
+        RealVfs.is_dir(path)
+    }
+}
+
+/// A transient short write or disk-full on one pack append fails only the
+/// batch that hit it: the pack is rolled back to its last whole frame, the
+/// batches before and after it commit, a retry of the failed batch
+/// succeeds, and after reopen every blob reads back byte-equal with a
+/// clean verify.
+#[test]
+fn transient_pack_append_fault_fails_only_that_batch() {
+    let records = chaos_records();
+    let blobs = chaos_blobs();
+    // Pack writes, one per new blob: record 0's message (1), record 1's
+    // message (2) and shared screenshot (3), ... Fault the third: record
+    // 1 fails after one of its blobs already landed.
+    for kind in [IoFaultKind::ShortWrite, IoFaultKind::DiskFull] {
+        let dir = scratch(&format!("packfault-{kind:?}"));
+        let vfs: Arc<dyn Vfs> = Arc::new(PackWriteFault {
+            kind,
+            nth: 3,
+            writes: Arc::new(AtomicUsize::new(0)),
+        });
+        let mut store = Store::open_with_vfs(&dir, sweep_opts(2, 1), vfs).unwrap();
+        let mut failed = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            let encoded = encode_record(&mut r.clone()).unwrap();
+            if store.append_batch(vec![encoded]).is_err() {
+                failed.push(i);
+            }
+        }
+        assert_eq!(failed, vec![1], "{kind:?}: only the faulted batch fails");
+        assert!(store.verify().unwrap().is_clean(), "{kind:?}: no torn bytes left in the pack");
+        let retry = encode_record(&mut records[1].clone()).unwrap();
+        store.append_batch(vec![retry]).unwrap();
+        assert_eq!(store.pending_appends(), 0);
+        drop(store);
+
+        let mut store = Store::open_with(&dir, sweep_opts(2, 1)).unwrap();
+        assert!(store.recovery().torn.is_empty() && store.recovery().quarantined.is_empty());
+        assert_eq!(store.len(), records.len(), "{kind:?}");
+        assert!(store.verify().unwrap().is_clean(), "{kind:?}");
+        assert_eq!(store.blobs().len(), blobs.len(), "{kind:?}");
+        for (hash, bytes) in &blobs {
+            assert_eq!(store.blob(*hash).unwrap().as_ref(), Some(bytes), "{kind:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A crash at the barrier's pack fsync, after the index entries were
+/// written: the unsynced tails of the pack, the index and the segment are
+/// each cut independently, so some seeds leave an index entry pointing
+/// past the pack's end. Open drops that entry (it never reads blob
+/// bytes to find out), and the frame that referenced the blob becomes a
+/// torn tail of the last segment — never a quarantine.
+#[test]
+fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
+    let records: Vec<ScanRecord> = chaos_records().into_iter().take(2).collect();
+    let encode = || -> Vec<_> {
+        records
+            .iter()
+            .map(|r| encode_record(&mut r.clone()).unwrap())
+            .collect()
+    };
+    // Open + one batch, with segments large enough that no seal syncs the
+    // pack early; the barrier's last six ops are: index write, pack fsync,
+    // index fsync, root sync-dir (the new pack's entry), segment fsync,
+    // generation sync-dir.
+    let opts = || StoreOptions {
+        segment_target_bytes: 1 << 20,
+        ..sweep_opts(1, 2)
+    };
+    let probe_dir = scratch("pastend-probe");
+    let probe = FaultVfs::new(IoFaultPlan::counting(0));
+    let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
+    let mut store = Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap();
+    store.append_batch(encode()).unwrap();
+    assert_eq!(store.pending_appends(), 0);
+    drop(store);
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+    let pack_fsync_op = probe.ops() - 4;
+
+    let mut seen = false;
+    for seed in 0..512u64 {
+        let dir = scratch(&format!("pastend-{seed}"));
+        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, pack_fsync_op));
+        let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
+        let mut store = Store::open_with_vfs(&dir, opts(), vfs).unwrap();
+        store.append_batch(encode()).unwrap_err();
+        drop(store);
+        fault.apply_crash().unwrap();
+
+        // Inspect what the crash left: a whole index entry whose frame
+        // extends past the pack's end.
+        let pack_len = std::fs::metadata(dir.join(pack_file_name(0))).unwrap().len();
+        let index = std::fs::read(dir.join(index_file_name(0))).unwrap();
+        let past_end = index.chunks_exact(INDEX_ENTRY_LEN).any(|e| {
+            let offset = u64::from_le_bytes(e[16..24].try_into().unwrap());
+            let len = u32::from_le_bytes(e[24..28].try_into().unwrap());
+            offset + (PACK_HEADER_LEN as u64) + u64::from(len) > pack_len
+        });
+
+        let mut store = Store::open_with(&dir, opts()).unwrap();
+        assert!(store.recovery().quarantined.is_empty(), "seed {seed}: crash quarantined");
+        assert!(store.verify().unwrap().is_clean(), "seed {seed}");
+        assert!(
+            std::fs::metadata(dir.join(index_file_name(0))).unwrap().len()
+                <= store.blobs().len() as u64 * INDEX_ENTRY_LEN as u64,
+            "seed {seed}: rejected index entries are truncated away"
+        );
+        let torn_on_dangling = store
+            .recovery()
+            .torn
+            .iter()
+            .any(|t| t.reason.contains("dangling blob ref"));
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+        if past_end && torn_on_dangling {
+            seen = true;
+            break;
+        }
+    }
+    assert!(seen, "no seed in 0..512 left an index entry past the pack's end");
 }
