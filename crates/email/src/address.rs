@@ -32,9 +32,8 @@ impl std::error::Error for ParseAddressError {}
 
 fn valid_local(s: &str) -> bool {
     !s.is_empty()
-        && s.bytes().all(|b| {
-            b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-' | b'+' | b'=')
-        })
+        && s.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-' | b'+' | b'='))
         && !s.starts_with('.')
         && !s.ends_with('.')
 }
@@ -153,7 +152,9 @@ mod tests {
 
     #[test]
     fn parses_display_name_form() {
-        let a: EmailAddress = "\"Billing Dept\" <billing@partner.example>".parse().unwrap();
+        let a: EmailAddress = "\"Billing Dept\" <billing@partner.example>"
+            .parse()
+            .unwrap();
         assert_eq!(a.display_name(), Some("Billing Dept"));
         assert_eq!(a.bare(), "billing@partner.example");
     }
@@ -178,7 +179,12 @@ mod tests {
 
     #[test]
     fn rejects_bad_local() {
-        for bad in ["@y.example", ".x@y.example", "x.@y.example", "a b@y.example"] {
+        for bad in [
+            "@y.example",
+            ".x@y.example",
+            "x.@y.example",
+            "a b@y.example",
+        ] {
             assert!(bad.parse::<EmailAddress>().is_err(), "{bad}");
         }
     }

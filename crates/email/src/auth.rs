@@ -222,6 +222,9 @@ mod tests {
     #[test]
     fn all_pass_constructor() {
         assert!(AuthResults::all_pass().fully_authenticated());
-        assert_eq!(AuthResults::all_pass().to_string(), "spf=pass dkim=pass dmarc=pass");
+        assert_eq!(
+            AuthResults::all_pass().to_string(),
+            "spf=pass dkim=pass dmarc=pass"
+        );
     }
 }

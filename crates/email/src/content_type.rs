@@ -137,7 +137,10 @@ mod tests {
     fn case_insensitive_and_whitespace_tolerant() {
         let ct = ContentType::parse("  Application/PDF ;  Name=invoice.pdf ");
         assert_eq!(ct.media_type(), MediaType::Pdf);
-        assert_eq!(ct.params.get("name").map(String::as_str), Some("invoice.pdf"));
+        assert_eq!(
+            ct.params.get("name").map(String::as_str),
+            Some("invoice.pdf")
+        );
     }
 
     #[test]

@@ -237,7 +237,10 @@ mod tests {
         // malformed name, not a field named "Subject " or "Subject".
         assert_eq!(
             HeaderMap::parse("Subject : trailing space"),
-            Err(ParseHeaderError::InvalidFieldName { line: 0, byte: b' ' })
+            Err(ParseHeaderError::InvalidFieldName {
+                line: 0,
+                byte: b' '
+            })
         );
     }
 
@@ -245,7 +248,10 @@ mod tests {
     fn name_with_trailing_tab_before_colon_is_rejected() {
         assert_eq!(
             HeaderMap::parse("From: a@x.example\r\nSubject\t: tabbed"),
-            Err(ParseHeaderError::InvalidFieldName { line: 1, byte: b'\t' })
+            Err(ParseHeaderError::InvalidFieldName {
+                line: 1,
+                byte: b'\t'
+            })
         );
     }
 }

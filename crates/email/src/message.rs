@@ -96,17 +96,17 @@ impl MimeEntity {
                 view::split_multipart_offsets(body_text, boundary, &mut spans);
                 let mut children = Vec::with_capacity(spans.len());
                 for (s, e) in spans {
-                    children
-                        .push(Self::parse_at_depth(&body_text[s as usize..e as usize], depth + 1)?);
+                    children.push(Self::parse_at_depth(
+                        &body_text[s as usize..e as usize],
+                        depth + 1,
+                    )?);
                 }
                 MimeBody::Multipart(children)
             }
             _ => {
                 let decoded = decode_transfer(
                     body_text,
-                    headers
-                        .get("Content-Transfer-Encoding")
-                        .unwrap_or("7bit"),
+                    headers.get("Content-Transfer-Encoding").unwrap_or("7bit"),
                 );
                 MimeBody::Leaf(decoded)
             }
@@ -245,7 +245,8 @@ impl MessageBuilder {
 
     /// Append an arbitrary header.
     pub fn header(&mut self, name: &str, value: &str) -> &mut Self {
-        self.extra_headers.push((name.to_string(), value.to_string()));
+        self.extra_headers
+            .push((name.to_string(), value.to_string()));
         self
     }
 
@@ -335,9 +336,8 @@ impl MessageBuilder {
             (Some(t), Some(h)) => {
                 // alternative container as a single "part"
                 let b = self.boundary(1);
-                let mut s = format!(
-                    "Content-Type: multipart/alternative; boundary=\"{b}\"\r\n\r\n"
-                );
+                let mut s =
+                    format!("Content-Type: multipart/alternative; boundary=\"{b}\"\r\n\r\n");
                 s.push_str(&format!(
                     "--{b}\r\nContent-Type: text/plain; charset=utf-8\r\n\r\n{t}\r\n"
                 ));
@@ -350,9 +350,9 @@ impl MessageBuilder {
             (Some(t), None) => parts.push(format!(
                 "Content-Type: text/plain; charset=utf-8\r\n\r\n{t}"
             )),
-            (None, Some(h)) => parts.push(format!(
-                "Content-Type: text/html; charset=utf-8\r\n\r\n{h}"
-            )),
+            (None, Some(h)) => {
+                parts.push(format!("Content-Type: text/html; charset=utf-8\r\n\r\n{h}"))
+            }
             (None, None) => {}
         }
         for a in &self.attachments {
@@ -417,10 +417,7 @@ mod tests {
         let m = MimeEntity::parse(&raw).unwrap();
         let leaf = &m.leaves()[0];
         assert_eq!(leaf.body_bytes().unwrap(), &data[..]);
-        assert_eq!(
-            leaf.content_type().media_type(),
-            MediaType::OctetStream
-        );
+        assert_eq!(leaf.content_type().media_type(), MediaType::OctetStream);
     }
 
     #[test]
@@ -444,7 +441,8 @@ mod tests {
             .unwrap();
         // the EML leaf's bytes are themselves a parseable message
         let inner_parsed =
-            MimeEntity::parse(std::str::from_utf8(eml_leaf.body_bytes().unwrap()).unwrap()).unwrap();
+            MimeEntity::parse(std::str::from_utf8(eml_leaf.body_bytes().unwrap()).unwrap())
+                .unwrap();
         assert_eq!(inner_parsed.header("Subject"), Some("inner message"));
         assert!(inner_parsed.body_text().unwrap().contains("evil.example"));
     }

@@ -52,7 +52,10 @@ pub fn parse_header_block(block: &str) -> Result<HeaderMap, ParseHeaderError> {
             .iter()
             .find(|b| !is_valid_field_name_byte(**b))
         {
-            return Err(ParseHeaderError::InvalidFieldName { line: idx, byte: bad });
+            return Err(ParseHeaderError::InvalidFieldName {
+                line: idx,
+                byte: bad,
+            });
         }
         fields.push((name.to_string(), rest[1..].trim().to_string()));
     }

@@ -54,9 +54,7 @@ impl Document {
 
     /// The first element with `id`.
     pub fn element_by_id(&self, id: &str) -> Option<&Node> {
-        self.walk()
-            .into_iter()
-            .find(|n| n.attr("id") == Some(id))
+        self.walk().into_iter().find(|n| n.attr("id") == Some(id))
     }
 
     /// The `<title>` text.
@@ -204,7 +202,10 @@ mod tests {
 
     #[test]
     fn title_extraction() {
-        assert_eq!(Document::parse(PAGE).title(), Some("Corp Portal".to_string()));
+        assert_eq!(
+            Document::parse(PAGE).title(),
+            Some("Corp Portal".to_string())
+        );
     }
 
     #[test]
@@ -245,7 +246,10 @@ mod tests {
     #[test]
     fn meta_refresh_parsing() {
         let doc = Document::parse(PAGE);
-        assert_eq!(doc.meta_refresh_url().as_deref(), Some("https://next.example/hop"));
+        assert_eq!(
+            doc.meta_refresh_url().as_deref(),
+            Some("https://next.example/hop")
+        );
         assert_eq!(Document::parse("<p>x</p>").meta_refresh_url(), None);
     }
 
@@ -261,7 +265,10 @@ mod tests {
     #[test]
     fn element_by_id() {
         let doc = Document::parse(PAGE);
-        assert_eq!(doc.element_by_id("logo").unwrap().attr("src").unwrap(), "https://corp.example/logo.png");
+        assert_eq!(
+            doc.element_by_id("logo").unwrap().attr("src").unwrap(),
+            "https://corp.example/logo.png"
+        );
         assert!(doc.element_by_id("missing").is_none());
     }
 }

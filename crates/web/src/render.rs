@@ -65,7 +65,12 @@ fn style_hue_rotate(style: &str) -> Option<f64> {
     let idx = style.find("hue-rotate(")?;
     let rest = &style[idx + "hue-rotate(".len()..];
     let end = rest.find(')')?;
-    rest[..end].trim().trim_end_matches("deg").trim().parse().ok()
+    rest[..end]
+        .trim()
+        .trim_end_matches("deg")
+        .trim()
+        .parse()
+        .ok()
 }
 
 /// Render `doc` to a `width`×`height` screenshot.
@@ -140,23 +145,53 @@ fn render_node<'a>(
                         Some("submit") | Some("button")
                     );
                     if is_button {
-                        img.fill_rect(MARGIN + 20, *y, width / 3, ROW_H - 2, bg.unwrap_or(Rgb::new(0, 60, 180)));
+                        img.fill_rect(
+                            MARGIN + 20,
+                            *y,
+                            width / 3,
+                            ROW_H - 2,
+                            bg.unwrap_or(Rgb::new(0, 60, 180)),
+                        );
                     } else {
-                        img.fill_rect(MARGIN, *y, width - 2 * MARGIN, ROW_H - 4, bg.unwrap_or(Rgb::new(224, 224, 224)));
+                        img.fill_rect(
+                            MARGIN,
+                            *y,
+                            width - 2 * MARGIN,
+                            ROW_H - 4,
+                            bg.unwrap_or(Rgb::new(224, 224, 224)),
+                        );
                     }
                     *y += ROW_H;
                 }
                 "button" => {
-                    img.fill_rect(MARGIN + 20, *y, width / 3, ROW_H - 2, bg.unwrap_or(Rgb::new(0, 60, 180)));
+                    img.fill_rect(
+                        MARGIN + 20,
+                        *y,
+                        width / 3,
+                        ROW_H - 2,
+                        bg.unwrap_or(Rgb::new(0, 60, 180)),
+                    );
                     *y += ROW_H;
                 }
                 "img" => {
                     // placeholder box where the (possibly hotlinked) image sits
-                    img.fill_rect(MARGIN, *y, 48, ROW_H * 2 - 4, bg.unwrap_or(Rgb::new(180, 190, 210)));
+                    img.fill_rect(
+                        MARGIN,
+                        *y,
+                        48,
+                        ROW_H * 2 - 4,
+                        bg.unwrap_or(Rgb::new(180, 190, 210)),
+                    );
                     *y += ROW_H * 2;
                 }
                 "hr" => {
-                    img.fill_rect(MARGIN, *y + ROW_H / 2, width - 2 * MARGIN, 1, Rgb::new(120, 120, 120));
+                    img.fill_rect(
+                        MARGIN,
+                        *y + ROW_H / 2,
+                        width - 2 * MARGIN,
+                        1,
+                        Rgb::new(120, 120, 120),
+                    );
                     *y += ROW_H / 2 + 2;
                 }
                 "br" => {
@@ -257,8 +292,14 @@ mod tests {
         assert_eq!(parse_color("rgb(1,2)"), None);
         assert_eq!(parse_color("rgb(1,2,3,4)"), None);
         assert_eq!(parse_color("rgb(256,0,0)"), None);
-        assert_eq!(style_bg("background-color: #102030; x: y"), Some(Rgb::new(0x10, 0x20, 0x30)));
-        assert_eq!(style_bg("background-color: rgb(16, 32, 48)"), Some(Rgb::new(0x10, 0x20, 0x30)));
+        assert_eq!(
+            style_bg("background-color: #102030; x: y"),
+            Some(Rgb::new(0x10, 0x20, 0x30))
+        );
+        assert_eq!(
+            style_bg("background-color: rgb(16, 32, 48)"),
+            Some(Rgb::new(0x10, 0x20, 0x30))
+        );
         assert_eq!(style_hue_rotate("filter: hue-rotate(4deg)"), Some(4.0));
         assert_eq!(style_hue_rotate("color: red"), None);
     }
