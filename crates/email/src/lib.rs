@@ -43,4 +43,4 @@ pub use auth::{AuthResults, AuthVerdict};
 pub use content_type::{ContentType, MediaType};
 pub use header::{HeaderMap, ParseHeaderError};
 pub use message::{MessageBuilder, MimeBody, MimeEntity, ParseMessageError};
-pub use view::{ContentTypeRef, EntityRef, HeaderField, HeaderIter, MimeArena, MimeView};
+pub use view::{ContentTypeRef, HeaderField, HeaderIter};
