@@ -271,11 +271,7 @@ mod tests {
         for y in 0..h {
             for x in 0..w {
                 let v = rng.next();
-                img.set(
-                    x,
-                    y,
-                    Rgb::new(v as u8, (v >> 8) as u8, (v >> 16) as u8),
-                );
+                img.set(x, y, Rgb::new(v as u8, (v >> 8) as u8, (v >> 16) as u8));
             }
         }
         img
@@ -287,12 +283,19 @@ mod tests {
         let mut mask = InkMask::new();
         let mut scratch = Vec::new();
         // widths straddling word boundaries: 1, 63, 64, 65, 127, 128, 130
-        for (w, h) in [(1, 3), (63, 2), (64, 2), (65, 2), (127, 1), (128, 4), (130, 3)] {
+        for (w, h) in [
+            (1, 3),
+            (63, 2),
+            (64, 2),
+            (65, 2),
+            (127, 1),
+            (128, 4),
+            (130, 3),
+        ] {
             for t in [0u8, 1, 77, 128, 200, 255] {
                 let img = random_bitmap(&mut rng, w, h);
                 mask.fill_from(&img, t, &mut scratch);
-                let reference: Vec<bool> =
-                    img.pixels().iter().map(|p| p.luma() < t).collect();
+                let reference: Vec<bool> = img.pixels().iter().map(|p| p.luma() < t).collect();
                 assert_eq!(mask.width(), w);
                 assert_eq!(mask.height(), h);
                 for y in 0..h {
@@ -340,9 +343,7 @@ mod tests {
             for y in 0..h {
                 for from in [0usize, 1, 63, 64, 65, w - 1, w] {
                     for value in [false, true] {
-                        let naive = (from..w)
-                            .find(|&x| mask.get(x, y) != value)
-                            .unwrap_or(w);
+                        let naive = (from..w).find(|&x| mask.get(x, y) != value).unwrap_or(w);
                         assert_eq!(
                             mask.next_transition(y, from, value),
                             naive,

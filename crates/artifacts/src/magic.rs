@@ -136,7 +136,10 @@ mod tests {
     fn html_detection() {
         assert_eq!(sniff(b"<!DOCTYPE html><html>"), FileKind::Html);
         assert_eq!(sniff(b"  <html lang=\"en\">"), FileKind::Html);
-        assert_eq!(sniff(b"<script>location.href='https://x.example'</script>"), FileKind::Html);
+        assert_eq!(
+            sniff(b"<script>location.href='https://x.example'</script>"),
+            FileKind::Html
+        );
     }
 
     #[test]
@@ -156,7 +159,9 @@ mod tests {
 
     #[test]
     fn hta_detection() {
-        assert!(is_hta(b"<html><hta:application id=x /><script>...</script>"));
+        assert!(is_hta(
+            b"<html><hta:application id=x /><script>...</script>"
+        ));
         assert!(is_hta(
             b"<script>var sh = new ActiveXObject('WScript.Shell');</script>"
         ));

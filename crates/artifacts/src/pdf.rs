@@ -219,11 +219,8 @@ impl PdfDocument {
             let mut rest = chunk;
             while let Some(pos) = rest.find("/URI (") {
                 let body_start = pos + "/URI (".len();
-                let body = read_string_literal(&rest[body_start..]).ok_or(
-                    PdfError::UnterminatedString {
-                        at: body_start,
-                    },
-                )?;
+                let body = read_string_literal(&rest[body_start..])
+                    .ok_or(PdfError::UnterminatedString { at: body_start })?;
                 page.link(&unescape(body));
                 rest = &rest[body_start + body.len()..];
             }
@@ -251,9 +248,8 @@ impl PdfDocument {
                     continue;
                 };
                 if let Some(open) = line.find('(') {
-                    let body = read_string_literal(&line[open + 1..]).ok_or(
-                        PdfError::UnterminatedString { at: open },
-                    )?;
+                    let body = read_string_literal(&line[open + 1..])
+                        .ok_or(PdfError::UnterminatedString { at: open })?;
                     page.text(x, y, &unescape(body));
                 }
             }
@@ -394,6 +390,9 @@ mod review_regressions {
         page.text(4, 4, "line one\nline two\r\nline three");
         doc.page(page);
         let parsed = PdfDocument::parse(&doc.to_bytes()).unwrap();
-        assert_eq!(parsed.pages[0].texts[0].text, "line one\nline two\r\nline three");
+        assert_eq!(
+            parsed.pages[0].texts[0].text,
+            "line one\nline two\r\nline three"
+        );
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::bitmap::{Bitmap, Rgb};
 use crate::inkmask::InkMask;
-use cb_qr::{QrMatrix, tables};
+use cb_qr::{tables, QrMatrix};
 
 /// Quiet-zone width in modules mandated by the spec.
 pub const QUIET_ZONE: usize = 4;
@@ -25,7 +25,13 @@ pub fn render(matrix: &QrMatrix, module_px: usize) -> Bitmap {
     let n = matrix.size();
     let total = (n + 2 * QUIET_ZONE) * module_px;
     let mut img = Bitmap::new(total, total, Rgb::WHITE);
-    draw_at(&mut img, matrix, QUIET_ZONE * module_px, QUIET_ZONE * module_px, module_px);
+    draw_at(
+        &mut img,
+        matrix,
+        QUIET_ZONE * module_px,
+        QUIET_ZONE * module_px,
+        module_px,
+    );
     img
 }
 
@@ -35,7 +41,13 @@ pub fn draw_at(img: &mut Bitmap, matrix: &QrMatrix, x0: usize, y0: usize, module
     for r in 0..n {
         for c in 0..n {
             if matrix.get(r, c) {
-                img.fill_rect(x0 + c * module_px, y0 + r * module_px, module_px, module_px, Rgb::BLACK);
+                img.fill_rect(
+                    x0 + c * module_px,
+                    y0 + r * module_px,
+                    module_px,
+                    module_px,
+                    Rgb::BLACK,
+                );
             }
         }
     }

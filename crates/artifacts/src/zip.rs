@@ -222,8 +222,7 @@ impl ZipArchive {
             let name_bytes = data
                 .get(pos + 46..pos + 46 + name_len)
                 .ok_or(ZipError::Truncated)?;
-            let name =
-                String::from_utf8(name_bytes.to_vec()).map_err(|_| ZipError::BadName)?;
+            let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| ZipError::BadName)?;
 
             // Read the member via its local header.
             if get_u32(data, local_offset)? != LOCAL_SIG {
@@ -266,7 +265,10 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -360,6 +362,14 @@ mod tests {
         }
         let b = ZipArchive::parse(&a.to_bytes()).unwrap();
         let names: Vec<&str> = b.entries().iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, (0..10).map(|i| format!("m{i}")).collect::<Vec<_>>().iter().map(|s| s.as_str()).collect::<Vec<_>>());
+        assert_eq!(
+            names,
+            (0..10)
+                .map(|i| format!("m{i}"))
+                .collect::<Vec<_>>()
+                .iter()
+                .map(|s| s.as_str())
+                .collect::<Vec<_>>()
+        );
     }
 }
