@@ -3,8 +3,8 @@
 
 use crate::extract::ExtractionSource;
 use crate::logging::ScanRecord;
-use cb_phishgen::MessageClass;
 use cb_json::{Deserialize, Serialize};
+use cb_phishgen::MessageClass;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -166,15 +166,31 @@ pub fn measure_challenge_gating(
 
 impl fmt::Display for CloakingPrevalence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "auth pass:          {:>6} / {}", self.auth_pass_messages, self.total)?;
+        writeln!(
+            f,
+            "auth pass:          {:>6} / {}",
+            self.auth_pass_messages, self.total
+        )?;
         writeln!(f, "noise padded:       {:>6}", self.noise_padded_messages)?;
-        writeln!(f, "qr messages:        {:>6} (faulty {})", self.qr_messages, self.faulty_qr_messages)?;
+        writeln!(
+            f,
+            "qr messages:        {:>6} (faulty {})",
+            self.qr_messages, self.faulty_qr_messages
+        )?;
         writeln!(f, "turnstile loaded:   {:>6}", self.turnstile_messages)?;
         writeln!(f, "recaptcha loaded:   {:>6}", self.recaptcha_messages)?;
         writeln!(f, "console hijack:     {:>6}", self.console_hijack_messages)?;
         writeln!(f, "debugger timer:     {:>6}", self.debugger_timer_messages)?;
-        writeln!(f, "visitor exfil:      {:>6} (httpbin {}, ipapi {})", self.exfil_messages, self.httpbin_messages, self.ipapi_messages)?;
-        writeln!(f, "victim-db checks:   {:>6} over {} domains", self.victim_check_messages, self.victim_check_domains)?;
+        writeln!(
+            f,
+            "visitor exfil:      {:>6} (httpbin {}, ipapi {})",
+            self.exfil_messages, self.httpbin_messages, self.ipapi_messages
+        )?;
+        writeln!(
+            f,
+            "victim-db checks:   {:>6} over {} domains",
+            self.victim_check_messages, self.victim_check_domains
+        )?;
         writeln!(f, "hue-rotate:         {:>6}", self.hue_rotate_messages)?;
         writeln!(f, "otp gates:          {:>6}", self.otp_gate_messages)?;
         writeln!(f, "math challenges:    {:>6}", self.math_challenge_messages)
@@ -205,7 +221,10 @@ mod tests {
     fn auth_always_passes() {
         let (_, recs) = scan(0.03);
         let p = prevalence(&recs);
-        assert_eq!(p.auth_pass_messages, p.total, "§V-C1: all messages pass auth");
+        assert_eq!(
+            p.auth_pass_messages, p.total,
+            "§V-C1: all messages pass auth"
+        );
     }
 
     #[test]
@@ -263,7 +282,12 @@ mod tests {
         let truth = corpus
             .messages
             .iter()
-            .filter(|m| matches!(m.truth.carrier, cb_phishgen::messages::Carrier::QrCode { faulty: true }))
+            .filter(|m| {
+                matches!(
+                    m.truth.carrier,
+                    cb_phishgen::messages::Carrier::QrCode { faulty: true }
+                )
+            })
             .count();
         assert_eq!(p.faulty_qr_messages, truth);
         assert!(p.qr_messages >= p.faulty_qr_messages);
@@ -284,7 +308,11 @@ mod tests {
     fn noise_detection_matches_truth() {
         let (corpus, recs) = scan_02();
         let p = prevalence(recs);
-        let truth = corpus.messages.iter().filter(|m| m.truth.noise_padded).count();
+        let truth = corpus
+            .messages
+            .iter()
+            .filter(|m| m.truth.noise_padded)
+            .count();
         assert!(
             p.noise_padded_messages.abs_diff(truth) <= truth / 10 + 2,
             "noise: measured {} vs truth {truth}",

@@ -13,8 +13,8 @@ use crate::analysis::table1::{self, Table1};
 use crate::analysis::tables::ClassMix;
 use crate::logging::ScanRecord;
 use crate::pipeline::{CrawlerBox, ScanPolicy};
-use cb_phishgen::{Corpus, CorpusSpec};
 use cb_json::{Deserialize, Serialize};
+use cb_phishgen::{Corpus, CorpusSpec};
 use std::fmt;
 
 /// One arm of the sweep, summarised.

@@ -2,9 +2,9 @@
 //! plus the footnote-1 paired t-test.
 
 use crate::logging::ScanRecord;
+use cb_json::{Deserialize, Serialize};
 use cb_phishgen::MessageClass;
 use cb_stats::{paired_t_test, Describe, Histogram, TTestResult};
-use cb_json::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -25,8 +25,7 @@ pub fn figure2(records: &[ScanRecord]) -> Figure2 {
     for r in records {
         *counts.entry(r.delivered_at.year_month()).or_insert(0) += 1;
     }
-    let series: Vec<(i64, u32, usize)> =
-        counts.into_iter().map(|((y, m), n)| (y, m, n)).collect();
+    let series: Vec<(i64, u32, usize)> = counts.into_iter().map(|((y, m), n)| (y, m, n)).collect();
     let values: Vec<f64> = series.iter().map(|&(_, _, n)| n as f64).collect();
     let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
     let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len().max(1) as f64;

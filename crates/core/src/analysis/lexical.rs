@@ -2,8 +2,8 @@
 //! (combosquatting, target embedding, homoglyphs, keyword stuffing,
 //! typosquatting) and the punycode check.
 
-use cb_netsim::DomainName;
 use cb_json::{Deserialize, Serialize};
+use cb_netsim::DomainName;
 
 /// The deceptive technique detected, if any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,7 +49,9 @@ const BRANDS: &[&str] = &[
 ];
 
 /// Phishing keywords for the stuffing heuristic.
-const KEYWORDS: &[&str] = &["login", "secure", "verify", "account", "signin", "auth", "update"];
+const KEYWORDS: &[&str] = &[
+    "login", "secure", "verify", "account", "signin", "auth", "update",
+];
 
 /// Strip digits (serial suffixes do not change the lexical technique).
 fn strip_digits(s: &str) -> String {
@@ -58,7 +60,10 @@ fn strip_digits(s: &str) -> String {
 
 /// Undo common ASCII homoglyph substitutions.
 fn unhomoglyph(s: &str) -> String {
-    s.replace('0', "o").replace('1', "l").replace('3', "e").replace('5', "s")
+    s.replace('0', "o")
+        .replace('1', "l")
+        .replace('3', "e")
+        .replace('5', "s")
 }
 
 /// Damerau-free edit distance (insert/delete/substitute).

@@ -12,4 +12,4 @@ pub mod tables;
 pub mod volumes;
 
 pub use faults::{fault_sweep, FaultArm, FaultSweepReport};
-pub use report::{AnalysisReport, analyze};
+pub use report::{analyze, AnalysisReport};

@@ -8,10 +8,10 @@ use crate::logging::ScanRecord;
 use cb_artifacts::Bitmap;
 use cb_browser::engine::VIEWPORT;
 use cb_imagehash::HashPair;
+use cb_json::{Deserialize, Serialize};
 use cb_phishgen::MessageClass;
 use cb_phishkit::Brand;
 use cb_web::{render, Document};
-use cb_json::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Classifier for commodity-service lookalikes (the §V-B manual review,
@@ -88,7 +88,10 @@ pub fn nontargeted_stats(records: &[ScanRecord]) -> NonTargetedStats {
             continue;
         }
         stats.messages += 1;
-        if r.extracted.iter().any(|e| e.source == ExtractionSource::HtmlAttachment) {
+        if r.extracted
+            .iter()
+            .any(|e| e.source == ExtractionSource::HtmlAttachment)
+        {
             stats.html_attachment_messages += 1;
         }
         for v in &r.visits {

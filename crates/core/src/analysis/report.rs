@@ -9,10 +9,10 @@ use crate::analysis::table1::{self, Table1};
 use crate::analysis::tables::{self, ClassMix, SpearStats, Table2};
 use crate::analysis::volumes::{self, DomainVolumeStats};
 use crate::logging::ScanRecord;
+use cb_json::{Deserialize, Serialize};
 use cb_netsim::Internet;
 use cb_phishgen::{CorpusSpec, FunnelReport};
 use cb_stats::TTestResult;
-use cb_json::{Deserialize, Serialize};
 
 /// Everything the analysis derives.
 #[derive(Debug, Clone, Serialize, Deserialize)]

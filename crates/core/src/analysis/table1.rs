@@ -59,13 +59,21 @@ pub fn evaluate_profile(profile: CrawlerProfile) -> Table1Row {
 /// The A1 ablation: NotABot single-feature knock-outs.
 pub fn ablation() -> Table1 {
     let mut rows = vec![evaluate_profile(CrawlerProfile::NotABot)];
-    rows.extend(CrawlerProfile::ablations().into_iter().map(evaluate_profile));
+    rows.extend(
+        CrawlerProfile::ablations()
+            .into_iter()
+            .map(evaluate_profile),
+    );
     Table1 { rows }
 }
 
 impl fmt::Display for Table1 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{:<36} {:>6} {:>10} {:>8}", "Crawler", "BotD", "Turnstile", "AnonWAF")?;
+        writeln!(
+            f,
+            "{:<36} {:>6} {:>10} {:>8}",
+            "Crawler", "BotD", "Turnstile", "AnonWAF"
+        )?;
         for row in &self.rows {
             let mark = |b: bool| if b { "pass" } else { "fail" };
             writeln!(

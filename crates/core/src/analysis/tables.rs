@@ -2,9 +2,9 @@
 //! derived from scan records.
 
 use crate::logging::ScanRecord;
+use cb_json::{Deserialize, Serialize};
 use cb_netsim::DomainName;
 use cb_phishgen::MessageClass;
-use cb_json::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -225,7 +225,10 @@ mod tests {
         let mix = ClassMix::of(&recs);
         assert_eq!(
             mix.total,
-            mix.no_resource + mix.error_pages + mix.interaction_required + mix.downloads
+            mix.no_resource
+                + mix.error_pages
+                + mix.interaction_required
+                + mix.downloads
                 + mix.active_phish
         );
         assert!((mix.percent(mix.no_resource) - 49.6).abs() < 6.0);

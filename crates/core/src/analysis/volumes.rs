@@ -2,9 +2,9 @@
 //! "low-volume targeted attacks" evidence.
 
 use crate::logging::ScanRecord;
+use cb_json::{Deserialize, Serialize};
 use cb_phishgen::MessageClass;
 use cb_stats::describe::median;
-use cb_json::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Message-volume statistics per landing domain.
@@ -59,8 +59,7 @@ pub fn domain_volumes(records: &[ScanRecord]) -> DomainVolumeStats {
     let counts: Vec<f64> = per_domain.values().map(|&(n, _, _)| n as f64).collect();
     let singles: Vec<&(usize, u64, u64)> =
         per_domain.values().filter(|(n, _, _)| *n == 1).collect();
-    let multis: Vec<&(usize, u64, u64)> =
-        per_domain.values().filter(|(n, _, _)| *n > 1).collect();
+    let multis: Vec<&(usize, u64, u64)> = per_domain.values().filter(|(n, _, _)| *n > 1).collect();
     let med = |vals: Vec<f64>| if vals.is_empty() { 0.0 } else { median(&vals) };
 
     let mut by_queries: Vec<(String, u64, usize)> = per_domain

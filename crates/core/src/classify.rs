@@ -5,9 +5,9 @@
 use cb_artifacts::Bitmap;
 use cb_browser::engine::VIEWPORT;
 use cb_imagehash::HashPair;
+use cb_json::{Deserialize, Serialize};
 use cb_phishkit::Brand;
 use cb_web::{render, Document};
-use cb_json::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The classifier with its reference hash set.
@@ -140,7 +140,12 @@ mod tests {
     #[test]
     fn commodity_lookalikes_do_not_match_companies() {
         let c = SpearClassifier::new();
-        for brand in [Brand::Microsoft, Brand::Excel, Brand::OneDrive, Brand::DocuSign] {
+        for brand in [
+            Brand::Microsoft,
+            Brand::Excel,
+            Brand::OneDrive,
+            Brand::DocuSign,
+        ] {
             let html = lookalike_login(brand, "https://c2.example", &[], false, false, None);
             assert!(
                 c.classify(&shot(&html)).is_none(),

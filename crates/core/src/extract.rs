@@ -11,9 +11,9 @@
 use cb_artifacts::magic::{self, FileKind};
 use cb_artifacts::{fingerprint, qrimage, Bitmap, PdfDocument, ZipArchive};
 use cb_email::{MediaType, MimeEntity};
+use cb_json::{Deserialize, Serialize};
 use cb_qr::extract::{extract_url_anchored, extract_url_lenient, extract_url_strict};
 use cb_telemetry::CounterHandle;
-use cb_json::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{PoisonError, RwLock};
 
@@ -412,9 +412,13 @@ fn extract_from_image_bytes(
             .unwrap_or_default()
     };
     match memo {
-        Some(m) => m.with_cached("image", &m.images, fingerprint::fnv128(bytes), decode, |base| {
-            realize(base, container, out)
-        }),
+        Some(m) => m.with_cached(
+            "image",
+            &m.images,
+            fingerprint::fnv128(bytes),
+            decode,
+            |base| realize(base, container, out),
+        ),
         None => realize(&decode(), container, out),
     }
 }
@@ -451,7 +455,10 @@ fn pdf_base(bytes: &[u8]) -> Vec<BaseResource> {
     }
     // (2) screenshot of each page through the image path
     for page in &doc.pages {
-        let shot = page.rasterize(cb_artifacts::pdf::PAGE_WIDTH, cb_artifacts::pdf::PAGE_HEIGHT);
+        let shot = page.rasterize(
+            cb_artifacts::pdf::PAGE_WIDTH,
+            cb_artifacts::pdf::PAGE_HEIGHT,
+        );
         for (url, kind) in image_base(&shot) {
             let kind = match kind {
                 BaseKind::QrClean | BaseKind::QrFaulty => kind,
@@ -576,9 +583,7 @@ mod tests {
             .iter()
             .any(|r| r.url == "https://evil-b.example/tokn1234"
                 && r.source == ExtractionSource::BodyText));
-        assert!(found
-            .iter()
-            .any(|r| r.source == ExtractionSource::HtmlHref));
+        assert!(found.iter().any(|r| r.source == ExtractionSource::HtmlHref));
     }
 
     #[test]
@@ -587,8 +592,10 @@ mod tests {
             Carrier::QrCode { faulty: false },
             "https://evil-q.example/qrtoken1",
         );
-        assert!(found.iter().any(|r| r.url == "https://evil-q.example/qrtoken1"
-            && r.source == ExtractionSource::QrCode { faulty: false }));
+        assert!(found
+            .iter()
+            .any(|r| r.url == "https://evil-q.example/qrtoken1"
+                && r.source == ExtractionSource::QrCode { faulty: false }));
     }
 
     #[test]
@@ -598,8 +605,10 @@ mod tests {
             "https://evil-q.example/faulty77",
         );
         assert!(
-            found.iter().any(|r| r.url == "https://evil-q.example/faulty77"
-                && r.source == ExtractionSource::QrCode { faulty: true }),
+            found
+                .iter()
+                .any(|r| r.url == "https://evil-q.example/faulty77"
+                    && r.source == ExtractionSource::QrCode { faulty: true }),
             "{found:?}"
         );
     }
@@ -608,8 +617,10 @@ mod tests {
     fn image_text_found_by_ocr() {
         let found = extract_for(Carrier::ImageText, "https://evil-i.example/imgtok12");
         assert!(
-            found.iter().any(|r| r.url == "https://evil-i.example/imgtok12"
-                && r.source == ExtractionSource::ImageOcr),
+            found
+                .iter()
+                .any(|r| r.url == "https://evil-i.example/imgtok12"
+                    && r.source == ExtractionSource::ImageOcr),
             "{found:?}"
         );
     }
@@ -617,7 +628,9 @@ mod tests {
     #[test]
     fn pdf_annotation_and_pdf_text_paths() {
         let a = extract_for(Carrier::PdfLink, "https://evil-p.example/pdftok12");
-        assert!(a.iter().any(|r| r.source == ExtractionSource::PdfAnnotation));
+        assert!(a
+            .iter()
+            .any(|r| r.source == ExtractionSource::PdfAnnotation));
         let b = extract_for(Carrier::PdfText, "https://evil-p.example/pdftxt12");
         assert!(
             b.iter().any(|r| r.url == "https://evil-p.example/pdftxt12"
@@ -629,16 +642,20 @@ mod tests {
     #[test]
     fn nested_eml_recursed() {
         let found = extract_for(Carrier::NestedEml, "https://evil-n.example/nesttok1");
-        assert!(found.iter().any(|r| r.url == "https://evil-n.example/nesttok1"
-            && r.source == ExtractionSource::NestedEml));
+        assert!(found
+            .iter()
+            .any(|r| r.url == "https://evil-n.example/nesttok1"
+                && r.source == ExtractionSource::NestedEml));
     }
 
     #[test]
     fn html_attachment_redirect_detected_dynamically() {
         let found = extract_for(Carrier::HtmlAttachment, "https://evil-h.example/redirect");
         assert!(
-            found.iter().any(|r| r.url == "https://evil-h.example/redirect"
-                && r.source == ExtractionSource::HtmlAttachment),
+            found
+                .iter()
+                .any(|r| r.url == "https://evil-h.example/redirect"
+                    && r.source == ExtractionSource::HtmlAttachment),
             "{found:?}"
         );
     }
@@ -647,9 +664,9 @@ mod tests {
     fn zip_hta_member_surfaces_url() {
         let found = extract_for(Carrier::ZipHta, "https://evil-z.example/htatok12");
         assert!(
-            found
-                .iter()
-                .any(|r| r.url.contains("evil-z.example") && r.source == ExtractionSource::ZipMember),
+            found.iter().any(
+                |r| r.url.contains("evil-z.example") && r.source == ExtractionSource::ZipMember
+            ),
             "{found:?}"
         );
     }

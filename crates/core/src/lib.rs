@@ -41,12 +41,12 @@ pub mod pool;
 pub mod sink;
 pub mod tasks;
 
+pub use cb_telemetry::{ExportMode, MetricsRegistry, Trace};
 pub use classify::SpearClassifier;
 pub use extract::{
     extract_resources, extract_resources_memo, ArtifactMemo, ExtractedResource, ExtractionSource,
 };
 pub use logging::{ArtifactKind, CapturedArtifact, ScanRecord, ScanStats, VisitLog};
-pub use cb_telemetry::{ExportMode, MetricsRegistry, Trace};
 pub use pipeline::{message_content_hash, CrawlerBox, ProbeSession, ScanPolicy};
 pub use pool::run_stealing;
 pub use sink::{

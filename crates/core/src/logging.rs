@@ -5,10 +5,10 @@ use crate::classify::SpearMatch;
 use crate::extract::ExtractedResource;
 use cb_browser::engine::VisitOutcome;
 use cb_imagehash::HashPair;
+use cb_json::{Deserialize, Serialize};
 use cb_netsim::{QueryVolume, Url};
 use cb_phishgen::MessageClass;
 use cb_sim::{SimDuration, SimTime};
-use cb_json::{Deserialize, Serialize};
 
 /// One attempt in a supervised visit's history: which retry it was, what
 /// transient faults it observed, and how long the supervisor backed off
@@ -350,7 +350,8 @@ mod tests {
     #[test]
     fn landing_domain_extraction() {
         let mut v = empty_visit("https://a.example/x");
-        v.chain.push(("https://final.example/land".to_string(), 200));
+        v.chain
+            .push(("https://final.example/land".to_string(), 200));
         assert_eq!(v.final_url(), "https://final.example/land");
         assert_eq!(v.landing_domain().as_deref(), Some("final.example"));
     }

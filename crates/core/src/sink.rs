@@ -136,22 +136,35 @@ impl TruthLedger {
     /// Record the ground-truth class of the next message (messages arrive
     /// in id order, so position doubles as message id).
     pub fn note(&self, class: MessageClass) {
-        self.classes.lock().unwrap_or_else(PoisonError::into_inner).push(class);
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(class);
     }
 
     /// Ground truth of message `id`, if noted.
     pub fn truth_of(&self, id: usize) -> Option<MessageClass> {
-        self.classes.lock().unwrap_or_else(PoisonError::into_inner).get(id).copied()
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(id)
+            .copied()
     }
 
     /// Number of messages noted so far.
     pub fn len(&self) -> usize {
-        self.classes.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether nothing has been noted yet.
     pub fn is_empty(&self) -> bool {
-        self.classes.lock().unwrap_or_else(PoisonError::into_inner).is_empty()
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 }
 
@@ -267,7 +280,11 @@ mod tests {
     fn counting_sink_counts_degraded() {
         let mut sink = CountingSink::new();
         sink.accept(record(0, MessageClass::NoResource, None));
-        sink.accept(record(1, MessageClass::NoResource, Some("scan panicked: boom")));
+        sink.accept(record(
+            1,
+            MessageClass::NoResource,
+            Some("scan panicked: boom"),
+        ));
         assert_eq!(sink.records, 2);
         assert_eq!(sink.degraded, 1);
     }

@@ -115,9 +115,18 @@ impl TaskRegistry {
     /// Create a task in `Queued` and return its snapshot.
     pub fn create(&self, shard: usize, content_hash: u128) -> TaskSnapshot {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let snap =
-            TaskSnapshot { id, shard, content_hash, state: TaskState::Queued, error: None };
-        self.inner.lock().expect("task registry poisoned").by_id.insert(id, snap.clone());
+        let snap = TaskSnapshot {
+            id,
+            shard,
+            content_hash,
+            state: TaskState::Queued,
+            error: None,
+        };
+        self.inner
+            .lock()
+            .expect("task registry poisoned")
+            .by_id
+            .insert(id, snap.clone());
         snap
     }
 
@@ -135,7 +144,9 @@ impl TaskRegistry {
 
     fn finish(&self, id: u64, state: TaskState, error: Option<String>) {
         let mut inner = self.inner.lock().expect("task registry poisoned");
-        let Some(task) = inner.by_id.get_mut(&id) else { return };
+        let Some(task) = inner.by_id.get_mut(&id) else {
+            return;
+        };
         task.state = state;
         task.error = error;
         if matches!(state, TaskState::Durable | TaskState::Failed) {
@@ -150,12 +161,21 @@ impl TaskRegistry {
 
     /// Look up a task by id (`None` after eviction).
     pub fn get(&self, id: u64) -> Option<TaskSnapshot> {
-        self.inner.lock().expect("task registry poisoned").by_id.get(&id).cloned()
+        self.inner
+            .lock()
+            .expect("task registry poisoned")
+            .by_id
+            .get(&id)
+            .cloned()
     }
 
     /// Number of tasks currently tracked (live + retained finished).
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("task registry poisoned").by_id.len()
+        self.inner
+            .lock()
+            .expect("task registry poisoned")
+            .by_id
+            .len()
     }
 
     /// Whether the registry tracks no tasks.
@@ -224,8 +244,10 @@ mod tests {
                 })
             })
             .collect();
-        let mut ids: Vec<u64> =
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        let mut ids: Vec<u64> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 400);
@@ -235,7 +257,10 @@ mod tests {
     fn route_shard_is_stable_and_balanced() {
         // Stability: a pinned value must never change across releases —
         // restarted daemons depend on it to find existing records.
-        assert_eq!(route_shard(0xdead_beef_dead_beef_0123_4567_89ab_cdef, 4), route_shard(0xdead_beef_dead_beef_0123_4567_89ab_cdef, 4));
+        assert_eq!(
+            route_shard(0xdead_beef_dead_beef_0123_4567_89ab_cdef, 4),
+            route_shard(0xdead_beef_dead_beef_0123_4567_89ab_cdef, 4)
+        );
         assert_eq!(route_shard(42, 1), 0);
         assert_eq!(route_shard(42, 0), 0); // degenerate shard count clamps
 
