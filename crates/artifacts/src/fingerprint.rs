@@ -1,8 +1,15 @@
-//! Content fingerprints for memoizing artifact decoding.
+//! 128-bit FNV-1a content hashes.
 //!
-//! The scan pipeline decodes the same attachment bytes many times (campaign
-//! generators deliberately reuse artifacts across messages), so decode
-//! results are memoized keyed by a 128-bit FNV-1a hash of the content.
+//! One hash function names content everywhere in the pipeline:
+//!
+//! * a message's content hash, which the store dedups on;
+//! * the blob address of every captured artifact (message bytes, and a
+//!   screenshot's `CBXBMP1` bytes from `Bitmap::to_bytes`);
+//! * the key of the artifact-decode memo (campaign generators reuse
+//!   attachment bytes across messages) and of the screenshot-analysis
+//!   cache, which is keyed by the screenshot's blob address, so each
+//!   shot is hashed once and the one hash serves both jobs.
+//!
 //! FNV-1a is deterministic across runs and platforms — a requirement for
 //! the cache-purity invariant (DESIGN.md §8) — and at 128 bits accidental
 //! collisions are out of reach for any corpus this simulation produces.

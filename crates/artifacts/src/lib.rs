@@ -23,8 +23,8 @@
 //!   annotations, serializer + parser + page rasterizer.
 //! * [`magic`] — file-signature sniffing, including HTA detection (the
 //!   paper's five ZIP→HTA download chains).
-//! * [`fingerprint`] — 128-bit content hashes keying the pipeline's
-//!   artifact-decode memoization.
+//! * [`fingerprint`] — 128-bit content hashes: blob addresses, record
+//!   content hashes and the pipeline's memoization keys.
 
 pub mod bitmap;
 pub mod fingerprint;
