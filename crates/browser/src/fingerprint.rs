@@ -8,8 +8,8 @@
 //! removed, TLS fingerprints, `isTrusted` events, mouse behaviour, VM
 //! timing consistency, and the egress IP class (4G modem vs datacenter).
 
-use cb_netsim::{IpClass, TlsFingerprint};
 use cb_json::{Deserialize, Serialize};
+use cb_netsim::{IpClass, TlsFingerprint};
 
 /// The complete observable surface of one browser/crawler configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,7 +147,8 @@ impl ChallengeReport {
 
     /// Extract the attestation from a request, when present.
     pub fn from_request(req: &cb_netsim::HttpRequest) -> Option<ChallengeReport> {
-        req.header(ATTESTATION_HEADER).and_then(Self::from_header_value)
+        req.header(ATTESTATION_HEADER)
+            .and_then(Self::from_header_value)
     }
 }
 

@@ -65,7 +65,14 @@ impl<'a> PageHost<'a> {
 }
 
 const GLOBALS: &[&str] = &[
-    "navigator", "console", "document", "window", "location", "screen", "Intl", "Date",
+    "navigator",
+    "console",
+    "document",
+    "window",
+    "location",
+    "screen",
+    "Intl",
+    "Date",
 ];
 
 impl Host for PageHost<'_> {
@@ -77,9 +84,7 @@ impl Host for PageHost<'_> {
             ("navigator", "language") | ("navigator", "userLanguage") => {
                 Value::from(f.language.as_str())
             }
-            ("navigator", "plugins") => {
-                Value::Num(if f.ua_headless_marker { 0.0 } else { 3.0 })
-            }
+            ("navigator", "plugins") => Value::Num(if f.ua_headless_marker { 0.0 } else { 3.0 }),
             ("screen", "width") => Value::Num(f.screen.0 as f64),
             ("screen", "height") => Value::Num(f.screen.1 as f64),
             ("intl", "timeZone") => Value::from(f.timezone.as_str()),
@@ -123,9 +128,8 @@ impl Host for PageHost<'_> {
     ) -> Result<Value, ScriptError> {
         match (object, method) {
             ("console", _) => {
-                self.console.push(
-                    args.iter().map(Value::as_str).collect::<Vec<_>>().join(" "),
-                );
+                self.console
+                    .push(args.iter().map(Value::as_str).collect::<Vec<_>>().join(" "));
                 Ok(Value::Null)
             }
             ("document", "write") => {
@@ -139,9 +143,12 @@ impl Host for PageHost<'_> {
                 // event.isTrusted, surfaced through get_prop on demand.
                 Ok(Value::Null)
             }
-            ("document", "getElementById") | ("document", "querySelector") => Ok(Value::Ref(
-                format!("element:{}", args.first().map(Value::as_str).unwrap_or_default()),
-            )),
+            ("document", "getElementById") | ("document", "querySelector") => {
+                Ok(Value::Ref(format!(
+                    "element:{}",
+                    args.first().map(Value::as_str).unwrap_or_default()
+                )))
+            }
             ("Intl", "DateTimeFormat") => Ok(Value::Ref("intlDTF".to_string())),
             ("intlDTF", "resolvedOptions") => Ok(Value::Ref("intl".to_string())),
             ("Date", "now") => {
@@ -219,7 +226,9 @@ impl Host for PageHost<'_> {
     }
 
     fn global(&mut self, name: &str) -> Option<Value> {
-        GLOBALS.contains(&name).then(|| Value::Ref(name.to_string()))
+        GLOBALS
+            .contains(&name)
+            .then(|| Value::Ref(name.to_string()))
     }
 
     fn debugger_hit(&mut self) {
@@ -269,10 +278,9 @@ mod tests {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         let f = CrawlerProfile::Kangooroo.fingerprint();
         let mut host = PageHost::new(&net, &f, page_url());
-        let s = Script::parse(
-            "console.log(navigator.webdriver); console.log(navigator.userAgent);",
-        )
-        .unwrap();
+        let s =
+            Script::parse("console.log(navigator.webdriver); console.log(navigator.userAgent);")
+                .unwrap();
         run(&s, &mut host).unwrap();
         assert_eq!(host.console[0], "true");
         assert!(host.console[1].contains("HeadlessChrome"));
@@ -283,10 +291,7 @@ mod tests {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         let f = CrawlerProfile::NotABot.fingerprint();
         let mut host = PageHost::new(&net, &f, page_url());
-        let s = Script::parse(
-            "console.log(location.host); console.log(location.search);",
-        )
-        .unwrap();
+        let s = Script::parse("console.log(location.host); console.log(location.search);").unwrap();
         run(&s, &mut host).unwrap();
         assert_eq!(host.console, ["phish.example", "?tok=abc"]);
     }
@@ -295,9 +300,12 @@ mod tests {
     fn fetch_goes_through_the_internet() {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         net.register_domain("c2.example", "REG");
-        net.host("c2.example", |_req: &HttpRequest, _ctx: &cb_netsim::NetContext<'_>| {
-            cb_netsim::HttpResponse::ok("text/plain", b"allow".to_vec())
-        });
+        net.host(
+            "c2.example",
+            |_req: &HttpRequest, _ctx: &cb_netsim::NetContext<'_>| {
+                cb_netsim::HttpResponse::ok("text/plain", b"allow".to_vec())
+            },
+        );
         let f = CrawlerProfile::NotABot.fingerprint();
         let mut host = PageHost::new(&net, &f, page_url());
         let s = Script::parse(
@@ -348,11 +356,23 @@ mod tests {
     #[test]
     fn url_resolution() {
         let base = Url::parse("https://h.example/a/b/page").unwrap();
-        assert_eq!(resolve_url(&base, "https://x.example/q"), "https://x.example/q");
-        assert_eq!(resolve_url(&base, "HTTPS://x.example/q"), "HTTPS://x.example/q");
+        assert_eq!(
+            resolve_url(&base, "https://x.example/q"),
+            "https://x.example/q"
+        );
+        assert_eq!(
+            resolve_url(&base, "HTTPS://x.example/q"),
+            "HTTPS://x.example/q"
+        );
         assert_eq!(resolve_url(&base, "/root"), "https://h.example/root");
-        assert_eq!(resolve_url(&base, "sibling"), "https://h.example/a/b/sibling");
-        assert_eq!(resolve_url(&base, "//cdn.example/r"), "https://cdn.example/r");
+        assert_eq!(
+            resolve_url(&base, "sibling"),
+            "https://h.example/a/b/sibling"
+        );
+        assert_eq!(
+            resolve_url(&base, "//cdn.example/r"),
+            "https://cdn.example/r"
+        );
         // query-only navigation keeps the tokenized path
         assert_eq!(
             resolve_url(&base, "?otp=1"),

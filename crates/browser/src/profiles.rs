@@ -2,8 +2,8 @@
 //! tells, plus ablation knobs for NotABot.
 
 use crate::fingerprint::BrowserFingerprint;
-use cb_netsim::{IpClass, TlsFingerprint};
 use cb_json::{Deserialize, Serialize};
+use cb_netsim::{IpClass, TlsFingerprint};
 use std::fmt;
 
 /// A crawler configuration the paper benchmarked (Table I), or a NotABot
@@ -87,9 +87,7 @@ impl CrawlerProfile {
             CrawlerProfile::PuppeteerStealth => "Puppeteer + stealth plugin",
             CrawlerProfile::SeleniumStealth => "Selenium + stealth plugin",
             CrawlerProfile::UndetectedChromedriver => "undetected_chromedriver",
-            CrawlerProfile::UndetectedChromedriverHeadless => {
-                "undetected_chromedriver (headless)"
-            }
+            CrawlerProfile::UndetectedChromedriverHeadless => "undetected_chromedriver (headless)",
             CrawlerProfile::Nodriver => "Nodriver",
             CrawlerProfile::SeleniumDriverless => "Selenium-Driverless",
             CrawlerProfile::NotABot => "NotABot",
