@@ -7,8 +7,11 @@
 //!   screenshot's `CBXBMP1` bytes from `Bitmap::to_bytes`);
 //! * the key of the artifact-decode memo (campaign generators reuse
 //!   attachment bytes across messages) and of the screenshot-analysis
-//!   cache, which is keyed by the screenshot's blob address, so each
-//!   shot is hashed once and the one hash serves both jobs.
+//!   cache, which is keyed by the screenshot's blob address, so the one
+//!   pixel hash serves both jobs;
+//! * a screenshot's page key (`cb_browser::Screenshot::key`, the hash of
+//!   the page source the shot is drawn from), which maps to the blob
+//!   address so a page seen before is never hashed at pixel level again.
 //!
 //! FNV-1a is deterministic across runs and platforms — a requirement for
 //! the cache-purity invariant (DESIGN.md §8) — and at 128 bits accidental

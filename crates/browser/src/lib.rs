@@ -17,13 +17,13 @@
 //! issues requests (attaching the truthful client attestation that
 //! challenge scripts would measure — see `DESIGN.md` §4), parses HTML, runs
 //! inline MJS with a faithful host environment, follows redirects, loads
-//! subresources, and screenshots the final page.
+//! subresources, and captures the final page as a lazy [`Screenshot`].
 
 pub mod engine;
 pub mod fingerprint;
 pub mod hostimpl;
 pub mod profiles;
 
-pub use engine::{Browser, Visit, VisitOutcome, DEFAULT_VISIT_BUDGET};
+pub use engine::{Browser, Screenshot, Visit, VisitOutcome, DEFAULT_VISIT_BUDGET};
 pub use fingerprint::{BrowserFingerprint, ChallengeReport};
 pub use profiles::CrawlerProfile;

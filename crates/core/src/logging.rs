@@ -101,8 +101,8 @@ impl VisitLog {
 
 /// Scan, cache and streaming instrumentation accumulated by a
 /// [`CrawlerBox`](crate::pipeline::CrawlerBox) across its scans: message
-/// counts, hit/miss counts of the artifact-decode and screenshot caches,
-/// and streaming-window residency peaks. Counters are observability only —
+/// counts, hit/miss counts of the artifact-decode, screenshot and page-key
+/// caches, and streaming-window residency peaks. Counters are observability only —
 /// they never feed back into scan results, which are bit-identical to a
 /// scan where every message gets a fresh box and so a cold cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -118,6 +118,14 @@ pub struct ScanStats {
     pub screenshot_hits: u64,
     /// Screenshot cache misses.
     pub screenshot_misses: u64,
+    /// Page-key hits: screenshots whose page source was seen before, so
+    /// their blob address was known without hashing the pixels.
+    #[serde(default)]
+    pub page_hits: u64,
+    /// Page-key misses: screenshots rasterized and hashed to learn their
+    /// blob address.
+    #[serde(default)]
+    pub page_misses: u64,
     /// Peak number of messages admitted to a streaming scan but not yet
     /// delivered to the sink. Bounded by `stream_capacity + workers`, which
     /// is what makes `scan_stream` O(window) rather than O(corpus) in
@@ -165,7 +173,7 @@ impl std::fmt::Display for ScanStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "messages {} skipped {} dropped {} | artifact {}/{} screenshot {}/{} (hits/misses) | peak in-flight {} reorder {} bytes {}",
+            "messages {} skipped {} dropped {} | artifact {}/{} screenshot {}/{} page {}/{} (hits/misses) | peak in-flight {} reorder {} bytes {}",
             self.messages,
             self.skipped_known,
             self.store_dropped,
@@ -173,6 +181,8 @@ impl std::fmt::Display for ScanStats {
             self.artifact_misses,
             self.screenshot_hits,
             self.screenshot_misses,
+            self.page_hits,
+            self.page_misses,
             self.peak_in_flight,
             self.peak_reorder,
             self.peak_bytes_retained,
@@ -450,6 +460,8 @@ mod tests {
         let stats = ScanStats {
             messages: 4,
             artifact_hits: 2,
+            page_hits: 3,
+            page_misses: 1,
             ..Default::default()
         };
         let json = cb_json::to_string(&stats).unwrap();
@@ -459,6 +471,7 @@ mod tests {
         let shown = stats.to_string();
         assert!(shown.contains("messages 4 "), "{shown}");
         assert!(shown.contains("artifact 2/0"), "{shown}");
+        assert!(shown.contains("page 3/1"), "{shown}");
     }
 
     #[test]
@@ -473,11 +486,14 @@ mod tests {
         obj.remove("peak_in_flight");
         obj.remove("peak_reorder");
         obj.remove("peak_bytes_retained");
+        obj.remove("page_hits");
+        obj.remove("page_misses");
         let back: ScanStats = cb_json::from_value(json).unwrap();
         assert_eq!(back.messages, 9);
         assert_eq!(back.peak_in_flight, 0);
         assert_eq!(back.peak_reorder, 0);
         assert_eq!(back.peak_bytes_retained, 0);
+        assert_eq!((back.page_hits, back.page_misses), (0, 0));
     }
 
     #[test]

@@ -9,9 +9,9 @@ use crate::classify::{SpearClassifier, SpearMatch};
 use crate::extract::{extract_resources_memo, ArtifactMemo};
 use crate::logging::{ArtifactKind, AttemptLog, CapturedArtifact, ScanRecord, ScanStats, VisitLog};
 use crate::sink::{EncodedSink, RecordEncoder, RecordSink};
-use cb_artifacts::fingerprint;
+use cb_artifacts::{fingerprint, Bitmap};
 use cb_browser::engine::VisitOutcome;
-use cb_browser::{Browser, CrawlerProfile, Visit, DEFAULT_VISIT_BUDGET};
+use cb_browser::{Browser, CrawlerProfile, Screenshot, Visit, DEFAULT_VISIT_BUDGET};
 use cb_email::MimeEntity;
 use cb_imagehash::HashPair;
 use cb_netsim::{HostEnrichment, Internet, Url};
@@ -259,6 +259,8 @@ struct PipelineMetrics {
     artifact_misses: CounterHandle,
     shot_hits: CounterHandle,
     shot_misses: CounterHandle,
+    page_hits: CounterHandle,
+    page_misses: CounterHandle,
     /// Messages admitted to a streaming scan and not yet delivered (the
     /// peak is `ScanStats::peak_in_flight`).
     in_flight: GaugeHandle,
@@ -290,6 +292,8 @@ impl PipelineMetrics {
             artifact_misses: reg.counter("cache.artifact.misses", Advisory),
             shot_hits: reg.counter("cache.screenshot.hits", Advisory),
             shot_misses: reg.counter("cache.screenshot.misses", Advisory),
+            page_hits: reg.counter("cache.page.hits", Advisory),
+            page_misses: reg.counter("cache.page.misses", Advisory),
             in_flight: reg.gauge("stream.in_flight", Advisory),
             bytes_retained: reg.gauge("stream.bytes_retained", Advisory),
             reorder: reg.gauge("stream.reorder", Advisory),
@@ -321,8 +325,14 @@ pub struct CrawlerBox<'a> {
     artifacts: ArtifactMemo,
     /// Screenshot blob address (`fnv128` of `Bitmap::to_bytes`) → analysis
     /// cache. Values depend only on pixels, so the cache is batch-wide
-    /// like the artifact memo.
+    /// like the artifact memo. Pages that differ only in invisible bytes
+    /// (scripts, metadata) share one address and so one entry.
     shots: RwLock<HashMap<u128, ShotAnalysis>>,
+    /// Page key ([`Screenshot::key`], `fnv128` of the page source) → blob
+    /// address: the first level of the screenshot lookup. The pixels are a
+    /// pure function of the source, so a hit knows the address without
+    /// rasterizing or hashing the 460 KB bitmap.
+    pages: RwLock<HashMap<u128, u128>>,
     /// Admission slack of the scan engine: how many messages may be
     /// admitted beyond the one each worker is scanning. Total residency is
     /// `stream_capacity + parallelism` messages.
@@ -365,6 +375,7 @@ impl<'a> CrawlerBox<'a> {
             parallelism: 4,
             artifacts,
             shots: RwLock::new(HashMap::new()),
+            pages: RwLock::new(HashMap::new()),
             stream_capacity: 32,
             capture_artifacts: false,
             known: None,
@@ -429,6 +440,8 @@ impl<'a> CrawlerBox<'a> {
             artifact_misses: self.m.artifact_misses.get(),
             screenshot_hits: self.m.shot_hits.get(),
             screenshot_misses: self.m.shot_misses.get(),
+            page_hits: self.m.page_hits.get(),
+            page_misses: self.m.page_misses.get(),
             peak_in_flight: self.m.in_flight.peak(),
             peak_reorder: self.m.reorder.peak(),
             peak_bytes_retained: self.m.bytes_retained.peak(),
@@ -1088,6 +1101,9 @@ impl<'a> CrawlerBox<'a> {
         (visit, gates_solved)
     }
 
+    /// Turn a finished visit into its log entry. Only logged visits reach
+    /// here, so only their screenshots are ever rasterized: superseded
+    /// retry attempts and solved gate pages are dropped unrendered.
     fn log_visit(
         &self,
         visit: &Visit,
@@ -1096,22 +1112,13 @@ impl<'a> CrawlerBox<'a> {
         ctx: &mut ScanCtx<'_>,
     ) -> VisitLog {
         // Screenshot analysis depends only on the pixels, so it memoizes on
-        // the screenshot's blob address: the FNV-128 hash of its `CBXBMP1`
-        // bytes, computed once per shot and shared with the captured
-        // artifact. The login-form filter depends on the visited page, not
-        // the pixels, and stays outside the cache.
+        // the screenshot's blob address; `shot_address` finds that address
+        // through the page key. The login-form filter depends on the
+        // visited page, not the pixels, and stays outside the cache.
         let (screenshot_hash, spear) = match visit.screenshot.as_ref() {
             None => (None, None),
             Some(shot) => {
-                let bytes = shot.to_bytes();
-                let address = fingerprint::fnv128(&bytes);
-                if self.capture_artifacts {
-                    ctx.artifacts.push(CapturedArtifact {
-                        kind: ArtifactKind::Screenshot,
-                        hash: address,
-                        bytes,
-                    });
-                }
+                let (address, bitmap) = self.shot_address(shot, ctx);
                 // The shared shot cache is cross-message, so hit/miss is an
                 // advisory trace fact; the event itself (one per shot) is
                 // deterministic.
@@ -1135,7 +1142,8 @@ impl<'a> CrawlerBox<'a> {
                     None => {
                         self.m.shot_misses.incr();
                         shot_event("miss");
-                        let a = (HashPair::of(shot), self.classifier.classify(shot));
+                        let bitmap = bitmap.unwrap_or_else(|| shot.render());
+                        let a = (HashPair::of(&bitmap), self.classifier.classify(&bitmap));
                         self.shots
                             .write()
                             .unwrap_or_else(PoisonError::into_inner)
@@ -1218,6 +1226,47 @@ impl<'a> CrawlerBox<'a> {
             elapsed: visit.elapsed,
             error: None,
         }
+    }
+
+    /// The blob address of `shot` (`fnv128` of its `CBXBMP1` bytes), found
+    /// through the page-key map, plus the bitmap when one was drawn. A
+    /// page-key hit skips the pixel hash; with capture off it draws
+    /// nothing. A miss draws, serializes and hashes the shot once and
+    /// remembers the address. With capture on, the bytes go to the scan's
+    /// artifacts either way.
+    fn shot_address(&self, shot: &Screenshot, ctx: &mut ScanCtx<'_>) -> (u128, Option<Bitmap>) {
+        let key = shot.key();
+        let known = self
+            .pages
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .copied();
+        match known {
+            Some(_) => self.m.page_hits.incr(),
+            None => self.m.page_misses.incr(),
+        }
+        if let (Some(address), false) = (known, self.capture_artifacts) {
+            return (address, None);
+        }
+        let bitmap = shot.render();
+        let bytes = bitmap.to_bytes();
+        let address = known.unwrap_or_else(|| {
+            let address = fingerprint::fnv128(&bytes);
+            self.pages
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(key, address);
+            address
+        });
+        if self.capture_artifacts {
+            ctx.artifacts.push(CapturedArtifact {
+                kind: ArtifactKind::Screenshot,
+                hash: address,
+                bytes,
+            });
+        }
+        (address, Some(bitmap))
     }
 }
 
@@ -1865,15 +1914,142 @@ mod tests {
             "{stats}"
         );
 
+        // The page-key level: every shot looks up its page key once, each
+        // distinct page source misses once, and every key maps to one of
+        // the captured addresses.
+        let pages = cbx.pages.read().unwrap().clone();
+        assert_eq!(stats.page_hits + stats.page_misses, shots, "{stats}");
+        assert_eq!(stats.page_misses, pages.len() as u64, "{stats}");
+        assert!(stats.page_hits > 0, "repeated pages must hit: {stats}");
+        assert!(pages.values().all(|a| addresses.contains(a)));
+        assert_eq!(
+            pages.values().collect::<HashSet<_>>().len(),
+            addresses.len()
+        );
+
+        // A second pass hits on every page key and captures the same
+        // addresses and bytes, now without hashing any pixels.
+        let again = cbx.scan_all(subset);
+        let warm = cbx.stats();
+        assert_eq!(warm.page_misses, stats.page_misses, "{warm}");
+        assert_eq!(warm.page_hits, stats.page_hits + shots, "{warm}");
+        assert_eq!(warm.screenshot_misses, stats.screenshot_misses, "{warm}");
+        for (cold, warm) in records.iter().zip(&again) {
+            assert!(cold.artifacts == warm.artifacts, "{}", cold.message_id);
+        }
+
         // Capture off runs the same keying: same hits and misses.
         let mut bare = CrawlerBox::new(&corpus.world);
         bare.parallelism = 1;
         let _ = bare.scan_all(subset);
         let bare_stats = bare.stats();
         assert_eq!(
-            (bare_stats.screenshot_hits, bare_stats.screenshot_misses),
-            (stats.screenshot_hits, stats.screenshot_misses)
+            (
+                bare_stats.screenshot_hits,
+                bare_stats.screenshot_misses,
+                bare_stats.page_hits,
+                bare_stats.page_misses
+            ),
+            (
+                stats.screenshot_hits,
+                stats.screenshot_misses,
+                stats.page_hits,
+                stats.page_misses
+            )
         );
+    }
+
+    /// Two pages that differ only in a script body draw the same pixels:
+    /// two page keys map to one blob address, so the screenshot is
+    /// analysed once.
+    #[test]
+    fn invisible_page_differences_share_one_screenshot_analysis() {
+        use cb_netsim::{HttpRequest, HttpResponse, NetContext};
+        let world = Internet::new(SimTime::from_ymd(2024, 1, 1));
+        for (domain, script) in [("one.example", "var n = 1;"), ("two.example", "var n = 2;")] {
+            world.register_domain(domain, "REG");
+            let page = format!(
+                "<html><body><h1>Sign in</h1><p>Verify your account</p>\
+                 <script>{script}</script></body></html>"
+            );
+            world.host(domain, move |_: &HttpRequest, _: &NetContext<'_>| {
+                HttpResponse::html(&page)
+            });
+        }
+        let cbx = CrawlerBox::new(&world);
+        let browser = Browser::new(CrawlerProfile::NotABot);
+        let mut session = cbx.probe_session();
+        let mut probe = |url: &str| cbx.probe(&mut session, &browser, url, "");
+        let one = probe("https://one.example/");
+        let two = probe("https://two.example/");
+        assert_eq!(one.outcome, VisitOutcome::Loaded);
+        assert_eq!(two.outcome, VisitOutcome::Loaded);
+        assert!(one.screenshot_hash.is_some());
+        assert_eq!(one.screenshot_hash, two.screenshot_hash);
+        let pages = cbx.pages.read().unwrap().clone();
+        assert_eq!(pages.len(), 2, "one page key per source");
+        assert_eq!(
+            pages.values().collect::<HashSet<_>>().len(),
+            1,
+            "one blob address"
+        );
+        let stats = cbx.stats();
+        assert_eq!((stats.page_hits, stats.page_misses), (0, 2), "{stats}");
+        assert_eq!(
+            (stats.screenshot_hits, stats.screenshot_misses),
+            (1, 1),
+            "{stats}"
+        );
+
+        // A revisit finds its address by page key.
+        let _ = probe("https://two.example/");
+        let stats = cbx.stats();
+        assert_eq!((stats.page_hits, stats.page_misses), (1, 2), "{stats}");
+        assert_eq!(
+            (stats.screenshot_hits, stats.screenshot_misses),
+            (2, 1),
+            "{stats}"
+        );
+    }
+
+    /// A box whose page-key map is already warm (from a scan with capture
+    /// off) captures, at every worker count, exactly the artifacts a fresh
+    /// box per message captures.
+    #[test]
+    fn warm_box_captures_the_fresh_box_artifacts() {
+        let corpus = corpus();
+        let subset = &corpus.messages[..24.min(corpus.messages.len())];
+        let reference: Vec<Vec<CapturedArtifact>> = subset
+            .iter()
+            .map(|m| {
+                let fresh = CrawlerBox::new(&corpus.world).with_artifact_capture(true);
+                fresh.scan(m).artifacts
+            })
+            .collect();
+        let shots = reference
+            .iter()
+            .flatten()
+            .filter(|a| a.kind == ArtifactKind::Screenshot)
+            .count();
+        assert!(shots > 0, "the subset must take screenshots");
+        for workers in WORKERS {
+            let mut cbx = CrawlerBox::new(&corpus.world);
+            cbx.parallelism = workers;
+            let _ = cbx.scan_all(subset);
+            let cbx = cbx.with_artifact_capture(true);
+            let before = cbx.stats();
+            let records = cbx.scan_all(subset);
+            let after = cbx.stats();
+            assert_eq!(after.page_misses, before.page_misses, "{after}");
+            assert_eq!(after.page_hits - before.page_hits, shots as u64);
+            for (record, expected) in records.iter().zip(&reference) {
+                assert!(
+                    record.artifacts == *expected,
+                    "{workers} worker(s): message {} captured different artifacts",
+                    record.message_id
+                );
+            }
+        }
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn hue_rotated_phish_page_screenshot_still_classifies() {
     assert!(visit.shows_login_form());
     let classifier = crawlerbox::SpearClassifier::new();
     let m = classifier
-        .classify(visit.screenshot.as_ref().unwrap())
+        .classify(&visit.screenshot.as_ref().unwrap().render())
         .expect("hue rotation must not defeat the classifier");
     assert_eq!(m.brand, Brand::FareLogic);
     // and the hotlinked logo request hit the real org's infrastructure

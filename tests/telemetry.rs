@@ -220,6 +220,7 @@ fn full_export_carries_advisory_worker_and_cache_fields() {
     let metrics_canonical = cbx.export_metrics(ExportMode::Canonical);
     assert!(!metrics_canonical.contains("\"stream.in_flight\""));
     assert!(!metrics_canonical.contains("\"cache.artifact.hits\""));
+    assert!(!metrics_canonical.contains("\"cache.page.hits\""));
 }
 
 /// `ScanStats` now reads from the registry: its values and the metrics
@@ -239,6 +240,8 @@ fn scan_stats_and_registry_agree() {
         ("cache.artifact.misses", stats.artifact_misses),
         ("cache.screenshot.hits", stats.screenshot_hits),
         ("cache.screenshot.misses", stats.screenshot_misses),
+        ("cache.page.hits", stats.page_hits),
+        ("cache.page.misses", stats.page_misses),
     ] {
         assert!(
             export.contains(&format!("\"{name}\": {value}")),
