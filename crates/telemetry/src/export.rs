@@ -26,9 +26,19 @@ impl Trace {
                 prev_msg = Some(m.message_id);
             }
             for e in &m.events {
-                let _ = write!(out, "{{\"msg\":{},\"seq\":{seq},\"t\":{},", m.message_id, e.at());
+                let _ = write!(
+                    out,
+                    "{{\"msg\":{},\"seq\":{seq},\"t\":{},",
+                    m.message_id,
+                    e.at()
+                );
                 match e {
-                    TraceEvent::Begin { name, fields, advisory, .. } => {
+                    TraceEvent::Begin {
+                        name,
+                        fields,
+                        advisory,
+                        ..
+                    } => {
                         out.push_str("\"ph\":\"B\",\"name\":");
                         push_str_literal(&mut out, name);
                         out.push_str(",\"fields\":");
@@ -42,7 +52,12 @@ impl Trace {
                         out.push_str("\"ph\":\"E\",\"name\":");
                         push_str_literal(&mut out, name);
                     }
-                    TraceEvent::Instant { name, fields, advisory, .. } => {
+                    TraceEvent::Instant {
+                        name,
+                        fields,
+                        advisory,
+                        ..
+                    } => {
                         out.push_str("\"ph\":\"I\",\"name\":");
                         push_str_literal(&mut out, name);
                         out.push_str(",\"fields\":");
@@ -76,7 +91,9 @@ impl Trace {
                 out.push_str("\n{\"name\":");
                 push_str_literal(&mut out, e.name());
                 match e {
-                    TraceEvent::Begin { fields, advisory, .. } => {
+                    TraceEvent::Begin {
+                        fields, advisory, ..
+                    } => {
                         let _ = write!(
                             out,
                             ",\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"args\":",
@@ -91,7 +108,9 @@ impl Trace {
                             m.message_id
                         );
                     }
-                    TraceEvent::Instant { fields, advisory, .. } => {
+                    TraceEvent::Instant {
+                        fields, advisory, ..
+                    } => {
                         let _ = write!(
                             out,
                             ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"args\":",
@@ -195,7 +214,13 @@ mod tests {
     fn identical_recordings_export_identical_bytes() {
         let a = sample();
         let b = sample();
-        assert_eq!(a.to_jsonl(ExportMode::Canonical), b.to_jsonl(ExportMode::Canonical));
-        assert_eq!(a.to_chrome(ExportMode::Canonical), b.to_chrome(ExportMode::Canonical));
+        assert_eq!(
+            a.to_jsonl(ExportMode::Canonical),
+            b.to_jsonl(ExportMode::Canonical)
+        );
+        assert_eq!(
+            a.to_chrome(ExportMode::Canonical),
+            b.to_chrome(ExportMode::Canonical)
+        );
     }
 }

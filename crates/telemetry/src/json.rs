@@ -86,7 +86,10 @@ mod tests {
 
     #[test]
     fn field_array_and_object_shapes() {
-        let fields = vec![("url", "http://x/?a=1".to_string()), ("kind", "dns".to_string())];
+        let fields = vec![
+            ("url", "http://x/?a=1".to_string()),
+            ("kind", "dns".to_string()),
+        ];
         let mut arr = String::new();
         push_field_array(&mut arr, &fields);
         assert_eq!(arr, r#"[["url","http://x/?a=1"],["kind","dns"]]"#);

@@ -82,7 +82,9 @@ impl GaugeHandle {
         let _ = self
             .0
             .level
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(n)));
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(n))
+            });
     }
 
     /// Fold a sampled value into the peak without touching the level (for
@@ -121,7 +123,10 @@ impl HistogramHandle {
     /// A histogram with the given inclusive bucket upper bounds (an
     /// overflow bucket is added automatically). Bounds must ascend.
     pub fn with_bounds(bounds: &[i64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "histogram bounds must ascend");
+        debug_assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must ascend"
+        );
         let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         HistogramHandle(Arc::new(HistInner {
             bounds: bounds.to_vec(),
@@ -133,8 +138,12 @@ impl HistogramHandle {
 
     /// Record one observation.
     pub fn observe(&self, value: i64) {
-        let idx =
-            self.0.bounds.iter().position(|b| value <= *b).unwrap_or(self.0.bounds.len());
+        let idx = self
+            .0
+            .bounds
+            .iter()
+            .position(|b| value <= *b)
+            .unwrap_or(self.0.bounds.len());
         self.0.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.0.total.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
@@ -157,7 +166,11 @@ impl HistogramHandle {
 
     /// Per-bucket counts, overflow bucket last.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        self.0
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -202,13 +215,17 @@ impl MetricsRegistry {
         make: impl FnOnce() -> Instrument,
     ) -> Instrument {
         let mut entries = self.entries.write().expect("metrics registry poisoned");
-        let (_, instrument) = entries.entry(name.to_string()).or_insert_with(|| (det, make()));
+        let (_, instrument) = entries
+            .entry(name.to_string())
+            .or_insert_with(|| (det, make()));
         instrument.clone()
     }
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str, det: Determinism) -> CounterHandle {
-        match self.register(name, det, || Instrument::Counter(CounterHandle::standalone())) {
+        match self.register(name, det, || {
+            Instrument::Counter(CounterHandle::standalone())
+        }) {
             Instrument::Counter(h) => h,
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
@@ -224,9 +241,9 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `name` with the given bucket bounds.
     pub fn histogram(&self, name: &str, det: Determinism, bounds: &[i64]) -> HistogramHandle {
-        match self
-            .register(name, det, || Instrument::Histogram(HistogramHandle::with_bounds(bounds)))
-        {
+        match self.register(name, det, || {
+            Instrument::Histogram(HistogramHandle::with_bounds(bounds))
+        }) {
             Instrument::Histogram(h) => h,
             other => panic!("metric {name:?} already registered as a {}", other.kind()),
         }
@@ -240,7 +257,8 @@ impl MetricsRegistry {
     pub fn snapshot(&self, mode: ExportMode) -> crate::prometheus::MetricsSnapshot {
         use crate::prometheus::{MetricValue, MetricsSnapshot};
         let entries = self.entries.read().expect("metrics registry poisoned");
-        let keep = |det: &Determinism| mode == ExportMode::Full || *det == Determinism::Deterministic;
+        let keep =
+            |det: &Determinism| mode == ExportMode::Full || *det == Determinism::Deterministic;
         MetricsSnapshot {
             entries: entries
                 .iter()
@@ -248,9 +266,10 @@ impl MetricsRegistry {
                 .map(|(name, (_, instrument))| {
                     let value = match instrument {
                         Instrument::Counter(h) => MetricValue::Counter(h.get()),
-                        Instrument::Gauge(h) => {
-                            MetricValue::Gauge { level: h.level(), peak: h.peak() }
-                        }
+                        Instrument::Gauge(h) => MetricValue::Gauge {
+                            level: h.level(),
+                            peak: h.peak(),
+                        },
                         Instrument::Histogram(h) => MetricValue::Histogram {
                             bounds: h.bounds(),
                             buckets: h.bucket_counts(),
@@ -266,14 +285,20 @@ impl MetricsRegistry {
 
     /// Registered metric names, in export (sorted) order.
     pub fn names(&self) -> Vec<String> {
-        self.entries.read().expect("metrics registry poisoned").keys().cloned().collect()
+        self.entries
+            .read()
+            .expect("metrics registry poisoned")
+            .keys()
+            .cloned()
+            .collect()
     }
 
     /// Export as JSON with deterministically ordered keys. `Canonical` mode
     /// drops advisory instruments entirely.
     pub fn export_json(&self, mode: ExportMode) -> String {
         let entries = self.entries.read().expect("metrics registry poisoned");
-        let keep = |det: &Determinism| mode == ExportMode::Full || *det == Determinism::Deterministic;
+        let keep =
+            |det: &Determinism| mode == ExportMode::Full || *det == Determinism::Deterministic;
 
         let mut out = String::from("{\n");
         let sections: [(&str, InstrumentFilter); 3] = [
@@ -284,8 +309,9 @@ impl MetricsRegistry {
         for (si, (section, belongs)) in sections.iter().enumerate() {
             let _ = write!(out, "  \"{section}\": {{");
             let mut first = true;
-            for (name, (_, instrument)) in
-                entries.iter().filter(|(_, (det, i))| keep(det) && belongs(i))
+            for (name, (_, instrument)) in entries
+                .iter()
+                .filter(|(_, (det, i))| keep(det) && belongs(i))
             {
                 if !first {
                     out.push(',');
@@ -299,8 +325,7 @@ impl MetricsRegistry {
                         let _ = write!(out, "{}", h.get());
                     }
                     Instrument::Gauge(h) => {
-                        let _ =
-                            write!(out, "{{\"level\": {}, \"peak\": {}}}", h.level(), h.peak());
+                        let _ = write!(out, "{{\"level\": {}, \"peak\": {}}}", h.level(), h.peak());
                     }
                     Instrument::Histogram(h) => {
                         out.push_str("{\"bounds\": ");
@@ -364,8 +389,10 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("z.det", Determinism::Deterministic).add(1);
         reg.counter("a.det", Determinism::Deterministic).add(2);
-        reg.counter("cache.artifact.hits", Determinism::Advisory).add(99);
-        reg.histogram("visit.latency_s", Determinism::Deterministic, &[1, 5]).observe(3);
+        reg.counter("cache.artifact.hits", Determinism::Advisory)
+            .add(99);
+        reg.histogram("visit.latency_s", Determinism::Deterministic, &[1, 5])
+            .observe(3);
 
         let canonical = reg.export_json(ExportMode::Canonical);
         assert!(!canonical.contains("cache.artifact.hits"));

@@ -71,7 +71,10 @@ pub fn prometheus_name(name: &str) -> String {
 
 /// Escape a label value per the exposition format.
 fn escape_label(value: &str) -> String {
-    value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    value
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn label_block(labels: &[(String, String)], extra: Option<(&str, String)>) -> String {
@@ -125,7 +128,12 @@ pub fn render_prometheus(sections: &[(Vec<(String, String)>, MetricsSnapshot)]) 
                     let _ = writeln!(out, "{prom}{} {level}", label_block(labels, None));
                     peaks.push((*si, *peak));
                 }
-                MetricValue::Histogram { bounds, buckets, count, sum } => {
+                MetricValue::Histogram {
+                    bounds,
+                    buckets,
+                    count,
+                    sum,
+                } => {
                     let mut cumulative = 0u64;
                     for (bound, bucket) in bounds.iter().zip(buckets) {
                         cumulative += bucket;
@@ -148,8 +156,11 @@ pub fn render_prometheus(sections: &[(Vec<(String, String)>, MetricsSnapshot)]) 
         if !peaks.is_empty() {
             let _ = writeln!(out, "# TYPE {prom}_peak gauge");
             for (si, peak) in peaks {
-                let _ =
-                    writeln!(out, "{prom}_peak{} {peak}", label_block(&sections[si].0, None));
+                let _ = writeln!(
+                    out,
+                    "{prom}_peak{} {peak}",
+                    label_block(&sections[si].0, None)
+                );
             }
         }
     }
@@ -173,17 +184,25 @@ mod tests {
 
     fn sample_registry() -> MetricsRegistry {
         let reg = MetricsRegistry::new();
-        reg.counter("scan.messages", Determinism::Deterministic).add(7);
-        reg.counter("cache.artifact.hits", Determinism::Advisory).add(3);
-        reg.gauge("store.append.pending", Determinism::Deterministic).add(4);
-        reg.histogram("visit.latency_s", Determinism::Deterministic, &[1, 5]).observe(3);
-        reg.histogram("visit.latency_s", Determinism::Deterministic, &[1, 5]).observe(9);
+        reg.counter("scan.messages", Determinism::Deterministic)
+            .add(7);
+        reg.counter("cache.artifact.hits", Determinism::Advisory)
+            .add(3);
+        reg.gauge("store.append.pending", Determinism::Deterministic)
+            .add(4);
+        reg.histogram("visit.latency_s", Determinism::Deterministic, &[1, 5])
+            .observe(3);
+        reg.histogram("visit.latency_s", Determinism::Deterministic, &[1, 5])
+            .observe(9);
         reg
     }
 
     #[test]
     fn names_are_sanitized() {
-        assert_eq!(prometheus_name("store.append.records"), "cb_store_append_records");
+        assert_eq!(
+            prometheus_name("store.append.records"),
+            "cb_store_append_records"
+        );
         assert_eq!(prometheus_name("9weird-name"), "cb__weird_name");
     }
 
@@ -193,7 +212,9 @@ mod tests {
         assert!(text.contains("# TYPE cb_scan_messages counter\ncb_scan_messages 7\n"));
         assert!(text.contains("# TYPE cb_cache_artifact_hits counter\ncb_cache_artifact_hits 3\n"));
         assert!(text.contains("# TYPE cb_store_append_pending gauge\ncb_store_append_pending 4\n"));
-        assert!(text.contains("# TYPE cb_store_append_pending_peak gauge\ncb_store_append_pending_peak 4\n"));
+        assert!(text.contains(
+            "# TYPE cb_store_append_pending_peak gauge\ncb_store_append_pending_peak 4\n"
+        ));
         // Cumulative buckets: 1 observation ≤5, 1 overflow.
         assert!(text.contains("cb_visit_latency_s_bucket{le=\"1\"} 0\n"));
         assert!(text.contains("cb_visit_latency_s_bucket{le=\"5\"} 1\n"));
@@ -213,10 +234,17 @@ mod tests {
     fn multi_section_rendering_emits_one_type_line_per_name() {
         let a = sample_registry();
         let b = sample_registry();
-        b.counter("scan.messages", Determinism::Deterministic).add(1);
+        b.counter("scan.messages", Determinism::Deterministic)
+            .add(1);
         let text = render_prometheus(&[
-            (vec![("partition".into(), "0".into())], a.snapshot(ExportMode::Full)),
-            (vec![("partition".into(), "1".into())], b.snapshot(ExportMode::Full)),
+            (
+                vec![("partition".into(), "0".into())],
+                a.snapshot(ExportMode::Full),
+            ),
+            (
+                vec![("partition".into(), "1".into())],
+                b.snapshot(ExportMode::Full),
+            ),
         ]);
         assert_eq!(text.matches("# TYPE cb_scan_messages counter").count(), 1);
         assert!(text.contains("cb_scan_messages{partition=\"0\"} 7\n"));

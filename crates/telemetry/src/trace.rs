@@ -116,7 +116,12 @@ pub struct ActiveTrace {
 
 impl ActiveTrace {
     fn new(message_id: usize) -> Self {
-        ActiveTrace { message_id, cursor: 0, events: Vec::new(), stack: Vec::new() }
+        ActiveTrace {
+            message_id,
+            cursor: 0,
+            events: Vec::new(),
+            stack: Vec::new(),
+        }
     }
 
     /// Open a span with deterministic fields only.
@@ -127,14 +132,25 @@ impl ActiveTrace {
     /// Open a span with deterministic and advisory fields.
     pub fn begin_adv(&mut self, name: &'static str, fields: FieldList, advisory: FieldList) {
         self.stack.push(name);
-        self.events.push(TraceEvent::Begin { name, at: self.cursor, fields, advisory });
+        self.events.push(TraceEvent::Begin {
+            name,
+            at: self.cursor,
+            fields,
+            advisory,
+        });
     }
 
     /// Close the innermost open span. A close without a matching open is a
     /// bug in the instrumentation, not in user input — panic loudly.
     pub fn end(&mut self) {
-        let name = self.stack.pop().expect("telemetry: end() without matching begin()");
-        self.events.push(TraceEvent::End { name, at: self.cursor });
+        let name = self
+            .stack
+            .pop()
+            .expect("telemetry: end() without matching begin()");
+        self.events.push(TraceEvent::End {
+            name,
+            at: self.cursor,
+        });
     }
 
     /// Record a point event with deterministic fields only.
@@ -144,7 +160,12 @@ impl ActiveTrace {
 
     /// Record a point event with deterministic and advisory fields.
     pub fn instant_adv(&mut self, name: &'static str, fields: FieldList, advisory: FieldList) {
-        self.events.push(TraceEvent::Instant { name, at: self.cursor, fields, advisory });
+        self.events.push(TraceEvent::Instant {
+            name,
+            at: self.cursor,
+            fields,
+            advisory,
+        });
     }
 
     /// Move the scan-local sim-time cursor forward by `seconds`.
@@ -211,7 +232,10 @@ pub struct Tracer {
 impl Tracer {
     /// A tracer, recording iff `enabled`.
     pub fn new(enabled: bool) -> Self {
-        Tracer { enabled, merged: Arc::new(Mutex::new(Vec::new())) }
+        Tracer {
+            enabled,
+            merged: Arc::new(Mutex::new(Vec::new())),
+        }
     }
 
     /// Is recording on?
@@ -237,10 +261,16 @@ impl Tracer {
         trace.begin_adv(
             "scan",
             Vec::new(),
-            worker().map(|w| ("worker", w.to_string())).into_iter().collect(),
+            worker()
+                .map(|w| ("worker", w.to_string()))
+                .into_iter()
+                .collect(),
         );
         let prev = ACTIVE.with(|a| a.borrow_mut().replace(trace));
-        Some(ScanTraceGuard { merged: Arc::clone(&self.merged), prev: Some(prev) })
+        Some(ScanTraceGuard {
+            merged: Arc::clone(&self.merged),
+            prev: Some(prev),
+        })
     }
 
     /// Record a sink-delivery event for `message_id`. Delivery happens
@@ -253,12 +283,20 @@ impl Tracer {
         self.push(MessageTrace {
             message_id,
             stage: 1,
-            events: vec![TraceEvent::Instant { name: "sink.deliver", at: 0, fields, advisory: Vec::new() }],
+            events: vec![TraceEvent::Instant {
+                name: "sink.deliver",
+                at: 0,
+                fields,
+                advisory: Vec::new(),
+            }],
         });
     }
 
     fn push(&self, trace: MessageTrace) {
-        self.merged.lock().expect("telemetry merge buffer poisoned").push(trace);
+        self.merged
+            .lock()
+            .expect("telemetry merge buffer poisoned")
+            .push(trace);
     }
 
     /// Drain everything recorded so far into a message-ordered [`Trace`].
@@ -293,7 +331,11 @@ impl Drop for ScanTraceGuard {
                 t.end();
             }
             if let Ok(mut merged) = self.merged.lock() {
-                merged.push(MessageTrace { message_id: t.message_id, stage: 0, events: t.events });
+                merged.push(MessageTrace {
+                    message_id: t.message_id,
+                    stage: 0,
+                    events: t.events,
+                });
             }
         }
         if let Some(prev) = self.prev.take() {
@@ -374,8 +416,12 @@ mod tests {
         tracer.delivery(1, Vec::new());
         drop(tracer.message(2).unwrap());
         drop(tracer.message(1).unwrap());
-        let order: Vec<(usize, u8)> =
-            tracer.take().messages.iter().map(|m| (m.message_id, m.stage)).collect();
+        let order: Vec<(usize, u8)> = tracer
+            .take()
+            .messages
+            .iter()
+            .map(|m| (m.message_id, m.stage))
+            .collect();
         assert_eq!(order, [(1, 0), (1, 1), (2, 0), (2, 1)]);
     }
 
@@ -431,7 +477,12 @@ mod tests {
                 });
             }
         });
-        let ids: Vec<usize> = tracer.take().messages.iter().map(|m| m.message_id).collect();
+        let ids: Vec<usize> = tracer
+            .take()
+            .messages
+            .iter()
+            .map(|m| m.message_id)
+            .collect();
         assert_eq!(ids, (0..16).collect::<Vec<_>>());
     }
 }
