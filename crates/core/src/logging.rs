@@ -199,16 +199,6 @@ pub enum ArtifactKind {
     Screenshot,
 }
 
-impl ArtifactKind {
-    /// Short stable label (used by store manifests and queries).
-    pub fn label(self) -> &'static str {
-        match self {
-            ArtifactKind::Message => "message",
-            ArtifactKind::Screenshot => "screenshot",
-        }
-    }
-}
-
 /// Raw bytes captured during a scan for content-addressed archival:
 /// the reported message itself and the screenshots of crawled pages.
 ///

@@ -18,7 +18,7 @@
 //! in place as the reference oracle; `tests/store.rs` asserts both paths
 //! produce bit-identical logs.
 
-use crate::frame::{encode_blob_refs, encode_frame, KIND_BLOB_REF, KIND_RECORD};
+use crate::frame::encode_pair;
 use crate::index::RecordMeta;
 use crawlerbox::{CapturedArtifact, RecordEncoder, ScanRecord};
 use std::io;
@@ -31,9 +31,6 @@ pub struct EncodedRecord {
     /// Derived index meta. `seq` is a placeholder (0) until the store
     /// assigns the shard-local log position at insert.
     pub meta: RecordMeta,
-    /// Canonical record payload length in bytes (the record frame's
-    /// payload, excluding headers and the blob-ref frame).
-    pub payload_len: usize,
     /// The bytes to append: the blob-ref frame (when artifacts are
     /// present) followed by the record frame, CRCs included, exactly as
     /// the owned-record path would build them.
@@ -59,16 +56,9 @@ pub fn encode_record(record: &mut ScanRecord) -> io::Result<EncodedRecord> {
     // canonical payload bytes unchanged.
     let payload =
         cb_json::to_vec(record).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let meta = RecordMeta::of(0, record);
-    let mut frame = Vec::with_capacity(payload.len() + 64);
-    if !refs.is_empty() {
-        frame.extend_from_slice(&encode_frame(KIND_BLOB_REF, &encode_blob_refs(&refs)));
-    }
-    frame.extend_from_slice(&encode_frame(KIND_RECORD, &payload));
     Ok(EncodedRecord {
-        meta,
-        payload_len: payload.len(),
-        frame,
+        meta: RecordMeta::of(0, record),
+        frame: encode_pair(&refs, &payload),
         refs,
         artifacts,
     })

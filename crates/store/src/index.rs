@@ -277,11 +277,6 @@ impl StoreIndex {
         self.by_hash.contains_key(&hash)
     }
 
-    /// The latest log seq recorded for `hash`.
-    pub fn seq_of_hash(&self, hash: u128) -> Option<usize> {
-        self.by_hash.get(&hash).copied()
-    }
-
     /// All recorded content hashes — feed to
     /// [`CrawlerBox::with_known_hashes`](crawlerbox::CrawlerBox::with_known_hashes)
     /// to turn a repeated run into a delta scan.

@@ -9,10 +9,11 @@
 //! Three pieces:
 //!
 //! * **Record log** — an append-only sequence of segment files holding
-//!   length-prefixed, CRC32-checked [frames](frame); each frame carries one
-//!   [`ScanRecord`](crawlerbox::ScanRecord) in its fixed canonical encoding
-//!   (the same `cb_json` byte encoding the determinism tests compare),
-//!   appended in message order via [`StoreSink`] on `scan_stream`'s
+//!   length-prefixed, CRC32-checked [frames](frame), grouped into pairs:
+//!   each record frame, preceded by the blob-ref frame of its artifacts,
+//!   carries one [`ScanRecord`](crawlerbox::ScanRecord) in its fixed
+//!   canonical encoding (the same `cb_json` byte encoding the determinism
+//!   tests compare), appended in message order via [`StoreSink`] on `scan_stream`'s
 //!   delivery path — so the on-disk bytes are identical across worker counts.
 //! * **Blob pack** — content-addressed artifact bytes (raw messages,
 //!   screenshots) keyed on the pipeline's existing fnv128 hashes,

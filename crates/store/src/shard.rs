@@ -8,23 +8,25 @@
 //!
 //! # Replay rules
 //!
-//! A segment is a concatenation of frames; a record with captured
-//! artifacts is preceded by a [`KIND_BLOB_REF`] frame naming its blob
+//! A segment is a concatenation of [pairs](crate::frame): a record with
+//! captured artifacts is preceded by a blob-ref frame naming its blob
 //! addresses, and the pair never spans a segment boundary. Replay walks
-//! every frame and classifies the first bad byte it meets:
+//! every pair with [`next_pair`] and classifies the first bad byte it
+//! meets:
 //!
-//! * **Torn framing in the last segment** (partial header, truncated
+//! * **A torn pair in the last segment** (partial header, truncated
 //!   payload, CRC mismatch at the tail) is a crash artifact: the tail is
-//!   truncated back to the end of the last complete blob-ref/record pair
-//!   and the shard stays healthy. A complete blob-ref frame with no
-//!   following record is part of the torn tail (the crash hit between the
-//!   pair) and is truncated too — leaving at worst an orphan blob for
+//!   truncated back to the end of the last complete pair and the shard
+//!   stays healthy. A complete blob-ref frame with no following record is
+//!   part of the torn tail (the crash hit between the pair) and is
+//!   truncated too — leaving at worst an orphan blob for
 //!   [`Store::gc_orphan_blobs`](crate::Store::gc_orphan_blobs).
-//! * **Anything else** — bad framing in an interior segment, a CRC-valid
-//!   frame whose payload does not decode, a malformed blob-ref — is
-//!   corruption: the shard is quarantined. Appends to it fail, its records
-//!   drop out of queries and `known_hashes`, and [`Shard::repair`]
-//!   re-adjudicates it from its last valid frames.
+//! * **Anything else** — a torn pair in an interior segment, a corrupt
+//!   pair (a malformed blob-ref, two blob-refs in a row), a CRC-valid
+//!   record whose payload does not decode — is corruption: the shard is
+//!   quarantined. Appends to it fail, its records drop out of queries and
+//!   `known_hashes`, and [`Shard::repair`] re-adjudicates it from its last
+//!   valid pairs by the same rules.
 //!
 //! Replay adjudicates payloads with the borrowed meta scan
 //! ([`metascan`](crate::metascan)) rather than a full record
@@ -36,16 +38,12 @@
 //! silently.
 
 use crate::blob::BlobStore;
-use crate::frame::{
-    decode_blob_refs, encode_blob_refs, encode_frame, next_frame, FrameStep, KIND_BLOB_REF,
-    KIND_RECORD,
-};
+use crate::frame::{encode_pair, next_pair, PairStep};
 use crate::index::{RecordMeta, StoreIndex};
 use crate::metascan;
 use crate::segment::{list_segments, segment_file_name, SegmentWriter};
-use crate::store::{StoreMetrics, StoreOptions};
+use crate::store::{corrupt, StoreMetrics, StoreOptions};
 use crate::vfs::Vfs;
-use cb_telemetry::{with_active, Tracer};
 use crawlerbox::ScanRecord;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -77,13 +75,6 @@ pub(crate) fn parse_generation_name(name: &str) -> Option<u32> {
         return None;
     }
     stem.parse().ok()
-}
-
-fn corrupt(path: &Path, what: impl std::fmt::Display) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{}: {what}", path.display()),
-    )
 }
 
 /// What a torn tail looked like when recovery truncated it.
@@ -135,21 +126,19 @@ pub struct RepairReport {
     pub was_quarantined: bool,
 }
 
-/// One frame-walk step outcome classified by the replay rules.
+/// One segment's replay, classified by the replay rules.
 struct SegmentReplay {
     /// Scanned record metas (segment-local seq) with their blob refs and
-    /// the byte offset of each blob-ref/record pair's first frame, in
-    /// frame order.
+    /// the byte offset of each pair, in log order.
     records: Vec<(RecordMeta, Vec<u128>, usize)>,
-    /// Offset just past the last complete blob-ref/record pair.
+    /// Offset just past the last complete pair.
     valid_end: usize,
     /// First bad byte, its reason, and whether it is *corruption* (true)
-    /// or torn framing a crash could produce (false).
+    /// or a torn pair a crash could produce (false).
     bad: Option<(usize, String, bool)>,
 }
 
-/// Walk every frame of `buf`, pairing blob-ref frames with the record
-/// frames they precede.
+/// Walk every pair of `buf`, scanning each record payload.
 fn replay_segment(buf: &[u8]) -> SegmentReplay {
     let mut out = SegmentReplay {
         records: Vec::new(),
@@ -157,68 +146,31 @@ fn replay_segment(buf: &[u8]) -> SegmentReplay {
         bad: None,
     };
     let mut at = 0usize;
-    let mut pending: Option<Vec<u128>> = None;
-    let mut pending_at = 0usize;
     loop {
-        match next_frame(buf, at) {
-            FrameStep::Frame {
-                kind: KIND_BLOB_REF,
+        match next_pair(buf, at) {
+            PairStep::Pair {
+                refs,
                 payload,
+                record_at,
                 next,
-            } => {
-                if pending.is_some() {
-                    out.bad = Some((
-                        pending_at,
-                        "blob-ref frame not followed by a record".to_string(),
-                        true,
-                    ));
-                    return out;
-                }
-                match decode_blob_refs(payload) {
-                    Some(refs) => {
-                        pending = Some(refs);
-                        pending_at = at;
-                        at = next;
-                    }
-                    None => {
-                        out.bad = Some((at, "malformed blob-ref payload".to_string(), true));
-                        return out;
-                    }
-                }
-            }
-            FrameStep::Frame { payload, next, .. } => match scan_meta(payload, out.records.len()) {
+            } => match scan_meta(payload, out.records.len()) {
                 Ok(meta) => {
-                    let start = if pending.is_some() { pending_at } else { at };
-                    out.records
-                        .push((meta, pending.take().unwrap_or_default(), start));
+                    out.records.push((meta, refs, at));
                     out.valid_end = next;
                     at = next;
                 }
                 Err(e) => {
-                    out.bad = Some((at, format!("undecodable record: {e}"), true));
+                    out.bad = Some((record_at, format!("undecodable record: {e}"), true));
                     return out;
                 }
             },
-            FrameStep::End => {
-                if pending.is_some() {
-                    // A complete blob-ref with nothing after it: the crash
-                    // hit between the pair. Torn, not corrupt.
-                    out.bad = Some((
-                        pending_at,
-                        "trailing blob-ref frame with no record".to_string(),
-                        false,
-                    ));
-                }
+            PairStep::End => return out,
+            PairStep::Torn { at, reason } => {
+                out.bad = Some((at, reason, false));
                 return out;
             }
-            FrameStep::Torn { at: bad, reason } => {
-                // If a blob-ref was pending, the whole pair is torn from
-                // the blob-ref's start.
-                let (bad, reason) = match pending {
-                    Some(_) => (pending_at, format!("torn record after blob-ref: {reason}")),
-                    None => (bad, reason),
-                };
-                out.bad = Some((bad, reason, false));
+            PairStep::Corrupt { at, reason } => {
+                out.bad = Some((at, reason, true));
                 return out;
             }
         }
@@ -300,7 +252,6 @@ impl Shard {
         opts: &StoreOptions,
         blobs: &BlobStore,
         m: &StoreMetrics,
-        tracer: &Tracer,
     ) -> io::Result<Shard> {
         let dir = root.join(shard_dir_name(id));
         vfs.create_dir_all(&dir)?;
@@ -409,7 +360,6 @@ impl Shard {
             }
             m.recover_segments.incr();
             m.recover_records.add(seg_records as u64);
-            trace_recover(tracer, id, *seg_index, &buf, seg_records, bad.as_ref());
             match bad {
                 None => shard.log_bytes += buf.len() as u64,
                 Some((at, reason, is_corrupt)) if is_corrupt || !last => {
@@ -572,17 +522,7 @@ impl Shard {
     /// Append one already-encoded record payload with its blob refs.
     /// Returns the frame bytes written.
     pub(crate) fn append_payload(&mut self, payload: &[u8], refs: &[u128]) -> io::Result<u64> {
-        if !self.health.is_healthy() {
-            return Err(self.quarantine_error());
-        }
-        // The blob-ref frame (when present) and the record frame go down
-        // in one write so the pair never spans a segment roll.
-        let mut frame = Vec::new();
-        if !refs.is_empty() {
-            frame.extend_from_slice(&encode_frame(KIND_BLOB_REF, &encode_blob_refs(refs)));
-        }
-        frame.extend_from_slice(&encode_frame(KIND_RECORD, payload));
-        self.append_frame(&frame)
+        self.append_frame(&encode_pair(refs, payload))
     }
 
     /// Append one pre-built blob-ref/record frame pair (the encoded ingest
@@ -686,17 +626,11 @@ impl Shard {
     /// appends, then fsync the generation directory if any segment file was
     /// created since the last barrier. A clean shard (nothing appended
     /// since its last barrier) issues **zero** fsyncs — a sync after a
-    /// read-only window must cost nothing. Returns whether an fsync was
-    /// actually issued.
-    pub(crate) fn sync(&mut self) -> io::Result<bool> {
-        if !self.dirty && !self.pending_dir_sync {
-            return Ok(false);
-        }
-        let mut synced = false;
+    /// read-only window must cost nothing.
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         if self.dirty {
             if let Some(w) = self.writer.as_mut() {
                 w.sync()?;
-                synced = true;
             }
             self.dirty = false;
         }
@@ -704,9 +638,8 @@ impl Shard {
             self.vfs
                 .sync_dir(&self.dir.join(generation_dir_name(self.generation)))?;
             self.pending_dir_sync = false;
-            synced = true;
         }
-        Ok(synced)
+        Ok(())
     }
 
     /// Records appended to this shard this session (ingest observability
@@ -741,42 +674,16 @@ impl Shard {
             let path = seg_dir.join(segment_file_name(seg));
             let buf = self.vfs.read(&path)?;
             for (pos, offset) in wants {
-                // The location points at the record's first frame (the
-                // blob-ref frame when one is present); walk past it to the
-                // record frame.
-                let mut at = offset as usize;
-                loop {
-                    match next_frame(&buf, at) {
-                        FrameStep::Frame {
-                            kind: KIND_BLOB_REF,
-                            next,
-                            ..
-                        } => at = next,
-                        FrameStep::Frame {
-                            kind: KIND_RECORD,
-                            payload,
-                            ..
-                        } => {
-                            out[pos] = payload.to_vec();
-                            break;
-                        }
-                        FrameStep::Frame { kind, .. } => {
-                            return Err(corrupt(
-                                &path,
-                                format!("unexpected frame kind {kind} at {at}"),
-                            ));
-                        }
-                        FrameStep::End | FrameStep::Torn { .. } => {
-                            return Err(corrupt(&path, format!("no record frame at offset {at}")));
-                        }
-                    }
+                match next_pair(&buf, offset as usize) {
+                    PairStep::Pair { payload, .. } => out[pos] = payload.to_vec(),
+                    _ => return Err(corrupt(&path, format!("no record at offset {offset}"))),
                 }
             }
         }
         Ok(out)
     }
 
-    /// Raw canonical record payloads in log order (blob-ref frames are
+    /// Raw canonical record payloads in log order (blob refs are
     /// skipped).
     pub(crate) fn read_payloads(&mut self) -> io::Result<Vec<Vec<u8>>> {
         if !self.health.is_healthy() {
@@ -789,19 +696,13 @@ impl Shard {
             let buf = self.vfs.read(&path)?;
             let mut at = 0usize;
             loop {
-                match next_frame(&buf, at) {
-                    FrameStep::Frame {
-                        kind,
-                        payload,
-                        next,
-                    } => {
-                        if kind == KIND_RECORD {
-                            out.push(payload.to_vec());
-                        }
+                match next_pair(&buf, at) {
+                    PairStep::Pair { payload, next, .. } => {
+                        out.push(payload.to_vec());
                         at = next;
                     }
-                    FrameStep::End => break,
-                    FrameStep::Torn { at, reason } => {
+                    PairStep::End => break,
+                    PairStep::Torn { at, reason } | PairStep::Corrupt { at, reason } => {
                         return Err(corrupt(&path, format!("bad frame at {at}: {reason}")));
                     }
                 }
@@ -862,33 +763,37 @@ impl Shard {
         Ok(())
     }
 
-    /// Write `survivors` (payload, refs) into a fresh generation and
-    /// atomically, durably swap `CURRENT` to it. The old generation is
-    /// removed. Used by both compaction and repair.
-    fn rewrite_generation(&mut self, survivors: &[(Vec<u8>, Vec<u128>)]) -> io::Result<()> {
+    /// Write `survivors` (meta, blob refs, payload) into a fresh
+    /// generation, atomically and durably swap `CURRENT` to it, and index
+    /// the metas as handed in. The old generation is removed. Used by both
+    /// compaction and repair.
+    fn rewrite_generation(
+        &mut self,
+        survivors: Vec<(RecordMeta, Vec<u128>, Vec<u8>)>,
+    ) -> io::Result<()> {
         let new_generation = self.generation + 1;
         let new_dir = self.dir.join(generation_dir_name(new_generation));
         self.vfs.create_dir_all(&new_dir)?;
         let mut seg_index = 0u32;
         let mut writer: Option<SegmentWriter> = None;
+        let mut index = StoreIndex::new();
+        let mut blob_refs = Vec::with_capacity(survivors.len());
         let mut locations = Vec::with_capacity(survivors.len());
-        for (payload, refs) in survivors {
-            let mut frame = Vec::new();
-            if !refs.is_empty() {
-                frame.extend_from_slice(&encode_frame(KIND_BLOB_REF, &encode_blob_refs(refs)));
-            }
-            frame.extend_from_slice(&encode_frame(KIND_RECORD, payload));
+        let mut log_bytes = 0u64;
+        for (meta, refs, payload) in survivors {
             if writer.is_none() {
                 writer = Some(SegmentWriter::create(&self.vfs, &new_dir, seg_index)?);
                 seg_index += 1;
             }
             let w = writer.as_mut().expect("writer just ensured");
             locations.push((w.index(), w.bytes()));
-            w.append(&frame)?;
+            log_bytes += w.append(&encode_pair(&refs, &payload))?;
             if w.bytes() >= self.segment_target_bytes {
                 w.sync()?;
                 writer = None;
             }
+            index.push_recovered(meta);
+            blob_refs.push(refs);
         }
         if let Some(mut w) = writer {
             w.sync()?;
@@ -901,19 +806,6 @@ impl Shard {
         let _ = self.vfs.remove_dir_all(&old_dir);
 
         // Swap in-memory state.
-        let mut index = StoreIndex::new();
-        let mut blob_refs = Vec::with_capacity(survivors.len());
-        let mut log_bytes = 0u64;
-        for (payload, refs) in survivors {
-            let record: ScanRecord = cb_json::from_slice(payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            index.insert(&record);
-            log_bytes += (payload.len() + crate::frame::FRAME_HEADER_LEN) as u64;
-            if !refs.is_empty() {
-                log_bytes += (refs.len() * 16 + crate::frame::FRAME_HEADER_LEN) as u64;
-            }
-            blob_refs.push(refs.clone());
-        }
         self.generation = new_generation;
         self.index = index;
         self.blob_refs = blob_refs;
@@ -947,17 +839,21 @@ impl Shard {
             let seg_dir = self.dir.join(generation_dir_name(self.generation));
             list_segments(self.vfs.as_ref(), &seg_dir)?.len()
         };
+        let metas = self.index.metas();
         let mut latest = std::collections::HashMap::new();
-        for (seq, meta) in self.index.metas().iter().enumerate() {
+        for (seq, meta) in metas.iter().enumerate() {
             latest.insert(meta.content_hash, seq);
         }
-        let survivors: Vec<(Vec<u8>, Vec<u128>)> = (0..payloads.len())
-            .filter(|&seq| latest.get(&self.index.metas()[seq].content_hash) == Some(&seq))
-            .map(|seq| (payloads[seq].clone(), self.blob_refs_of(seq).to_vec()))
+        let total = payloads.len();
+        let survivors: Vec<(RecordMeta, Vec<u128>, Vec<u8>)> = payloads
+            .into_iter()
+            .enumerate()
+            .filter(|(seq, _)| latest.get(&metas[*seq].content_hash) == Some(seq))
+            .map(|(seq, payload)| (metas[seq].clone(), self.blob_refs_of(seq).to_vec(), payload))
             .collect();
         let kept = survivors.len();
-        let dropped = payloads.len() - kept;
-        self.rewrite_generation(&survivors)?;
+        let dropped = total - kept;
+        self.rewrite_generation(survivors)?;
         let segments_after = {
             let seg_dir = self.dir.join(generation_dir_name(self.generation));
             list_segments(self.vfs.as_ref(), &seg_dir)?.len()
@@ -966,7 +862,7 @@ impl Shard {
     }
 
     /// Re-adjudicate this shard from its last valid frames: salvage every
-    /// complete blob-ref/record pair up to the first bad byte of each
+    /// pair recovery would accept up to the first bad byte of each
     /// segment (stopping at records whose blob refs no longer resolve —
     /// salvaging a record without its evidence would poison verify),
     /// rewrite them into a fresh generation, and return the shard to
@@ -1004,41 +900,31 @@ impl Shard {
         };
         self.generation = generation;
 
-        // Salvage pass: valid prefix of every segment.
+        // Salvage pass: valid prefix of every segment, judged like replay.
         let seg_dir = self.dir.join(generation_dir_name(generation));
-        let mut survivors: Vec<(Vec<u8>, Vec<u128>)> = Vec::new();
+        let mut survivors = Vec::new();
         for (_, path) in list_segments(self.vfs.as_ref(), &seg_dir)? {
             let buf = self.vfs.read(&path)?;
             let mut at = 0usize;
-            let mut pending: Vec<u128> = Vec::new();
-            loop {
-                match next_frame(&buf, at) {
-                    FrameStep::Frame {
-                        kind: KIND_BLOB_REF,
-                        payload,
-                        next,
-                    } => {
-                        match decode_blob_refs(payload) {
-                            Some(refs) => pending = refs,
-                            None => break,
-                        }
-                        at = next;
-                    }
-                    FrameStep::Frame { payload, next, .. } => {
-                        if cb_json::from_slice::<ScanRecord>(payload).is_err()
-                            || pending.iter().any(|h| !blobs.contains(*h))
-                        {
-                            break;
-                        }
-                        survivors.push((payload.to_vec(), std::mem::take(&mut pending)));
-                        at = next;
-                    }
-                    FrameStep::End | FrameStep::Torn { .. } => break,
+            while let PairStep::Pair {
+                refs,
+                payload,
+                next,
+                ..
+            } = next_pair(&buf, at)
+            {
+                let Ok(meta) = scan_meta(payload, survivors.len()) else {
+                    break;
+                };
+                if refs.iter().any(|h| !blobs.contains(*h)) {
+                    break;
                 }
+                survivors.push((meta, refs, payload.to_vec()));
+                at = next;
             }
         }
         let salvaged = survivors.len();
-        self.rewrite_generation(&survivors)?;
+        self.rewrite_generation(survivors)?;
         if was_quarantined {
             m.shards_quarantined.sub(1);
         }
@@ -1071,40 +957,10 @@ pub(crate) fn write_current(vfs: &Arc<dyn Vfs>, dir: &Path, n: u32) -> io::Resul
     vfs.sync_dir(dir)
 }
 
-/// Emit the per-segment recovery span on `tracer` (no-op when disabled).
-fn trace_recover(
-    tracer: &Tracer,
-    shard: usize,
-    seg_index: u32,
-    buf: &[u8],
-    records: usize,
-    bad: Option<&(usize, String, bool)>,
-) {
-    if let Some(_guard) = tracer.message(seg_index as usize) {
-        with_active(|t| {
-            t.begin(
-                "store.recover",
-                vec![
-                    ("shard", shard.to_string()),
-                    ("segment", seg_index.to_string()),
-                    ("bytes", buf.len().to_string()),
-                ],
-            );
-            t.instant(
-                "store.recover.result",
-                vec![
-                    ("records", records.to_string()),
-                    ("bad", bad.is_some().to_string()),
-                ],
-            );
-            t.end();
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FRAME_HEADER_LEN;
 
     #[test]
     fn shard_routing_is_a_monotone_prefix_partition() {
@@ -1133,22 +989,20 @@ mod tests {
         let record = cb_json::to_vec(&cb_json::json!({})).unwrap();
         // A raw JSON Value won't decode as ScanRecord; build the walk
         // on framing level only by checking bad classification.
-        let mut buf = encode_frame(KIND_BLOB_REF, &encode_blob_refs(&refs));
-        buf.extend_from_slice(&encode_frame(KIND_RECORD, &record));
+        let buf = encode_pair(&refs, &record);
         let replay = replay_segment(&buf);
         // "{}" is not a valid ScanRecord: corruption, flagged at the
-        // record frame.
+        // record frame, just past the blob-ref frame.
         let (at, _, is_corrupt) = replay.bad.expect("undecodable record flagged");
         assert!(is_corrupt);
-        assert_eq!(
-            at,
-            encode_frame(KIND_BLOB_REF, &encode_blob_refs(&refs)).len()
-        );
+        assert_eq!(at, FRAME_HEADER_LEN + 16 * refs.len());
     }
 
     #[test]
     fn trailing_blob_ref_is_torn_not_corrupt() {
-        let buf = encode_frame(KIND_BLOB_REF, &encode_blob_refs(&[1u128]));
+        // The pair's blob-ref frame alone: a crash between the two frames.
+        let mut buf = encode_pair(&[1u128], b"record");
+        buf.truncate(FRAME_HEADER_LEN + 16);
         let replay = replay_segment(&buf);
         let (at, reason, is_corrupt) = replay.bad.expect("trailing blob-ref flagged");
         assert_eq!(at, 0);

@@ -55,19 +55,12 @@ use crate::query::{Campaign, CampaignClusterer};
 use crate::shard::{shard_of, RepairReport, Shard, ShardHealth, TornTail};
 use crate::vfs::{CountingVfs, RealVfs, Vfs};
 use cb_phishgen::MessageClass;
-use cb_telemetry::{
-    with_active, CounterHandle, Determinism, GaugeHandle, HistogramHandle, MetricsRegistry, Trace,
-    Tracer,
-};
-use crawlerbox::ScanRecord;
+use cb_telemetry::{CounterHandle, Determinism, GaugeHandle, HistogramHandle, MetricsRegistry};
+use crawlerbox::{CapturedArtifact, ScanRecord};
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// Trace "message id" used for store-level (non-per-record) events like
-/// fsync, so they sort after every per-record span in the merged trace.
-const STORE_OP_TRACE_ID: usize = usize::MAX;
 
 /// Byte cap on a group commit: in durable ingest mode the barrier also
 /// fires once this many pending frame bytes accumulate, whatever the batch
@@ -92,8 +85,6 @@ pub struct StoreOptions {
     /// A record is **acked** only once a barrier covering it completes.
     /// 1 (the default) reproduces fsync-per-append exactly.
     pub commit_batch: usize,
-    /// Record `store.*` telemetry spans (metrics counters are always on).
-    pub tracing: bool,
     /// Shard count for a store created by this open. An existing store's
     /// manifest always wins — the count is fixed at creation.
     pub shards: usize,
@@ -108,7 +99,6 @@ impl Default for StoreOptions {
             segment_target_bytes: 4 * 1024 * 1024,
             fsync_each_append: false,
             commit_batch: 1,
-            tracing: false,
             shards: 4,
             recovery_workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
@@ -368,7 +358,6 @@ pub struct Store {
     recovery: RecoveryReport,
     metrics: MetricsRegistry,
     m: StoreMetrics,
-    tracer: Tracer,
     /// Records appended since the last durable barrier (the unacked
     /// window — a crash may lose exactly these, never an acked record).
     pending_records: u64,
@@ -376,8 +365,6 @@ pub struct Store {
     pending_bytes: u64,
     /// Records acked by a completed barrier this session.
     acked: u64,
-    /// Whether the one-shot `store.poisoned` instant fired.
-    poison_noted: bool,
 }
 
 impl Store {
@@ -413,7 +400,6 @@ impl Store {
         let metrics = MetricsRegistry::new();
         let m = StoreMetrics::register(&metrics);
         let vfs = CountingVfs::wrap(vfs, m.fsync_calls.clone());
-        let tracer = Tracer::new(opts.tracing);
         vfs.create_dir_all(root)?;
 
         // Resolve the shard count: the manifest, or creation.
@@ -436,7 +422,7 @@ impl Store {
         // Replay every shard over the work-stealing pool.
         let workers = opts.recovery_workers.max(1).min(shard_count);
         let opened = crawlerbox::run_stealing(workers, shard_count, |_, i| {
-            Shard::open(Arc::clone(&vfs), root, i, &opts, &blobs, &m, &tracer)
+            Shard::open(Arc::clone(&vfs), root, i, &opts, &blobs, &m)
         });
         let mut shards = Vec::with_capacity(shard_count);
         for (i, slot) in opened.into_iter().enumerate() {
@@ -477,11 +463,9 @@ impl Store {
             recovery,
             metrics,
             m,
-            tracer,
             pending_records: 0,
             pending_bytes: 0,
             acked: 0,
-            poison_noted: false,
         })
     }
 
@@ -497,13 +481,11 @@ impl Store {
     /// I/O failure writing blobs or the segment, or the record routing to
     /// a quarantined shard (repair it first, or re-scan after repair).
     pub fn append(&mut self, record: &ScanRecord) -> io::Result<()> {
-        match self.append_oracle(record) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.note_append_error();
-                Err(e)
-            }
+        let result = self.append_oracle(record);
+        if result.is_err() {
+            self.m.append_errors.incr();
         }
+        result
     }
 
     fn append_oracle(&mut self, record: &ScanRecord) -> io::Result<()> {
@@ -518,17 +500,9 @@ impl Store {
         // record whose artifacts are missing. A crash in this window
         // leaves orphan blobs for gc_orphan_blobs, never dangling refs.
         let mut refs = Vec::with_capacity(record.artifacts.len());
-        let mut blob_fields = Vec::with_capacity(record.artifacts.len());
         for artifact in &record.artifacts {
-            let written = self.blobs.put(artifact.hash, &artifact.bytes)?;
-            if written {
-                self.m.blob_writes.incr();
-                self.m.blob_bytes.add(artifact.bytes.len() as u64);
-            } else {
-                self.m.blob_dedup_hits.incr();
-            }
+            self.put_blob(artifact)?;
             refs.push(artifact.hash);
-            blob_fields.push((artifact.kind.label(), artifact.bytes.len(), written));
         }
 
         let payload =
@@ -543,31 +517,6 @@ impl Store {
             self.blobs.sync()?;
             self.shards[shard_id].seal_active_segment()?;
         }
-
-        if let Some(_guard) = self.tracer.message(record.message_id) {
-            with_active(|t| {
-                t.begin(
-                    "store.append",
-                    vec![
-                        ("bytes", payload.len().to_string()),
-                        ("shard", shard_id.to_string()),
-                        ("hash", format!("{:032x}", record.content_hash)),
-                    ],
-                );
-                for (kind, len, written) in &blob_fields {
-                    t.instant(
-                        "store.blob",
-                        vec![
-                            ("kind", kind.to_string()),
-                            ("bytes", len.to_string()),
-                            ("dedup", (!written).to_string()),
-                        ],
-                    );
-                }
-                t.end();
-            });
-        }
-
         self.note_pending(wrote);
         self.commit_if_due()
     }
@@ -585,13 +534,11 @@ impl Store {
     /// Like [`Store::append`]; any record routing to a quarantined shard
     /// refuses the whole batch before side effects.
     pub fn append_batch(&mut self, batch: Vec<EncodedRecord>) -> io::Result<()> {
-        match self.append_batch_inner(batch) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.note_append_error();
-                Err(e)
-            }
+        let result = self.append_batch_inner(batch);
+        if result.is_err() {
+            self.m.append_errors.incr();
         }
+        result
     }
 
     fn append_batch_inner(&mut self, batch: Vec<EncodedRecord>) -> io::Result<()> {
@@ -611,20 +558,8 @@ impl Store {
 
         // Blobs before any frame, in batch order — recovery must never
         // surface a record whose artifacts are missing.
-        let mut blob_fields = Vec::with_capacity(batch.len());
-        for rec in &batch {
-            let mut fields = Vec::with_capacity(rec.artifacts.len());
-            for artifact in &rec.artifacts {
-                let written = self.blobs.put(artifact.hash, &artifact.bytes)?;
-                if written {
-                    self.m.blob_writes.incr();
-                    self.m.blob_bytes.add(artifact.bytes.len() as u64);
-                } else {
-                    self.m.blob_dedup_hits.incr();
-                }
-                fields.push((artifact.kind.label(), artifact.bytes.len(), written));
-            }
-            blob_fields.push(fields);
+        for artifact in batch.iter().flat_map(|rec| &rec.artifacts) {
+            self.put_blob(artifact)?;
         }
 
         // Group frames by shard, preserving batch order within each shard.
@@ -686,45 +621,26 @@ impl Store {
         }
 
         // Index and account in batch (delivery) order.
-        for (pos, rec) in batch.into_iter().enumerate() {
-            let EncodedRecord {
-                meta,
-                payload_len,
-                refs,
-                ..
-            } = rec;
+        for (pos, EncodedRecord { meta, refs, .. }) in batch.into_iter().enumerate() {
             let sid = shard_of(meta.content_hash, shard_count);
-            let hash = meta.content_hash;
-            let message_id = meta.message_id;
             self.m.append_records.incr();
             self.m.append_bytes.add(wrote_by_pos[pos]);
             self.shards[sid].index_encoded(meta, refs);
-            if let Some(_guard) = self.tracer.message(message_id) {
-                with_active(|t| {
-                    t.begin(
-                        "store.append",
-                        vec![
-                            ("bytes", payload_len.to_string()),
-                            ("shard", sid.to_string()),
-                            ("hash", format!("{hash:032x}")),
-                        ],
-                    );
-                    for (kind, len, written) in &blob_fields[pos] {
-                        t.instant(
-                            "store.blob",
-                            vec![
-                                ("kind", kind.to_string()),
-                                ("bytes", len.to_string()),
-                                ("dedup", (!written).to_string()),
-                            ],
-                        );
-                    }
-                    t.end();
-                });
-            }
             self.note_pending(wrote_by_pos[pos]);
         }
         self.commit_if_due()
+    }
+
+    /// Put one artifact into the blob pack, counting the write or the
+    /// dedup hit.
+    fn put_blob(&mut self, artifact: &CapturedArtifact) -> io::Result<()> {
+        if self.blobs.put(artifact.hash, &artifact.bytes)? {
+            self.m.blob_writes.incr();
+            self.m.blob_bytes.add(artifact.bytes.len() as u64);
+        } else {
+            self.m.blob_dedup_hits.incr();
+        }
+        Ok(())
     }
 
     /// Track one appended-but-unacked record.
@@ -747,21 +663,6 @@ impl Store {
             self.sync()?;
         }
         Ok(())
-    }
-
-    /// Count an append error, and emit the one-shot `store.poisoned`
-    /// instant the first time (sinks poison themselves on the first
-    /// error, so the trace marks where persistence stopped).
-    fn note_append_error(&mut self) {
-        self.m.append_errors.incr();
-        if !self.poison_noted {
-            self.poison_noted = true;
-            if let Some(_guard) = self.tracer.message(STORE_OP_TRACE_ID) {
-                with_active(|t| {
-                    t.instant("store.poisoned", vec![]);
-                });
-            }
-        }
     }
 
     /// Records appended but not yet acked by a durable barrier.
@@ -804,18 +705,8 @@ impl Store {
     /// I/O failure flushing or syncing. The pending window stays unacked.
     pub fn sync(&mut self) -> io::Result<()> {
         self.blobs.sync()?;
-        let mut synced = 0u64;
         for shard in &mut self.shards {
-            if shard.sync()? {
-                synced += 1;
-            }
-        }
-        if synced > 0 {
-            if let Some(_guard) = self.tracer.message(STORE_OP_TRACE_ID) {
-                with_active(|t| {
-                    t.instant("store.fsync", vec![("shards", synced.to_string())]);
-                });
-            }
+            shard.sync()?;
         }
         if self.pending_records > 0 {
             self.m.commit_batches.incr();
@@ -1241,12 +1132,6 @@ impl Store {
             fragment.add_index(shard_base + shard.id(), shard.index());
         }
         fragment
-    }
-
-    /// Drain the store's telemetry trace (empty unless
-    /// [`StoreOptions::tracing`] was on).
-    pub fn take_trace(&self) -> Trace {
-        self.tracer.take()
     }
 
     /// Counter-derived shape summary (no I/O).

@@ -679,6 +679,73 @@ fn interior_corruption_quarantines_one_shard_and_repair_restores_it() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Repair judges pairs as recovery does. A segment laid out as
+/// `[pair A][blob-ref][blob-ref][record][pair B]`, every ref resolving,
+/// is corrupt to recovery (a blob-ref must be followed by its record), so
+/// the shard is quarantined on open; repair keeps exactly A, and the
+/// repaired shard reopens healthy and verifies clean.
+#[test]
+fn repair_keeps_only_the_pairs_before_a_doubled_blob_ref() {
+    use cb_store::frame::{encode_frame, encode_pair, KIND_BLOB_REF};
+    let dir = scratch("repair-double-ref");
+    let with_blob = |id: usize, body: &[u8]| {
+        let mut r = synthetic_record(id, fingerprint::fnv128(body), MessageClass::NoResource);
+        r.artifacts.push(CapturedArtifact {
+            kind: ArtifactKind::Message,
+            hash: r.content_hash,
+            bytes: body.to_vec(),
+        });
+        r
+    };
+    let [a, c, b] = [
+        with_blob(0, b"pair a"),
+        with_blob(1, b"pair c"),
+        with_blob(2, b"pair b"),
+    ];
+    let mut store = Store::open_with(&dir, one_shard()).unwrap();
+    for r in [&a, &c, &b] {
+        store.append(r).unwrap();
+    }
+    store.sync().unwrap();
+    drop(store);
+
+    let pair = |r: &ScanRecord| encode_pair(&[r.content_hash], &cb_json::to_vec(r).unwrap());
+    let seg = dir
+        .join("shard-00")
+        .join("segments-00000")
+        .join("seg-00000.cbl");
+    assert_eq!(
+        std::fs::read(&seg).unwrap(),
+        [pair(&a), pair(&c), pair(&b)].concat()
+    );
+    let stray = encode_frame(KIND_BLOB_REF, &a.content_hash.to_le_bytes());
+    std::fs::write(&seg, [pair(&a), stray, pair(&c), pair(&b)].concat()).unwrap();
+
+    let mut store = Store::open(&dir).unwrap();
+    assert_eq!(
+        store.quarantined().len(),
+        1,
+        "recovery reads a doubled blob-ref as corrupt"
+    );
+    let reports = store.repair(None).unwrap();
+    assert_eq!(
+        reports[0].salvaged, 1,
+        "repair keeps exactly the pair before the fault"
+    );
+    assert_eq!(
+        store.read_payloads().unwrap(),
+        vec![cb_json::to_vec(&a).unwrap()]
+    );
+    assert!(store.verify().unwrap().is_clean());
+    drop(store);
+    let mut store = Store::open(&dir).unwrap();
+    assert!(!store.is_degraded());
+    assert_eq!(store.len(), 1);
+    assert!(store.contains_hash(a.content_hash));
+    assert!(store.verify().unwrap().is_clean());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A v1 store (CURRENT + segments-* at the root) is refused by name: the
 /// open fails with `InvalidData` and touches nothing, rather than reading
 /// as an empty store.

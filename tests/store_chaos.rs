@@ -61,7 +61,6 @@ fn sweep_opts(shards: usize, batch: usize) -> StoreOptions {
         commit_batch: batch,
         shards,
         recovery_workers: 1,
-        ..StoreOptions::default()
     }
 }
 
@@ -537,6 +536,112 @@ fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
     eprintln!(
         "gc sweep seed={seed}: {} crash points, {kept_old} kept the old pack, {got_new} the new",
         ops - before_gc
+    );
+}
+
+/// A durable one-shard store whose log holds every chaos record twice:
+/// the second round, under new message ids, supersedes the first, and the
+/// small segment target spreads the duplicates over several segments.
+fn store_with_duplicates(dir: &Path) {
+    let mut store = Store::open_with(dir, sweep_opts(1, 1)).unwrap();
+    for mut r in chaos_records().into_iter().chain(chaos_records()) {
+        if store.contains_hash(r.content_hash) {
+            r.message_id += 100;
+        }
+        store.append(&r).unwrap();
+    }
+    store.sync().unwrap();
+}
+
+/// Compaction rewrites the log into a new generation and swaps the shard's
+/// `CURRENT` pointer. Crash at every mutating op of that rewrite: after
+/// each power cut the shard reopens healthy, holding exactly the old log
+/// or exactly the compacted one, and verifies clean; a compaction after
+/// recovery then finishes the job.
+#[test]
+fn crash_point_sweep_through_compaction_keeps_old_or_new_log() {
+    let seed = env_u64("CB_CHAOS_SEED", 1);
+    let probe_dir = scratch("compact-probe");
+    store_with_duplicates(&probe_dir);
+    let probe = FaultVfs::new(IoFaultPlan::counting(seed));
+    let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
+    let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(1, 1), probe_vfs).unwrap();
+    assert!(
+        store.shards()[0].segments() > 2,
+        "duplicates span several segments"
+    );
+    let old_log = store.read_payloads().unwrap();
+    let before = probe.ops();
+    let report = store.compact().unwrap();
+    assert_eq!(
+        (report.kept, report.dropped),
+        (chaos_records().len(), chaos_records().len())
+    );
+    let new_log = store.read_payloads().unwrap();
+    drop(store);
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+    let ops = probe.ops();
+    assert!(ops > before + 6, "the rewrite must be a multi-op sequence");
+
+    let (mut kept_old, mut got_new) = (0usize, 0usize);
+    for crash_at in before + 1..=ops {
+        let dir = scratch(&format!("compact-{crash_at}"));
+        store_with_duplicates(&dir);
+        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, crash_at));
+        let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
+        let mut store = Store::open_with_vfs(&dir, sweep_opts(1, 1), vfs).unwrap();
+        let _ = store.compact();
+        drop(store);
+        assert!(
+            fault.crashed(),
+            "crash point {crash_at}/{ops} was never reached"
+        );
+        fault.apply_crash().unwrap();
+
+        let mut store = Store::open_with(&dir, sweep_opts(1, 1)).unwrap();
+        assert!(
+            store.recovery().quarantined.is_empty(),
+            "compact crash {crash_at}"
+        );
+        let log = store.read_payloads().unwrap();
+        if log == old_log {
+            kept_old += 1;
+        } else if log == new_log {
+            got_new += 1;
+        } else {
+            panic!("compact crash {crash_at}: the log is neither the old nor the compacted one");
+        }
+        assert!(
+            store.verify().unwrap().is_clean(),
+            "compact crash {crash_at}"
+        );
+        store.compact().unwrap();
+        assert_eq!(
+            store.read_payloads().unwrap(),
+            new_log,
+            "compact crash {crash_at}"
+        );
+        drop(store);
+        let mut store = Store::open_with(&dir, sweep_opts(1, 1)).unwrap();
+        assert_eq!(
+            store.read_payloads().unwrap(),
+            new_log,
+            "compact crash {crash_at}: after reopen"
+        );
+        assert!(
+            store.verify().unwrap().is_clean(),
+            "compact crash {crash_at}: after reopen"
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(
+        kept_old > 0 && got_new > 0,
+        "old {kept_old}, new {got_new}: both outcomes must be swept"
+    );
+    eprintln!(
+        "compaction sweep seed={seed}: {} crash points, {kept_old} kept the old log, {got_new} the new",
+        ops - before
     );
 }
 
