@@ -99,7 +99,9 @@ mod tests {
 
     #[test]
     fn threshold_is_configurable() {
-        let r = CrawlerProfile::UndetectedChromedriver.fingerprint().attestation();
+        let r = CrawlerProfile::UndetectedChromedriver
+            .fingerprint()
+            .attestation();
         let lenient = ReCaptchaV3 { threshold: 0.2 };
         let strict = ReCaptchaV3 { threshold: 0.9 };
         assert!(lenient.evaluate(&r).is_human());

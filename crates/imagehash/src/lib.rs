@@ -227,4 +227,3 @@ mod tests {
         assert!(a.distance(&b) <= 64);
     }
 }
-

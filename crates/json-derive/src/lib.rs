@@ -345,7 +345,8 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 match &v.shape {
                     Shape::Unit => unit_arms += &format!("{vn:?} => {OK}(Self::{vn}),"),
                     Shape::Tuple(n) => {
-                        data_arms += &format!("{vn:?} => {{ {} }},", de_tuple(&format!("Self::{vn}"), *n))
+                        data_arms +=
+                            &format!("{vn:?} => {{ {} }},", de_tuple(&format!("Self::{vn}"), *n))
                     }
                     Shape::Named(fields) => {
                         data_arms += &format!(

@@ -206,7 +206,10 @@ mod tests {
 
     #[test]
     fn strings_escape_as_json() {
-        assert_eq!(to_string("a\"b\\c\n\u{1}\u{e9}").unwrap(), r#""a\"b\\c\n\u0001é""#);
+        assert_eq!(
+            to_string("a\"b\\c\n\u{1}\u{e9}").unwrap(),
+            r#""a\"b\\c\n\u0001é""#
+        );
         assert_eq!(from_str::<String>(r#""😀\/""#).unwrap(), "\u{1f600}/");
         assert!(from_str::<String>(r#""\ud83d""#).is_err());
     }
@@ -319,10 +322,16 @@ mod tests {
         let text = r#"{"extra":{"deep":[1,{"x":null}]},"name":"n","kinds":["Plain"],
             "by_id":{},"counts":{},"big":0,"cache":5}"#;
         let v: Outer = from_slice(text.as_bytes()).unwrap();
-        assert_eq!((v.maybe, v.absent, v.limit, v.cache), (None, vec![], 3, None));
+        assert_eq!(
+            (v.maybe, v.absent, v.limit, v.cache),
+            (None, vec![], 3, None)
+        );
         assert!(from_str::<Outer>(r#"{"name":"n"}"#).is_err());
         let twice = text.replacen(r#""name":"n""#, r#""name":"n","name":"m""#, 1);
-        assert!(from_str::<Outer>(&twice).unwrap_err().to_string().contains("duplicate field `name`"));
+        assert!(from_str::<Outer>(&twice)
+            .unwrap_err()
+            .to_string()
+            .contains("duplicate field `name`"));
         assert!(from_str::<Inner>(r#"[1,"a"] x"#).is_err());
         assert!(from_str::<Inner>(r#"[1,"a",2]"#).is_err());
         assert!(from_str::<Kind>(r#""Other""#).is_err());

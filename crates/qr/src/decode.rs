@@ -47,8 +47,13 @@ impl std::error::Error for DecodeError {}
 /// `(data ‖ parity)`.
 fn deinterleave(stream: &[u8], info: &BlockInfo) -> Vec<Vec<u8>> {
     let num_blocks = info.g1_blocks + info.g2_blocks;
-    let block_data_len =
-        |i: usize| if i < info.g1_blocks { info.g1_data } else { info.g2_data };
+    let block_data_len = |i: usize| {
+        if i < info.g1_blocks {
+            info.g1_data
+        } else {
+            info.g2_data
+        }
+    };
     let mut blocks: Vec<Vec<u8>> = (0..num_blocks)
         .map(|i| Vec::with_capacity(block_data_len(i) + info.ec_per_block))
         .collect();
@@ -223,12 +228,18 @@ mod tests {
     fn deinterleave_inverts_interleave() {
         for (v, l) in [(3, EcLevel::Q), (8, EcLevel::M), (10, EcLevel::L)] {
             let info = block_info(v, l);
-            let data: Vec<u8> = (0..info.total_data()).map(|i| (i * 7 % 256) as u8).collect();
+            let data: Vec<u8> = (0..info.total_data())
+                .map(|i| (i * 7 % 256) as u8)
+                .collect();
             let stream = crate::encode::interleave(&data, &info);
             let blocks = deinterleave(&stream, &info);
             let mut reassembled = Vec::new();
             for (i, b) in blocks.iter().enumerate() {
-                let dl = if i < info.g1_blocks { info.g1_data } else { info.g2_data };
+                let dl = if i < info.g1_blocks {
+                    info.g1_data
+                } else {
+                    info.g2_data
+                };
                 reassembled.extend_from_slice(&b[..dl]);
             }
             assert_eq!(reassembled, data, "v{v} {l:?}");

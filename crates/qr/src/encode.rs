@@ -236,7 +236,9 @@ mod tests {
     fn interleave_uneven_groups() {
         // v10-L: 2x68 + 2x69 data, ec 18.
         let info = block_info(10, EcLevel::L);
-        let data: Vec<u8> = (0..info.total_data() as u16).map(|x| (x % 251) as u8).collect();
+        let data: Vec<u8> = (0..info.total_data() as u16)
+            .map(|x| (x % 251) as u8)
+            .collect();
         let out = interleave(&data, &info);
         assert_eq!(out.len(), 346);
     }

@@ -233,8 +233,8 @@ impl QrMatrix {
         let bits = encode_format(level, mask);
         let n = self.size;
         let get_bit = |i: usize| bits >> i & 1 == 1; // i = 0 is LSB
-        // Copy 1 around top-left finder: bit 14 (MSB) first along row 8
-        // cols 0..=5,7,8 then up column 8 rows 7,5..=0.
+                                                     // Copy 1 around top-left finder: bit 14 (MSB) first along row 8
+                                                     // cols 0..=5,7,8 then up column 8 rows 7,5..=0.
         let coords_a = [
             (8usize, 0usize),
             (8, 1),
@@ -423,8 +423,12 @@ impl QrMatrix {
         }
 
         // Rule 3: finder-like patterns 1011101 with 4 light on either side.
-        let pat_a = [true, false, true, true, true, false, true, false, false, false, false];
-        let pat_b = [false, false, false, false, true, false, true, true, true, false, true];
+        let pat_a = [
+            true, false, true, true, true, false, true, false, false, false, false,
+        ];
+        let pat_b = [
+            false, false, false, false, true, false, true, true, true, false, true,
+        ];
         for r in 0..n {
             for c in 0..n.saturating_sub(10) {
                 let row_match = |p: &[bool; 11]| (0..11).all(|i| self.get(r, c + i) == p[i]);

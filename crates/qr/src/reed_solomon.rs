@@ -62,7 +62,9 @@ impl std::error::Error for RsDecodeError {}
 /// Returns [`RsDecodeError`] when more than ⌊ec/2⌋ errors are present.
 pub fn correct(codeword: &mut [u8], ec: usize) -> Result<usize, RsDecodeError> {
     // Syndromes S_i = c(alpha^i).
-    let syndromes: Vec<u8> = (0..ec).map(|i| gf::poly_eval(codeword, gf::exp(i))).collect();
+    let syndromes: Vec<u8> = (0..ec)
+        .map(|i| gf::poly_eval(codeword, gf::exp(i)))
+        .collect();
     if syndromes.iter().all(|&s| s == 0) {
         return Ok(0);
     }

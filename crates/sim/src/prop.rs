@@ -46,7 +46,12 @@ pub trait Strategy {
 
 /// Run `prop` on `cases` inputs drawn from `strategy`; panic with the
 /// smallest failing input if any fails.
-pub fn check<S: Strategy>(name: &str, cases: u32, strategy: S, prop: impl Fn(S::Value) -> CaseResult) {
+pub fn check<S: Strategy>(
+    name: &str,
+    cases: u32,
+    strategy: S,
+    prop: impl Fn(S::Value) -> CaseResult,
+) {
     check_from(name, cases, &[], strategy, prop)
 }
 
@@ -241,7 +246,10 @@ impl<T: Clone + Debug + PartialEq> Strategy for OneOf<T> {
     }
     fn shrink(&self, v: &T) -> Vec<T> {
         let at = self.0.iter().position(|x| x == v).unwrap_or(0);
-        toward(0, at).into_iter().map(|i| self.0[i].clone()).collect()
+        toward(0, at)
+            .into_iter()
+            .map(|i| self.0[i].clone())
+            .collect()
     }
 }
 
@@ -293,7 +301,11 @@ impl StringOf {
                 }
             }
         }
-        let total: u32 = self.class.iter().map(|&(a, b)| b as u32 - a as u32 + 1).sum();
+        let total: u32 = self
+            .class
+            .iter()
+            .map(|&(a, b)| b as u32 - a as u32 + 1)
+            .sum();
         let mut k = rng.gen_range(0..total);
         for &(a, b) in &self.class {
             let n = b as u32 - a as u32 + 1;
@@ -362,7 +374,10 @@ mod tests {
                 Ok(())
             })
         });
-        let msg = *caught.expect_err("some draw holds a 7").downcast::<String>().unwrap();
+        let msg = *caught
+            .expect_err("some draw holds a 7")
+            .downcast::<String>()
+            .unwrap();
         assert!(msg.contains("input: [7]"), "{msg}");
     }
 

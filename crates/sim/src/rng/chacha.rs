@@ -154,9 +154,9 @@ mod tests {
         assert_eq!(
             out,
             [
-                0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3, 0xc7f4d1c7, 0x0368c033,
-                0x9aaa2204, 0x4e6cd4c3, 0x466482d2, 0x09aa9f07, 0x05d7c214, 0xa2028bd9,
-                0xd19c12b5, 0xb94e16de, 0xe883d0cb, 0x4e3c50a2
+                0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3, 0xc7f4d1c7, 0x0368c033, 0x9aaa2204,
+                0x4e6cd4c3, 0x466482d2, 0x09aa9f07, 0x05d7c214, 0xa2028bd9, 0xd19c12b5, 0xb94e16de,
+                0xe883d0cb, 0x4e3c50a2
             ]
         );
     }
@@ -172,9 +172,9 @@ mod tests {
         assert_eq!(
             out,
             [
-                0xade0b876, 0x903df1a0, 0xe56a5d40, 0x28bd8653, 0xb819d2bd, 0x1aed8da0,
-                0xccef36a8, 0xc70d778b, 0x7c5941da, 0x8d485751, 0x3fe02477, 0x374ad8b8,
-                0xf4b8436a, 0x1ca11815, 0x69b687c3, 0x8665eeb2
+                0xade0b876, 0x903df1a0, 0xe56a5d40, 0x28bd8653, 0xb819d2bd, 0x1aed8da0, 0xccef36a8,
+                0xc70d778b, 0x7c5941da, 0x8d485751, 0x3fe02477, 0x374ad8b8, 0xf4b8436a, 0x1ca11815,
+                0x69b687c3, 0x8665eeb2
             ]
         );
     }
@@ -205,7 +205,10 @@ mod tests {
         for _ in 0..63 {
             rng.next_u32();
         }
-        assert_eq!(rng.next_u64(), u64::from(stream[64]) << 32 | u64::from(stream[63]));
+        assert_eq!(
+            rng.next_u64(),
+            u64::from(stream[64]) << 32 | u64::from(stream[63])
+        );
         assert_eq!(rng.next_u32(), stream[65]);
     }
 }

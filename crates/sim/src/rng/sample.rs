@@ -204,7 +204,10 @@ mod tests {
         assert_eq!(u32s, [17, 66, 214]);
         let mut rng = test_rng(897);
         let f64s: Vec<f64> = (0..3).map(|_| rng.gen_range(-1e10..1e10)).collect();
-        assert_eq!(f64s, [-4673848682.871551, 6388267422.932352, 4857075081.198343]);
+        assert_eq!(
+            f64s,
+            [-4673848682.871551, 6388267422.932352, 4857075081.198343]
+        );
     }
 
     #[test]

@@ -155,13 +155,19 @@ mod tests {
         for _ in 0..20_000 {
             let mut s = 0.0;
             for _ in 0..12 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 s += (state >> 11) as f64 / (1u64 << 53) as f64;
             }
             xs.push(s - 6.0);
         }
         let d = Describe::of(&xs);
-        assert!(d.kurtosis_excess.abs() < 0.15, "kurtosis {}", d.kurtosis_excess);
+        assert!(
+            d.kurtosis_excess.abs() < 0.15,
+            "kurtosis {}",
+            d.kurtosis_excess
+        );
         assert!(d.skewness.abs() < 0.1, "skewness {}", d.skewness);
     }
 

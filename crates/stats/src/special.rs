@@ -48,7 +48,10 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Panics if `x` is outside `[0, 1]` or `a`/`b` are not positive.
 pub fn betai(a: f64, b: f64, x: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&x), "betai domain: x in [0,1], got {x}");
+    assert!(
+        (0.0..=1.0).contains(&x),
+        "betai domain: x in [0,1], got {x}"
+    );
     assert!(a > 0.0 && b > 0.0, "betai domain: a,b > 0");
     if x == 0.0 {
         return 0.0;

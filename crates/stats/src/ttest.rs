@@ -136,7 +136,11 @@ mod tests {
         let r = paired_t_test(&post, &pre).unwrap();
         assert!((r.t - 1.8133).abs() < 1e-3, "t = {}", r.t);
         assert!((r.mean_diff - 13.0 / 6.0).abs() < 1e-12);
-        assert!((r.p_two_sided - 0.1295).abs() < 3e-3, "p = {}", r.p_two_sided);
+        assert!(
+            (r.p_two_sided - 0.1295).abs() < 3e-3,
+            "p = {}",
+            r.p_two_sided
+        );
         assert!(!r.rejects_null_at(0.05));
     }
 
@@ -158,7 +162,10 @@ mod tests {
 
     #[test]
     fn too_few_pairs_rejected() {
-        assert_eq!(paired_t_test(&[1.0], &[2.0]), Err(TTestError::TooFewPairs(1)));
+        assert_eq!(
+            paired_t_test(&[1.0], &[2.0]),
+            Err(TTestError::TooFewPairs(1))
+        );
     }
 
     #[test]
