@@ -182,8 +182,7 @@ impl Bitmap {
     /// mask and its luma scratch live in thread-local buffers reused across
     /// calls; nested calls from within `f` fall back to fresh buffers. The
     /// analysis kernels (OCR, QR detection) run on this packed form — the
-    /// bool-slice variant remains as the reference representation and the
-    /// micro-bench "before" arm.
+    /// bool-slice variant remains as the reference representation.
     pub fn with_ink_words<R>(
         &self,
         threshold: u8,

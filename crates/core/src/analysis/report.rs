@@ -189,7 +189,7 @@ mod tests {
         ] {
             assert!(rendered.contains(needle), "missing section {needle}");
         }
-        // serializes for the bench/JSON log path
+        // serializes for the JSON log path
         let json = cb_json::to_string(&report).unwrap();
         assert!(json.contains("table1"));
     }

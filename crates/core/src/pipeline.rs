@@ -408,11 +408,6 @@ impl<'a> CrawlerBox<'a> {
         self
     }
 
-    /// Whether raw-artifact capture is on.
-    pub fn artifact_capture_enabled(&self) -> bool {
-        self.capture_artifacts
-    }
-
     /// Install the incremental-scan filter: messages whose
     /// [`message_content_hash`] is in `known` are skipped by
     /// [`scan_stream`](Self::scan_stream) without being scanned or
@@ -422,11 +417,6 @@ impl<'a> CrawlerBox<'a> {
     pub fn with_known_hashes(mut self, known: HashSet<u128>) -> CrawlerBox<'a> {
         self.known = Some(known);
         self
-    }
-
-    /// How many known-content hashes the incremental filter holds.
-    pub fn known_hashes_len(&self) -> usize {
-        self.known.as_ref().map_or(0, HashSet::len)
     }
 
     /// Scan, cache and streaming counters accumulated over this box's lifetime,
@@ -469,11 +459,6 @@ impl<'a> CrawlerBox<'a> {
     pub fn with_tracing(mut self, on: bool) -> CrawlerBox<'a> {
         self.tracer.set_enabled(on);
         self
-    }
-
-    /// Whether span tracing is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.enabled()
     }
 
     /// Drain everything traced so far into a message-ordered [`Trace`]

@@ -1,5 +1,5 @@
 //! Pre-zero-copy parser implementations, kept verbatim as differential
-//! oracles and as the "before" arms of the `substrate_micro` benches.
+//! oracles.
 //!
 //! These are the owned, allocate-per-line parsers that
 //! [`HeaderMap::parse`], [`ContentType::parse`] and [`MimeEntity::parse`]

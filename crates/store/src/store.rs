@@ -52,8 +52,8 @@ use crate::blob::BlobStore;
 use crate::encoded::EncodedRecord;
 use crate::index::{RecordMeta, StoreIndex};
 use crate::query::{Campaign, CampaignClusterer};
-use crate::shard::{shard_of, RepairReport, Shard, ShardHealth, TornTail};
-use crate::vfs::{CountingVfs, RealVfs, Vfs};
+use crate::shard::{shard_dir_name, shard_of, RepairReport, Shard, ShardHealth, TornTail};
+use crate::vfs::{create_dirs, CountingVfs, RealVfs, Vfs};
 use cb_phishgen::MessageClass;
 use cb_telemetry::{CounterHandle, Determinism, GaugeHandle, HistogramHandle, MetricsRegistry};
 use crawlerbox::{CapturedArtifact, ScanRecord};
@@ -365,6 +365,10 @@ pub struct Store {
     pending_bytes: u64,
     /// Records acked by a completed barrier this session.
     acked: u64,
+    /// Parents of the directories this open created (the root, its
+    /// missing ancestors, shard directories): the first barrier fsyncs
+    /// them, so the new entries are durable before any record is acked.
+    unsynced_dirs: Vec<PathBuf>,
 }
 
 impl Store {
@@ -400,7 +404,7 @@ impl Store {
         let metrics = MetricsRegistry::new();
         let m = StoreMetrics::register(&metrics);
         let vfs = CountingVfs::wrap(vfs, m.fsync_calls.clone());
-        vfs.create_dir_all(root)?;
+        let mut unsynced_dirs = create_dirs(vfs.as_ref(), root)?;
 
         // Resolve the shard count: the manifest, or creation.
         let manifest_path = root.join("STORE");
@@ -418,6 +422,9 @@ impl Store {
         };
 
         let blobs = BlobStore::open(Arc::clone(&vfs), root)?;
+        if (0..shard_count).any(|id| !vfs.is_dir(&root.join(shard_dir_name(id)))) {
+            unsynced_dirs.push(root.to_path_buf());
+        }
 
         // Replay every shard over the work-stealing pool.
         let workers = opts.recovery_workers.max(1).min(shard_count);
@@ -466,6 +473,7 @@ impl Store {
             pending_records: 0,
             pending_bytes: 0,
             acked: 0,
+            unsynced_dirs,
         })
     }
 
@@ -693,17 +701,22 @@ impl Store {
         Ok(())
     }
 
-    /// The durable-write barrier: fsync the blob pack and then its index
-    /// (blobs become durable *before* the frames referencing them), then
-    /// every dirty shard's segment and generation directory. Clean shards
-    /// and an unchanged pack cost zero fsyncs, so a sync after a read-only
-    /// window is free. On success every pending record becomes **acked**
-    /// — this is the group-commit ack point.
+    /// The durable-write barrier: on the first barrier, fsync the parents
+    /// of the directories the open created; then fsync the blob pack and
+    /// its index (blobs become durable *before* the frames referencing
+    /// them), then every dirty shard's segment and generation directory.
+    /// Clean shards and an unchanged pack cost zero fsyncs, so a sync after
+    /// a read-only window is free. On success every pending record becomes
+    /// **acked** — this is the group-commit ack point.
     ///
     /// # Errors
     ///
     /// I/O failure flushing or syncing. The pending window stays unacked.
     pub fn sync(&mut self) -> io::Result<()> {
+        while let Some(dir) = self.unsynced_dirs.last() {
+            self.vfs.sync_dir(dir)?;
+            self.unsynced_dirs.pop();
+        }
         self.blobs.sync()?;
         for shard in &mut self.shards {
             shard.sync()?;
@@ -1185,7 +1198,9 @@ impl Store {
             ));
         }
         let dir = self.root.join("state");
-        self.vfs.create_dir_all(&dir)?;
+        for parent in create_dirs(self.vfs.as_ref(), &dir)? {
+            self.vfs.sync_dir(&parent)?;
+        }
         let tmp = dir.join(format!("{name}.tmp"));
         self.vfs.write(&tmp, bytes)?;
         self.vfs.fsync(&tmp)?;

@@ -12,14 +12,15 @@
 //!   operation: the in-flight write lands only partially (a torn frame),
 //!   every later operation fails, and [`FaultVfs::apply_crash`] then
 //!   rewrites the directory to what a real power cut would have left:
-//!   unsynced file tails are dropped and renames whose parent directory
-//!   was never fsynced are rolled back.
+//!   unsynced file tails are dropped, renames whose parent directory
+//!   was never fsynced are rolled back, and files and directories whose
+//!   parent was never fsynced after they were created disappear.
 //!
 //! The crash model is what makes the store's durability discipline
 //! *checkable* rather than asserted: forget to fsync a segment before
 //! advancing `CURRENT`, or to fsync the parent directory after an atomic
-//! rename, and the crash-point sweep in `tests/store_chaos.rs` loses an
-//! acknowledged record and fails.
+//! rename or after creating a file or directory, and the crash-point
+//! sweeps in `tests/store_chaos.rs` lose an acknowledged record and fail.
 
 use cb_sim::SeedFork;
 use cb_telemetry::CounterHandle;
@@ -403,12 +404,49 @@ struct PendingRename {
     replaced: Option<Vec<u8>>,
 }
 
+/// Create `path` and any missing ancestors. Returns the directories whose
+/// fsync makes the new entries durable (none when `path` already existed):
+/// a new directory survives a power cut only once its parent is synced.
+pub(crate) fn create_dirs(vfs: &dyn Vfs, path: &Path) -> io::Result<Vec<PathBuf>> {
+    let parents: Vec<PathBuf> = missing_dirs(path, |p| vfs.is_dir(p))
+        .map(parent_dir)
+        .collect();
+    if !parents.is_empty() {
+        vfs.create_dir_all(path)?;
+    }
+    Ok(parents)
+}
+
+/// A file or directory created since its parent directory was last
+/// fsynced: on crash it disappears (a directory with everything in it).
+#[derive(Debug)]
+struct PendingEntry {
+    parent: PathBuf,
+    path: PathBuf,
+}
+
 #[derive(Debug, Default)]
 struct FaultState {
     ops: u64,
     crashed: bool,
     files: HashMap<PathBuf, FileState>,
     pending_renames: Vec<PendingRename>,
+    pending_entries: Vec<PendingEntry>,
+}
+
+/// `path` and each of its ancestors that is not a directory yet,
+/// innermost first: what `create_dir_all(path)` would create.
+fn missing_dirs(path: &Path, is_dir: impl Fn(&Path) -> bool) -> impl Iterator<Item = &Path> {
+    path.ancestors()
+        .take_while(move |p| !p.as_os_str().is_empty() && !is_dir(p))
+}
+
+/// The directory whose fsync makes `path`'s entry durable.
+fn parent_dir(path: &Path) -> PathBuf {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+        _ => PathBuf::from("."),
+    }
 }
 
 /// The deterministic fault-injecting [`Vfs`]. Wraps [`RealVfs`] and keeps a
@@ -453,7 +491,8 @@ impl FaultVfs {
 
     /// Rewrite the on-disk state to what a power cut at the crash point
     /// would have left: pending renames roll back (newest first), then
-    /// every file loses a deterministic amount of its unsynced tail.
+    /// pending entries disappear (newest first), then every file loses a
+    /// deterministic amount of its unsynced tail.
     /// Call after the crashed run has dropped its store; reopen the
     /// directory with a fresh VFS afterwards.
     pub fn apply_crash(&self) -> io::Result<()> {
@@ -473,6 +512,15 @@ impl FaultVfs {
             }
             if let Some(fs) = st.files.remove(&pending.to) {
                 st.files.insert(pending.from.clone(), fs);
+            }
+        }
+        // Then entries: a rolled-back rename may have re-exposed a `from`
+        // whose own creation was never made durable.
+        for pending in st.pending_entries.drain(..).rev() {
+            if pending.path.is_dir() {
+                std::fs::remove_dir_all(&pending.path)?;
+            } else if pending.path.exists() {
+                std::fs::remove_file(&pending.path)?;
             }
         }
         for (path, fs) in st.files.iter_mut() {
@@ -553,6 +601,16 @@ impl FaultVfs {
             synced_len: 0,
         });
         fs.len += wrote;
+    }
+
+    /// Record that `path` was just created: its entry is volatile until
+    /// its parent directory is fsynced.
+    fn note_created(&self, path: &Path) {
+        let mut st = self.state.lock().expect("fault state");
+        st.pending_entries.push(PendingEntry {
+            parent: parent_dir(path),
+            path: path.to_path_buf(),
+        });
     }
 
     fn note_replace(&self, path: &Path, len: u64) {
@@ -664,7 +722,13 @@ impl Vfs for Arc<FaultVfs> {
         if self.crashed() {
             return Err(crash_error());
         }
-        self.real.create_dir_all(path)
+        // Every missing ancestor becomes a new entry, outermost first.
+        let missing: Vec<&Path> = missing_dirs(path, Path::is_dir).collect();
+        self.real.create_dir_all(path)?;
+        for dir in missing.into_iter().rev() {
+            self.note_created(dir);
+        }
+        Ok(())
     }
     fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
         match self.gate(IoOp::Remove, path, 0)? {
@@ -673,6 +737,7 @@ impl Vfs for Arc<FaultVfs> {
                 let mut st = self.state.lock().expect("fault state");
                 st.files.retain(|p, _| !p.starts_with(path));
                 st.pending_renames.retain(|r| !r.to.starts_with(path));
+                st.pending_entries.retain(|e| !e.path.starts_with(path));
                 drop(st);
                 self.real.remove_dir_all(path)
             }
@@ -685,6 +750,7 @@ impl Vfs for Arc<FaultVfs> {
                 let mut st = self.state.lock().expect("fault state");
                 st.files.remove(path);
                 st.pending_renames.retain(|r| r.to != path);
+                st.pending_entries.retain(|e| e.path != path);
                 drop(st);
                 self.real.remove_file(path)
             }
@@ -711,16 +777,24 @@ impl Vfs for Arc<FaultVfs> {
         self.real.read_at(path, offset, len)
     }
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.gate(IoOp::Write, path, 0)? {
+        let gate = self.gate(IoOp::Write, path, 0)?;
+        let created = !path.exists();
+        match gate {
             Gate::Clean => {
                 self.real.write(path, bytes)?;
                 self.note_replace(path, bytes.len() as u64);
+                if created {
+                    self.note_created(path);
+                }
                 Ok(())
             }
             Gate::Transient(IoFaultKind::ShortWrite) | Gate::Crash => {
                 let keep = self.torn_len(path, 0, bytes.len());
                 self.real.write(path, &bytes[..keep])?;
                 self.note_replace(path, keep as u64);
+                if created {
+                    self.note_created(path);
+                }
                 if self.crashed() {
                     Err(crash_error())
                 } else {
@@ -736,6 +810,7 @@ impl Vfs for Arc<FaultVfs> {
         }
         let file = OpenOptions::new().write(true).create_new(true).open(path)?;
         self.note_replace(path, 0);
+        self.note_created(path);
         Ok(Box::new(FaultFile {
             vfs: Arc::clone(self),
             path: path.to_path_buf(),
@@ -767,7 +842,7 @@ impl Vfs for Arc<FaultVfs> {
                 });
                 st.files.insert(to.to_path_buf(), fs);
                 st.pending_renames.push(PendingRename {
-                    parent: to.parent().unwrap_or(Path::new("")).to_path_buf(),
+                    parent: parent_dir(to),
                     from: from.to_path_buf(),
                     to: to.to_path_buf(),
                     replaced,
@@ -811,6 +886,7 @@ impl Vfs for Arc<FaultVfs> {
                 self.real.sync_dir(path)?;
                 let mut st = self.state.lock().expect("fault state");
                 st.pending_renames.retain(|r| r.parent != path);
+                st.pending_entries.retain(|e| e.parent != path);
                 Ok(())
             }
             Gate::Transient(kind) => Err(transient_error(kind)),
@@ -862,11 +938,12 @@ mod tests {
     #[test]
     fn crash_point_tears_the_inflight_write_and_halts() {
         let dir = scratch("crash");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(7, 2));
+        let vfs = FaultVfs::new(IoFaultPlan::crash_at(7, 3));
         let p = dir.join("log");
         let mut f = vfs.create_new(&p).unwrap();
-        f.write_all(b"first").unwrap(); // op 1
-        let err = f.write_all(b"second-frame").unwrap_err(); // op 2: crash
+        vfs.sync_dir(&dir).unwrap(); // op 1: the entry is durable
+        f.write_all(b"first").unwrap(); // op 2
+        let err = f.write_all(b"second-frame").unwrap_err(); // op 3: crash
         assert_eq!(err.kind(), CRASHED);
         assert!(vfs.crashed());
         assert_eq!(
@@ -887,12 +964,13 @@ mod tests {
     #[test]
     fn synced_data_survives_apply_crash() {
         let dir = scratch("synced");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(3, 3));
+        let vfs = FaultVfs::new(IoFaultPlan::crash_at(3, 4));
         let p = dir.join("log");
         let mut f = vfs.create_new(&p).unwrap();
-        f.write_all(b"durable").unwrap(); // op 1
-        f.sync().unwrap(); // op 2
-        assert_eq!(f.write_all(b"volatile").unwrap_err().kind(), CRASHED); // op 3
+        vfs.sync_dir(&dir).unwrap(); // op 1: the entry is durable
+        f.write_all(b"durable").unwrap(); // op 2
+        f.sync().unwrap(); // op 3
+        assert_eq!(f.write_all(b"volatile").unwrap_err().kind(), CRASHED); // op 4
         drop(f);
         vfs.apply_crash().unwrap();
         let bytes = std::fs::read(&p).unwrap();
@@ -920,10 +998,53 @@ mod tests {
             b"old",
             "rename rolled back"
         );
-        assert_eq!(
-            std::fs::read(&tmp).unwrap(),
-            b"new",
-            "tmp restored (its bytes were synced)"
+        assert!(
+            !tmp.exists(),
+            "tmp restored by the rollback, then gone: its entry was never made durable"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsynced_creates_disappear_on_crash() {
+        let dir = scratch("create");
+        let vfs = FaultVfs::new(IoFaultPlan::crash_at(5, 3));
+        let gen = dir.join("gen-1");
+        vfs.create_dir_all(&gen.join("nested")).unwrap();
+        let mut seg = vfs.create_new(&gen.join("seg")).unwrap();
+        seg.write_all(b"frame").unwrap(); // op 1
+        seg.sync().unwrap(); // op 2: the bytes are durable, the entries are not
+        let mut log = vfs.create_new(&dir.join("log")).unwrap();
+        assert_eq!(log.write_all(b"x").unwrap_err().kind(), CRASHED); // op 3
+        drop((seg, log));
+        vfs.apply_crash().unwrap();
+        assert!(
+            !gen.exists(),
+            "a directory created without a parent fsync is gone"
+        );
+        assert!(!dir.join("log").exists(), "so is a file");
+        assert!(dir.exists(), "pre-existing entries are durable");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_synced_creates_survive_crash() {
+        let dir = scratch("create-durable");
+        let vfs = FaultVfs::new(IoFaultPlan::crash_at(5, 5));
+        let gen = dir.join("gen-1");
+        vfs.create_dir_all(&gen).unwrap();
+        let mut seg = vfs.create_new(&gen.join("seg")).unwrap();
+        seg.write_all(b"frame").unwrap(); // 1
+        seg.sync().unwrap(); // 2
+        vfs.sync_dir(&gen).unwrap(); // 3: `seg` is durable in `gen`
+        vfs.sync_dir(&dir).unwrap(); // 4: `gen` is durable in `dir`
+        assert_eq!(seg.write_all(b"tail").unwrap_err().kind(), CRASHED); // 5
+        drop(seg);
+        vfs.apply_crash().unwrap();
+        let bytes = std::fs::read(gen.join("seg")).unwrap();
+        assert!(
+            bytes.starts_with(b"frame"),
+            "synced entry and bytes kept: {bytes:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

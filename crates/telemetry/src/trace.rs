@@ -238,11 +238,6 @@ impl Tracer {
         }
     }
 
-    /// Is recording on?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Turn recording on or off (affects scans started afterwards).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;

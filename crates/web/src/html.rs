@@ -12,9 +12,8 @@
 //! attribute-delimiter, unquoted-value terminator), scans run over byte
 //! slices with a SWAR `find_byte`, and tag names / attribute values stay
 //! borrowed spans until a node is materialized. The pre-LUT char-by-char
-//! parser is kept verbatim in [`mod@reference`] as the differential oracle and
-//! the micro-bench "before" arm; `parse_fragment` must agree with it
-//! bit-for-bit on any input.
+//! parser is kept verbatim in [`mod@reference`] as the differential oracle;
+//! `parse_fragment` must agree with it bit-for-bit on any input.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -554,9 +553,8 @@ impl<'a> Iterator for Tokens<'a> {
 }
 
 /// The pre-LUT char-by-char parser, kept verbatim as the differential
-/// oracle for `parse_fragment` and the "before" arm of the `html_tokenize`
-/// micro-bench. Do not improve it — its value is behavioural identity with
-/// the historical implementation.
+/// oracle for `parse_fragment`. Do not improve it — its value is
+/// behavioural identity with the historical implementation.
 #[doc(hidden)]
 pub mod reference {
     use super::{decode_entities, Node, RAW_TEXT_ELEMENTS, VOID_ELEMENTS};

@@ -31,8 +31,8 @@
 //! contend across shards and a quarantined partition degrades `/health`
 //! instead of taking the daemon down. Workers scan bursts through
 //! [`CrawlerBox::scan_stream_encoded`] with worker-side frame encoding
-//! and group-commit batching — the same ingest pipeline the bench suite
-//! measures, behind a socket.
+//! and group-commit batching — the same ingest pipeline `repro --stream
+//! --store` runs, behind a socket.
 
 use cb_httpd::{serve, Handler, Limits, Response, ServerConfig};
 use cb_phishgen::messages::Carrier;

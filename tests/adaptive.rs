@@ -3,7 +3,8 @@
 //! at 0% and 20% fault rates (arm-selection transcripts, the
 //! rendered table AND the canonical metrics export); the adaptive bandit
 //! must beat the fixed NotABot baseline on at least three cloaking
-//! families at every budget ≥ 4 (the headline acceptance claim); policy
+//! families at every budget ≥ 4 at seeds 42 and 2024 (the headline
+//! acceptance claim); policy
 //! memory persisted into a crawl store must survive a reopen and resume
 //! the race; and the `repro adaptive` CLI must reject malformed
 //! invocations with exit 2 + usage.
@@ -83,27 +84,31 @@ fn adaptive_table_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// The acceptance claim, at the CI golden seed: the adaptive crawler wins
-/// strictly more campaigns than fixed NotABot on at least 3 cloaking
-/// families at every budget ≥ 4, and never fewer on any family.
+/// The acceptance claim, at the CI golden seed (42) and the telemetry
+/// golden seed (2024): the adaptive crawler wins strictly more campaigns
+/// than fixed NotABot on at least 3 cloaking families at every budget ≥ 4,
+/// and never fewer on any family.
 #[test]
 fn adaptive_beats_fixed_notabot_on_at_least_three_families() {
-    let out = cb_adaptive::experiment::run(&AdaptiveConfig::new(42), &PolicyMemory::default());
-    for (fixed, adaptive) in out.report.pairs() {
-        assert!(
-            adaptive.wins >= fixed.wins,
-            "{}/{}: the bandit must never lose ground to its own baseline arm",
-            fixed.family,
-            fixed.budget
-        );
-    }
-    for &budget in &[4u32, 8, 16] {
-        let ahead = out.report.adaptive_ahead(budget);
-        assert!(
-            ahead.len() >= 3,
-            "budget {budget}: adaptive must be strictly ahead on >= 3 families, \
-             got {ahead:?}"
-        );
+    for seed in [42u64, 2024] {
+        let out =
+            cb_adaptive::experiment::run(&AdaptiveConfig::new(seed), &PolicyMemory::default());
+        for (fixed, adaptive) in out.report.pairs() {
+            assert!(
+                adaptive.wins >= fixed.wins,
+                "seed {seed}, {}/{}: the bandit must never lose ground to its own baseline arm",
+                fixed.family,
+                fixed.budget
+            );
+        }
+        for &budget in &[4u32, 8, 16] {
+            let ahead = out.report.adaptive_ahead(budget);
+            assert!(
+                ahead.len() >= 3,
+                "seed {seed}, budget {budget}: adaptive must be strictly ahead on >= 3 \
+                 families, got {ahead:?}"
+            );
+        }
     }
 }
 

@@ -795,25 +795,28 @@ fn transient_pack_append_fault_fails_only_that_batch() {
     }
 }
 
-/// A crash at the barrier's pack fsync, after the index entries were
-/// written: the unsynced tails of the pack, the index and the segment are
-/// each cut independently, so some seeds leave an index entry pointing
-/// past the pack's end. Open drops that entry (it never reads blob
+/// A crash at the second barrier's pack fsync, after its index entries
+/// were written: the unsynced tails of the pack, the index and the
+/// segment are each cut independently, so some seeds leave an index entry
+/// pointing past the pack's end. (At the first barrier the pack and index
+/// entries are not durable yet, and the crash removes both files.) Open drops that entry (it never reads blob
 /// bytes to find out), and the frame that referenced the blob becomes a
 /// torn tail of the last segment — never a quarantine.
 #[test]
 fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
-    let records: Vec<ScanRecord> = chaos_records().into_iter().take(2).collect();
-    let encode = || -> Vec<_> {
-        records
+    let records = chaos_records();
+    let encode = |batch: &[ScanRecord]| -> Vec<_> {
+        batch
             .iter()
             .map(|r| encode_record(&mut r.clone()).unwrap())
             .collect()
     };
-    // Open + one batch, with segments large enough that no seal syncs the
-    // pack early; the barrier's last six ops are: index write, pack fsync,
-    // index fsync, root sync-dir (the new pack's entry), segment fsync,
-    // generation sync-dir.
+    // Both batches carry new blobs. The first creates the pack, the index
+    // and the segment and makes their entries durable.
+    let (first, second) = (&records[..2], &records[3..5]);
+    // Open + two batches, with segments large enough that no seal syncs
+    // the pack early; the second barrier's last four ops are: index write,
+    // pack fsync, index fsync, segment fsync.
     let opts = || StoreOptions {
         segment_target_bytes: 1 << 20,
         ..sweep_opts(1, 2)
@@ -822,11 +825,12 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
     let probe = FaultVfs::new(IoFaultPlan::counting(0));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap();
-    store.append_batch(encode()).unwrap();
+    store.append_batch(encode(first)).unwrap();
+    store.append_batch(encode(second)).unwrap();
     assert_eq!(store.pending_appends(), 0);
     drop(store);
     std::fs::remove_dir_all(&probe_dir).unwrap();
-    let pack_fsync_op = probe.ops() - 4;
+    let pack_fsync_op = probe.ops() - 2;
 
     let mut seen = false;
     for seed in 0..512u64 {
@@ -834,7 +838,8 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
         let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, pack_fsync_op));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, opts(), vfs).unwrap();
-        store.append_batch(encode()).unwrap_err();
+        store.append_batch(encode(first)).unwrap();
+        store.append_batch(encode(second)).unwrap_err();
         drop(store);
         fault.apply_crash().unwrap();
 
