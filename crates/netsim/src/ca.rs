@@ -6,8 +6,8 @@
 //! norm) and appends every issuance to an ordered CT log.
 
 use crate::url::DomainName;
-use cb_sim::{SimDuration, SimTime};
 use cb_json::{Deserialize, Serialize};
+use cb_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Standard ACME-style validity window.
@@ -128,6 +128,8 @@ mod tests {
 
     #[test]
     fn unknown_domain_has_no_certificate() {
-        assert!(CertificateAuthority::new().latest_for("x.example").is_none());
+        assert!(CertificateAuthority::new()
+            .latest_for("x.example")
+            .is_none());
     }
 }

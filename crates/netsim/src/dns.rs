@@ -8,8 +8,8 @@
 
 use crate::ip::IpAddress;
 use crate::url::DomainName;
-use cb_sim::{SimDuration, SimTime};
 use cb_json::{Deserialize, Serialize};
+use cb_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Per-domain volume summary over a window, mirroring the paper's Umbrella
@@ -105,7 +105,10 @@ impl DnsService {
     /// Returns [`NxDomain`] for unbound names.
     pub fn resolve(&self, domain: &str) -> Result<IpAddress, NxDomain> {
         let name = DomainName::new(domain);
-        self.bindings.get(&name).copied().ok_or(NxDomain { domain: name })
+        self.bindings
+            .get(&name)
+            .copied()
+            .ok_or(NxDomain { domain: name })
     }
 }
 
@@ -146,7 +149,13 @@ mod tests {
             SimTime::from_ymd(2024, 1, 1),
             SimDuration::days(30),
         );
-        assert_eq!(v, QueryVolume { max_per_day: 0, total: 0 });
+        assert_eq!(
+            v,
+            QueryVolume {
+                max_per_day: 0,
+                total: 0
+            }
+        );
     }
 
     #[test]

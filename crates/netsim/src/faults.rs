@@ -15,8 +15,8 @@
 //! makes exact recovery of the §V class mix possible under fault sweeps.
 
 use crate::http::{HttpRequest, HttpResponse};
-use cb_sim::{SeedFork, SimDuration};
 use cb_json::{Deserialize, Serialize};
+use cb_sim::{SeedFork, SimDuration};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -194,14 +194,14 @@ impl FaultPlan {
         if !flaky {
             return None;
         }
-        let consecutive =
-            1 + (fork.seed(&format!("{key}#count")) % u64::from(profile.max_consecutive.max(1)))
+        let consecutive = 1
+            + (fork.seed(&format!("{key}#count")) % u64::from(profile.max_consecutive.max(1)))
                 as u32;
         if req.attempt >= consecutive {
             return None;
         }
-        let kind = profile.kinds
-            [(fork.seed(&format!("{key}#kind")) as usize) % profile.kinds.len()];
+        let kind =
+            profile.kinds[(fork.seed(&format!("{key}#kind")) as usize) % profile.kinds.len()];
         Some(synthesize(kind, profile))
     }
 }
@@ -221,11 +221,18 @@ fn synthesize(kind: FaultKind, profile: &FaultProfile) -> Result<HttpResponse, N
             latency: profile.slow_latency,
         }),
         FaultKind::RateLimited | FaultKind::ServiceUnavailable => {
-            let status = if kind == FaultKind::RateLimited { 429 } else { 503 };
+            let status = if kind == FaultKind::RateLimited {
+                429
+            } else {
+                503
+            };
             Ok(HttpResponse {
                 status,
                 headers: vec![
-                    ("Retry-After".to_string(), profile.retry_after_secs.to_string()),
+                    (
+                        "Retry-After".to_string(),
+                        profile.retry_after_secs.to_string(),
+                    ),
                     (FAULT_HEADER.to_string(), kind.label().to_string()),
                     (LATENCY_HEADER.to_string(), "1".to_string()),
                 ],
@@ -262,7 +269,9 @@ mod tests {
     fn zero_rate_never_faults() {
         let plan = FaultPlan::uniform(1, 0.0);
         for i in 0..200 {
-            assert!(plan.decide(&req(&format!("https://h{i}.example/p"), 0)).is_none());
+            assert!(plan
+                .decide(&req(&format!("https://h{i}.example/p"), 0))
+                .is_none());
         }
     }
 
@@ -270,7 +279,9 @@ mod tests {
     fn full_rate_faults_every_first_attempt() {
         let plan = FaultPlan::uniform(1, 1.0);
         for i in 0..50 {
-            assert!(plan.decide(&req(&format!("https://h{i}.example/p"), 0)).is_some());
+            assert!(plan
+                .decide(&req(&format!("https://h{i}.example/p"), 0))
+                .is_some());
         }
     }
 
@@ -299,7 +310,10 @@ mod tests {
     fn rate_is_roughly_honoured() {
         let plan = FaultPlan::uniform(42, 0.2);
         let faulted = (0..1000)
-            .filter(|i| plan.decide(&req(&format!("https://h{i}.example/p"), 0)).is_some())
+            .filter(|i| {
+                plan.decide(&req(&format!("https://h{i}.example/p"), 0))
+                    .is_some()
+            })
             .count();
         assert!((130..=270).contains(&faulted), "{faulted}/1000 at rate 0.2");
     }
@@ -320,8 +334,8 @@ mod tests {
 
     #[test]
     fn per_host_overrides_apply() {
-        let plan = FaultPlan::uniform(5, 0.0)
-            .with_host("flaky.example", FaultProfile::with_rate(1.0));
+        let plan =
+            FaultPlan::uniform(5, 0.0).with_host("flaky.example", FaultProfile::with_rate(1.0));
         assert!(plan.decide(&req("https://flaky.example/a", 0)).is_some());
         assert!(plan.decide(&req("https://solid.example/a", 0)).is_none());
     }

@@ -377,7 +377,8 @@ mod tests {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         net.register_domain("parked.example", "REG");
         assert_eq!(
-            net.request(HttpRequest::get("https://parked.example/")).status,
+            net.request(HttpRequest::get("https://parked.example/"))
+                .status,
             404
         );
     }
@@ -387,11 +388,23 @@ mod tests {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         net.register_domain("ephemeral.example", "REG");
         net.host("ephemeral.example", static_site("up"));
-        assert_eq!(net.request(HttpRequest::get("https://ephemeral.example/")).status, 200);
+        assert_eq!(
+            net.request(HttpRequest::get("https://ephemeral.example/"))
+                .status,
+            200
+        );
         assert!(net.take_down("ephemeral.example"));
-        assert_eq!(net.request(HttpRequest::get("https://ephemeral.example/")).status, 404);
+        assert_eq!(
+            net.request(HttpRequest::get("https://ephemeral.example/"))
+                .status,
+            404
+        );
         assert!(net.unbind_dns("ephemeral.example"));
-        assert_eq!(net.request(HttpRequest::get("https://ephemeral.example/")).status, 0);
+        assert_eq!(
+            net.request(HttpRequest::get("https://ephemeral.example/"))
+                .status,
+            0
+        );
     }
 
     #[test]
@@ -439,7 +452,10 @@ mod tests {
     fn banners_enrich_hosts() {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         net.set_banner("kit.example", "nginx/1.24.0 (Ubuntu)");
-        assert_eq!(net.banner("KIT.example").as_deref(), Some("nginx/1.24.0 (Ubuntu)"));
+        assert_eq!(
+            net.banner("KIT.example").as_deref(),
+            Some("nginx/1.24.0 (Ubuntu)")
+        );
         assert_eq!(net.banner("other.example"), None);
     }
 
@@ -450,7 +466,10 @@ mod tests {
         net.register_domain_at("planned.example", "REGRU-RU", reg_time);
         let cert_time = SimTime::from_ymd(2023, 12, 24);
         net.issue_certificate_at("planned.example", cert_time);
-        assert_eq!(net.whois("planned.example").unwrap().registered_at, reg_time);
+        assert_eq!(
+            net.whois("planned.example").unwrap().registered_at,
+            reg_time
+        );
         assert_eq!(
             net.first_certificate("planned.example").unwrap().issued_at,
             cert_time
@@ -499,7 +518,8 @@ mod tests {
             "rate-1.0 plan faults the first attempt"
         );
         assert_eq!(
-            net.dns_volume("flaky.example", net.now(), SimDuration::days(1)).total,
+            net.dns_volume("flaky.example", net.now(), SimDuration::days(1))
+                .total,
             0,
             "faulted request left a passive-DNS trace"
         );
@@ -509,7 +529,8 @@ mod tests {
         let resp = net.request(retry);
         assert_eq!(resp.status, 200);
         assert_eq!(
-            net.dns_volume("flaky.example", net.now(), SimDuration::days(1)).total,
+            net.dns_volume("flaky.example", net.now(), SimDuration::days(1))
+                .total,
             1
         );
         net.clear_fault_plan();
@@ -524,16 +545,14 @@ mod tests {
         let net = Internet::new(SimTime::from_ymd(2024, 1, 1));
         net.register_domain("reset.example", "REG");
         net.host("reset.example", static_site("up"));
-        net.set_fault_plan(
-            FaultPlan::uniform(1, 0.0).with_host(
-                "reset.example",
-                crate::faults::FaultProfile {
-                    rate: 1.0,
-                    kinds: vec![FaultKind::ConnectionReset],
-                    ..Default::default()
-                },
-            ),
-        );
+        net.set_fault_plan(FaultPlan::uniform(1, 0.0).with_host(
+            "reset.example",
+            crate::faults::FaultProfile {
+                rate: 1.0,
+                kinds: vec![FaultKind::ConnectionReset],
+                ..Default::default()
+            },
+        ));
         let resp = net.request(HttpRequest::get("https://reset.example/"));
         assert_eq!(resp.status, 0);
         assert_eq!(resp.header(FAULT_HEADER), Some("connection-reset"));
@@ -549,7 +568,10 @@ mod tests {
             let n = net.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
-                    assert_eq!(n.request(HttpRequest::get("https://busy.example/")).status, 200);
+                    assert_eq!(
+                        n.request(HttpRequest::get("https://busy.example/")).status,
+                        200
+                    );
                 }
             }));
         }
@@ -557,7 +579,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(
-            net.dns_volume("busy.example", net.now(), SimDuration::days(1)).total,
+            net.dns_volume("busy.example", net.now(), SimDuration::days(1))
+                .total,
             200
         );
     }

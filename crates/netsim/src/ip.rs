@@ -180,7 +180,10 @@ mod tests {
 
     #[test]
     fn unknown_prefix_reads_as_datacenter() {
-        assert_eq!(IpSpace::classify(IpAddress(0xC0A8_0001)), IpClass::Datacenter);
+        assert_eq!(
+            IpSpace::classify(IpAddress(0xC0A8_0001)),
+            IpClass::Datacenter
+        );
     }
 
     #[test]
@@ -198,8 +201,14 @@ mod tests {
         }
         // Different keys and attempts vary the host part.
         let base = IpClass::Residential.egress_ip("https://kit.example/a", 0);
-        assert_ne!(base, IpClass::Residential.egress_ip("https://kit.example/b", 0));
-        assert_ne!(base, IpClass::Residential.egress_ip("https://kit.example/a", 1));
+        assert_ne!(
+            base,
+            IpClass::Residential.egress_ip("https://kit.example/b", 0)
+        );
+        assert_ne!(
+            base,
+            IpClass::Residential.egress_ip("https://kit.example/a", 1)
+        );
         // Never the network address of the prefix.
         assert_ne!(base.0 & 0x00FF_FFFF, 0);
     }

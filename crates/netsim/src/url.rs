@@ -91,9 +91,7 @@ impl Url {
     pub fn path_token(&self) -> Option<&str> {
         let seg = self.path.trim_start_matches('/');
         let seg = seg.split('/').next().unwrap_or("");
-        if seg.len() >= 6
-            && seg.bytes().all(|b| b.is_ascii_alphanumeric())
-        {
+        if seg.len() >= 6 && seg.bytes().all(|b| b.is_ascii_alphanumeric()) {
             Some(seg)
         } else {
             None
@@ -241,15 +239,25 @@ mod tests {
     #[test]
     fn path_token_detection() {
         assert_eq!(
-            Url::parse("https://e.example/dhfYWfH").unwrap().path_token(),
+            Url::parse("https://e.example/dhfYWfH")
+                .unwrap()
+                .path_token(),
             Some("dhfYWfH")
         );
         // short, non-alphanumeric, or structured paths are not tokens
-        assert_eq!(Url::parse("https://e.example/login").unwrap().path_token(), None);
-        assert_eq!(Url::parse("https://e.example/a.html").unwrap().path_token(), None);
+        assert_eq!(
+            Url::parse("https://e.example/login").unwrap().path_token(),
+            None
+        );
+        assert_eq!(
+            Url::parse("https://e.example/a.html").unwrap().path_token(),
+            None
+        );
         assert_eq!(Url::parse("https://e.example/").unwrap().path_token(), None);
         assert_eq!(
-            Url::parse("https://e.example/Abc123XY/page").unwrap().path_token(),
+            Url::parse("https://e.example/Abc123XY/page")
+                .unwrap()
+                .path_token(),
             Some("Abc123XY")
         );
     }
@@ -264,9 +272,18 @@ mod tests {
 
     #[test]
     fn registrable_domain() {
-        assert_eq!(DomainName::new("login.evil.example").registrable(), "evil.example");
-        assert_eq!(DomainName::new("evil.example").registrable(), "evil.example");
-        assert_eq!(DomainName::new("a.b.evil.com.br").registrable(), "evil.com.br");
+        assert_eq!(
+            DomainName::new("login.evil.example").registrable(),
+            "evil.example"
+        );
+        assert_eq!(
+            DomainName::new("evil.example").registrable(),
+            "evil.example"
+        );
+        assert_eq!(
+            DomainName::new("a.b.evil.com.br").registrable(),
+            "evil.com.br"
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! paper lists (REGRU-RU, R01-RU, RU-CENTER-RU, REGTIME-RU, OPENPROV-RU).
 
 use crate::url::DomainName;
-use cb_sim::SimTime;
 use cb_json::{Deserialize, Serialize};
+use cb_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// One WHOIS record.
