@@ -104,7 +104,7 @@ pub struct Visit {
 /// function of that source, so [`key`](Screenshot::key) names a shot
 /// without drawing it, and [`render`](Screenshot::render) draws it on
 /// demand.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Screenshot {
     source: String,
 }

@@ -4,11 +4,13 @@
 use crate::classify::SpearMatch;
 use crate::extract::ExtractedResource;
 use cb_browser::engine::VisitOutcome;
+use cb_browser::Screenshot;
 use cb_imagehash::HashPair;
 use cb_json::{Deserialize, Serialize};
 use cb_netsim::{QueryVolume, Url};
 use cb_phishgen::MessageClass;
 use cb_sim::{SimDuration, SimTime};
+use std::borrow::Cow;
 
 /// One attempt in a supervised visit's history: which retry it was, what
 /// transient faults it observed, and how long the supervisor backed off
@@ -206,15 +208,72 @@ pub enum ArtifactKind {
 /// canonical encoding (`#[serde(skip)]` on the record field): the record
 /// stores the content hash, the bytes live in the blob store, and the
 /// record's byte encoding stays identical whether capture is on or off.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A screenshot whose blob address the scan already knew (a page-key hit)
+/// is captured undrawn, as its page source: [`bytes`](Self::bytes) draws
+/// it on demand, and the blob store calls it only when its pack lacks the
+/// address. The pixels are a pure function of the source, so the drawn
+/// bytes are the same whoever draws them.
+#[derive(Debug, Clone)]
 pub struct CapturedArtifact {
     /// What the bytes are.
     pub kind: ArtifactKind,
-    /// 128-bit FNV content hash of `bytes` (the blob-store address).
+    /// 128-bit FNV content hash of the bytes (the blob-store address).
     pub hash: u128,
-    /// The raw bytes.
-    pub bytes: Vec<u8>,
+    body: Body,
 }
+
+/// The bytes of a [`CapturedArtifact`], held or still to be drawn.
+#[derive(Debug, Clone)]
+enum Body {
+    Bytes(Vec<u8>),
+    Undrawn(Screenshot),
+}
+
+impl CapturedArtifact {
+    /// An artifact holding its bytes; `hash` is their `fnv128`.
+    pub fn new(kind: ArtifactKind, hash: u128, bytes: Vec<u8>) -> CapturedArtifact {
+        CapturedArtifact {
+            kind,
+            hash,
+            body: Body::Bytes(bytes),
+        }
+    }
+
+    /// A screenshot captured as its page source; `hash` is the `fnv128`
+    /// of the bytes it draws to.
+    pub(crate) fn undrawn(hash: u128, shot: Screenshot) -> CapturedArtifact {
+        CapturedArtifact {
+            kind: ArtifactKind::Screenshot,
+            hash,
+            body: Body::Undrawn(shot),
+        }
+    }
+
+    /// The raw bytes: borrowed when held, drawn and serialized (`CBXBMP1`)
+    /// when the screenshot is undrawn.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        match &self.body {
+            Body::Bytes(bytes) => Cow::Borrowed(bytes),
+            Body::Undrawn(shot) => Cow::Owned(shot.render().to_bytes()),
+        }
+    }
+
+    /// Whether the bytes are held; `false` for an undrawn screenshot,
+    /// whose [`bytes`](Self::bytes) draws it.
+    pub fn is_drawn(&self) -> bool {
+        matches!(self.body, Body::Bytes(_))
+    }
+}
+
+/// Equal kind, address and bytes; an undrawn side is drawn to compare.
+impl PartialEq for CapturedArtifact {
+    fn eq(&self, other: &CapturedArtifact) -> bool {
+        self.kind == other.kind && self.hash == other.hash && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for CapturedArtifact {}
 
 /// The complete scan record of one reported message.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -133,7 +133,7 @@ impl ScanPolicy {
 /// `scan_all` stays bit-identical to serial scanning.
 struct ScanCtx<'p> {
     breakers: BreakerBank<'p>,
-    /// Raw bytes captured for the blob store (message, screenshots), in
+    /// Artifacts captured for the blob store (message, screenshots), in
     /// deterministic order: the message first, then one entry per
     /// screenshot in visit order. Empty unless capture is enabled.
     artifacts: Vec<CapturedArtifact>,
@@ -399,10 +399,11 @@ impl<'a> CrawlerBox<'a> {
     }
 
     /// Enable or disable raw-artifact capture: when on, every record
-    /// carries the message's raw bytes and each visit's screenshot bytes
-    /// in [`ScanRecord::artifacts`], ready for a content-addressed blob
-    /// store. Capture never alters the record's canonical (serialized)
-    /// encoding.
+    /// carries the message's raw bytes and each visit's screenshot in
+    /// [`ScanRecord::artifacts`], ready for a content-addressed blob
+    /// store. A screenshot whose page key the box has seen is captured
+    /// undrawn (see [`CapturedArtifact`]). Capture never alters the
+    /// record's canonical (serialized) encoding.
     pub fn with_artifact_capture(mut self, on: bool) -> CrawlerBox<'a> {
         self.capture_artifacts = on;
         self
@@ -631,11 +632,11 @@ impl<'a> CrawlerBox<'a> {
         let content_hash = message_content_hash(&message.raw);
         let mut ctx = ScanCtx::new(&self.policy);
         if self.capture_artifacts {
-            ctx.artifacts.push(CapturedArtifact {
-                kind: ArtifactKind::Message,
-                hash: content_hash,
-                bytes: message.raw.clone().into_bytes(),
-            });
+            ctx.artifacts.push(CapturedArtifact::new(
+                ArtifactKind::Message,
+                content_hash,
+                message.raw.clone().into_bytes(),
+            ));
         }
         let visits: Vec<VisitLog> = urls
             .iter()
@@ -1215,10 +1216,11 @@ impl<'a> CrawlerBox<'a> {
 
     /// The blob address of `shot` (`fnv128` of its `CBXBMP1` bytes), found
     /// through the page-key map, plus the bitmap when one was drawn. A
-    /// page-key hit skips the pixel hash; with capture off it draws
-    /// nothing. A miss draws, serializes and hashes the shot once and
-    /// remembers the address. With capture on, the bytes go to the scan's
-    /// artifacts either way.
+    /// page-key hit draws nothing: with capture on, the scan's artifacts
+    /// get the undrawn shot, which the blob store draws only when its pack
+    /// lacks the address. A miss draws, serializes and hashes the shot
+    /// once and remembers the address; with capture on, the artifacts
+    /// keep those bytes.
     fn shot_address(&self, shot: &Screenshot, ctx: &mut ScanCtx<'_>) -> (u128, Option<Bitmap>) {
         let key = shot.key();
         let known = self
@@ -1227,29 +1229,28 @@ impl<'a> CrawlerBox<'a> {
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
             .copied();
-        match known {
-            Some(_) => self.m.page_hits.incr(),
-            None => self.m.page_misses.incr(),
-        }
-        if let (Some(address), false) = (known, self.capture_artifacts) {
+        if let Some(address) = known {
+            self.m.page_hits.incr();
+            if self.capture_artifacts {
+                ctx.artifacts
+                    .push(CapturedArtifact::undrawn(address, shot.clone()));
+            }
             return (address, None);
         }
+        self.m.page_misses.incr();
         let bitmap = shot.render();
         let bytes = bitmap.to_bytes();
-        let address = known.unwrap_or_else(|| {
-            let address = fingerprint::fnv128(&bytes);
-            self.pages
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(key, address);
-            address
-        });
+        let address = fingerprint::fnv128(&bytes);
+        self.pages
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, address);
         if self.capture_artifacts {
-            ctx.artifacts.push(CapturedArtifact {
-                kind: ArtifactKind::Screenshot,
-                hash: address,
+            ctx.artifacts.push(CapturedArtifact::new(
+                ArtifactKind::Screenshot,
+                address,
                 bytes,
-            });
+            ));
         }
         (address, Some(bitmap))
     }
@@ -1874,7 +1875,7 @@ mod tests {
         let mut addresses = HashSet::new();
         for r in &records {
             for a in &r.artifacts {
-                assert_eq!(a.hash, fingerprint::fnv128(&a.bytes), "{:?}", a.kind);
+                assert_eq!(a.hash, fingerprint::fnv128(&a.bytes()), "{:?}", a.kind);
                 match a.kind {
                     ArtifactKind::Message => assert_eq!(a.hash, r.content_hash),
                     ArtifactKind::Screenshot => {
@@ -1999,7 +2000,9 @@ mod tests {
 
     /// A box whose page-key map is already warm (from a scan with capture
     /// off) captures, at every worker count, exactly the artifacts a fresh
-    /// box per message captures.
+    /// box per message captures. Every shot is then a page-key hit, so
+    /// every screenshot artifact is captured undrawn; the comparison draws
+    /// it and must find the reference bytes.
     #[test]
     fn warm_box_captures_the_fresh_box_artifacts() {
         let corpus = corpus();
@@ -2033,6 +2036,15 @@ mod tests {
                     "{workers} worker(s): message {} captured different artifacts",
                     record.message_id
                 );
+                for a in &record.artifacts {
+                    assert_eq!(
+                        a.is_drawn(),
+                        a.kind == ArtifactKind::Message,
+                        "{workers} worker(s): message {}: a {:?} artifact",
+                        record.message_id,
+                        a.kind
+                    );
+                }
             }
         }
     }

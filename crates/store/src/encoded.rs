@@ -8,8 +8,10 @@
 //! [`scan_stream_encoded`](crawlerbox::CrawlerBox::scan_stream_encoded):
 //! each worker emits an [`EncodedRecord`] carrying the canonical payload
 //! bytes, the pre-built (CRC'd) blob-ref + record frames, the derived
-//! [`RecordMeta`] and the captured artifact bytes, so the delivery thread
-//! only routes bytes to shards and the store only writes them.
+//! [`RecordMeta`] and the captured artifacts, so the delivery thread
+//! only routes bytes to shards and the store only writes them. A
+//! screenshot captured on a page-key hit stays undrawn here; the store
+//! draws it only if its blob pack lacks the address.
 //!
 //! The encoding is byte-identical to the owned-record path: artifacts are
 //! taken off the record *before* serialization, which changes nothing
@@ -37,12 +39,13 @@ pub struct EncodedRecord {
     pub frame: Vec<u8>,
     /// Blob addresses referenced by the frame, in artifact order.
     pub refs: Vec<u128>,
-    /// The artifact bytes to write to the blob store *before* the frame.
+    /// The artifacts to put into the blob store *before* the frame, in
+    /// `refs` order; an undrawn screenshot is drawn only on a blob miss.
     pub artifacts: Vec<CapturedArtifact>,
 }
 
 /// Encode `record` for the store on the calling (worker) thread, taking
-/// its artifact bytes (the downstream sink sees the record with artifacts
+/// its artifacts (the downstream sink sees the record with artifacts
 /// already shed, exactly like the owned-record `StoreSink` path).
 ///
 /// # Errors

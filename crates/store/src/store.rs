@@ -640,14 +640,17 @@ impl Store {
     }
 
     /// Put one artifact into the blob pack, counting the write or the
-    /// dedup hit.
+    /// dedup hit. The pack is checked before the bytes are asked for, so
+    /// an undrawn screenshot is drawn only when its address is missing.
     fn put_blob(&mut self, artifact: &CapturedArtifact) -> io::Result<()> {
-        if self.blobs.put(artifact.hash, &artifact.bytes)? {
-            self.m.blob_writes.incr();
-            self.m.blob_bytes.add(artifact.bytes.len() as u64);
-        } else {
+        if self.blobs.contains(artifact.hash) {
             self.m.blob_dedup_hits.incr();
+            return Ok(());
         }
+        let bytes = artifact.bytes();
+        self.blobs.put(artifact.hash, &bytes)?;
+        self.m.blob_writes.incr();
+        self.m.blob_bytes.add(bytes.len() as u64);
         Ok(())
     }
 
@@ -1215,5 +1218,77 @@ impl Store {
     /// not an error.
     pub fn state(&self, name: &str) -> Option<Vec<u8>> {
         self.vfs.read(&self.root.join("state").join(name)).ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blob::pack_file_name;
+    use cb_phishgen::{Corpus, CorpusSpec};
+    use crawlerbox::{ArtifactKind, CrawlerBox};
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cb-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A screenshot artifact captured undrawn: the first one a box warmed
+    /// by a capture-off scan of the same message captures.
+    fn undrawn_screenshot() -> CapturedArtifact {
+        let corpus = Corpus::generate(&CorpusSpec::paper().with_scale(0.01), 7);
+        for message in &corpus.messages {
+            let cbx = CrawlerBox::new(&corpus.world);
+            cbx.scan(message);
+            let cbx = cbx.with_artifact_capture(true);
+            let undrawn = cbx
+                .scan(message)
+                .artifacts
+                .into_iter()
+                .find(|a| !a.is_drawn());
+            if let Some(artifact) = undrawn {
+                return artifact;
+            }
+        }
+        panic!("no message of the corpus takes a screenshot");
+    }
+
+    /// The store asks an artifact for its bytes only when the pack lacks
+    /// its address: an undrawn screenshot whose blob is already stored
+    /// counts a dedup hit and appends nothing, and a store without it
+    /// draws it into the pack under the same address.
+    #[test]
+    fn put_blob_draws_an_undrawn_screenshot_only_on_a_miss() {
+        let shot = undrawn_screenshot();
+        assert_eq!(shot.kind, ArtifactKind::Screenshot);
+        let bytes = shot.bytes().into_owned();
+        let drawn = CapturedArtifact::new(ArtifactKind::Screenshot, shot.hash, bytes.clone());
+
+        let dir = scratch("put-blob-hit");
+        let mut store = Store::open(&dir).unwrap();
+        store.put_blob(&drawn).unwrap();
+        let pack_len = || {
+            std::fs::metadata(dir.join(pack_file_name(0)))
+                .unwrap()
+                .len()
+        };
+        let (len, hits) = (pack_len(), store.m.blob_dedup_hits.get());
+        store.put_blob(&shot).unwrap();
+        assert_eq!(store.m.blob_dedup_hits.get(), hits + 1);
+        assert_eq!(store.m.blob_writes.get(), 1);
+        assert_eq!(pack_len(), len, "a dedup hit appends nothing");
+        drop(store);
+
+        let other = scratch("put-blob-miss");
+        let mut store = Store::open(&other).unwrap();
+        store.put_blob(&shot).unwrap();
+        assert_eq!(store.m.blob_writes.get(), 1);
+        assert_eq!(store.m.blob_dedup_hits.get(), 0);
+        assert_eq!(store.blob(shot.hash).unwrap(), Some(bytes));
+        assert!(store.verify().unwrap().is_clean());
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other);
     }
 }

@@ -311,7 +311,10 @@ fn concurrent_bursts_survive_clean_shutdown() {
     let (_corpus, subset) = corpus_subset(2024, 24);
     let dir = scratch("burst-shutdown");
     let shards = 4;
-    let d = Daemon::spawn(&dir, &["--shards", "4", "--commit-batch", "8"]);
+    let d = Daemon::spawn(
+        &dir,
+        &["--shards", "4", "--workers", "2", "--commit-batch", "8"],
+    );
 
     // Three clients blast bursts concurrently over fresh connections.
     let accepted: BTreeSet<String> = std::thread::scope(|scope| {
@@ -339,10 +342,15 @@ fn concurrent_bursts_survive_clean_shutdown() {
     // the queues, flush the pending commit batches and only then exit.
     d.shutdown_and_wait();
 
+    // Each partition verifies clean: every record frame, every blob
+    // (including screenshots the store drew from an undrawn capture, e.g.
+    // a page hit delivered before its miss) and every blob ref.
     let mut on_disk = 0usize;
     for w in 0..shards {
-        let store = cb_store::Store::open(&dir.join(format!("part-{w:02}"))).unwrap();
+        let mut store = cb_store::Store::open(&dir.join(format!("part-{w:02}"))).unwrap();
         assert!(store.quarantined().is_empty());
+        let report = store.verify().unwrap();
+        assert!(report.is_clean(), "partition {w}: {:?}", report.faults);
         on_disk += store.len();
         for hash in &accepted {
             let h = u128::from_str_radix(hash, 16).unwrap();

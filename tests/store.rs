@@ -270,6 +270,70 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
     }
 }
 
+/// A box warmed by a capture-off scan knows every page key of the
+/// subset, so with capture on it hands the store every screenshot
+/// undrawn, and a fresh store lacks every address: the store draws each
+/// one. Its pack, index and segment bytes must equal a store built from
+/// the fresh-box reference, which holds the drawn bytes, at every worker
+/// count; the store verifies clean and every blob ref resolves to the
+/// reference bytes.
+#[test]
+fn store_draws_undrawn_screenshots_byte_identically() {
+    let (corpus, subset) = corpus_subset(17, 24);
+    let (reference, _) =
+        common::fresh_box_scan(&corpus.world, &subset, |b| b.with_artifact_capture(true));
+    let ref_dir = scratch("draw-ref");
+    let mut store = Store::open(&ref_dir).unwrap();
+    for r in &reference {
+        store.append(r).unwrap();
+    }
+    store.sync().unwrap();
+    drop(store);
+    let golden = (segment_bytes(&ref_dir), pack_bytes(&ref_dir));
+
+    for workers in WORKERS {
+        let mut cbx = CrawlerBox::new(&corpus.world).with_stream_capacity(4);
+        cbx.parallelism = workers;
+        let _ = cbx.scan_all(&subset);
+        let cbx = cbx.with_artifact_capture(true);
+        let warm = cbx.stats();
+        let dir = scratch(&format!("draw-{workers}"));
+        let mut sink = EncodedStoreSink::new(Store::open(&dir).unwrap());
+        let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
+        assert_eq!(delivered, subset.len(), "{workers} worker(s)");
+        assert_eq!(sink.dropped(), 0);
+        let (mut store, ()) = sink.finish().unwrap();
+        let stats = cbx.stats();
+        assert_eq!(stats.page_misses, warm.page_misses, "{stats}");
+        assert!(
+            stats.page_hits > warm.page_hits,
+            "the subset must take screenshots"
+        );
+
+        let report = store.verify().unwrap();
+        assert!(
+            report.is_clean(),
+            "{workers} worker(s): {:?}",
+            report.faults
+        );
+        for artifact in reference.iter().flat_map(|r| &r.artifacts) {
+            assert_eq!(
+                store.blob(artifact.hash).unwrap().as_deref(),
+                Some(&*artifact.bytes()),
+                "{workers} worker(s): blob {:032x}",
+                artifact.hash
+            );
+        }
+        drop(store);
+        assert!(
+            (segment_bytes(&dir), pack_bytes(&dir)) == golden,
+            "{workers} worker(s): drawn store bytes diverged from the reference store"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&ref_dir).unwrap();
+}
+
 /// Soak: one long-lived box and one durable store ingest round after
 /// round of content-unique messages (a unique header per round and
 /// message, so nothing dedups). After every round the store holds every
@@ -587,16 +651,8 @@ fn blob_store_dedups_reads_back_and_gcs_orphans() {
         let unique = format!("message body {id}").into_bytes();
         let mut record = synthetic_record(id, id as u128 + 1, MessageClass::ActivePhish);
         record.artifacts = vec![
-            CapturedArtifact {
-                kind: ArtifactKind::Message,
-                hash: fingerprint::fnv128(&unique),
-                bytes: unique,
-            },
-            CapturedArtifact {
-                kind: ArtifactKind::Screenshot,
-                hash: shared_hash,
-                bytes: shared.clone(),
-            },
+            CapturedArtifact::new(ArtifactKind::Message, fingerprint::fnv128(&unique), unique),
+            CapturedArtifact::new(ArtifactKind::Screenshot, shared_hash, shared.clone()),
         ];
         store.append(&record).unwrap();
     }
@@ -772,11 +828,11 @@ fn repair_keeps_only_the_pairs_before_a_doubled_blob_ref() {
     let dir = scratch("repair-double-ref");
     let with_blob = |id: usize, body: &[u8]| {
         let mut r = synthetic_record(id, fingerprint::fnv128(body), MessageClass::NoResource);
-        r.artifacts.push(CapturedArtifact {
-            kind: ArtifactKind::Message,
-            hash: r.content_hash,
-            bytes: body.to_vec(),
-        });
+        r.artifacts.push(CapturedArtifact::new(
+            ArtifactKind::Message,
+            r.content_hash,
+            body.to_vec(),
+        ));
         r
     };
     let [a, c, b] = [

@@ -103,18 +103,18 @@ fn chaos_records() -> Vec<ScanRecord> {
             let body = format!("chaos message body {id}").into_bytes();
             let mut artifacts = Vec::new();
             if id != 2 {
-                artifacts.push(CapturedArtifact {
-                    kind: ArtifactKind::Message,
-                    hash: fnv128(&body),
-                    bytes: body.clone(),
-                });
+                artifacts.push(CapturedArtifact::new(
+                    ArtifactKind::Message,
+                    fnv128(&body),
+                    body.clone(),
+                ));
             }
             if id == 1 || id == 5 {
-                artifacts.push(CapturedArtifact {
-                    kind: ArtifactKind::Screenshot,
-                    hash: fnv128(&shared),
-                    bytes: shared.clone(),
-                });
+                artifacts.push(CapturedArtifact::new(
+                    ArtifactKind::Screenshot,
+                    fnv128(&shared),
+                    shared.clone(),
+                ));
             }
             ScanRecord {
                 message_id: id,
@@ -462,7 +462,7 @@ fn chaos_blobs() -> BTreeMap<u128, Vec<u8>> {
     chaos_records()
         .into_iter()
         .flat_map(|r| r.artifacts)
-        .map(|a| (a.hash, a.bytes))
+        .map(|a| (a.hash, a.bytes().into_owned()))
         .collect()
 }
 
