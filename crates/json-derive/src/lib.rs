@@ -211,7 +211,7 @@ fn de_named(ctor: &str, fields: &[Field], container_default: bool) -> String {
     }
     code += "let mut __first = true; \
              while let ::core::option::Option::Some(__k) = __de.next_key(__first)? { \
-             __first = false; match __k.as_str() {";
+             __first = false; match &*__k {";
     for (i, f) in live() {
         code += &format!(
             "{key:?} => {{ if __f{i}.is_some() {{ \
@@ -359,12 +359,12 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
             format!(
                 "match __de.peek() {{ \
                    ::core::option::Option::Some(b'\"') => {{ \
-                     let __s = __de.string()?; match __s.as_str() {{ {unit_arms} {unknown} }} }}, \
+                     let __s = __de.str()?; match &*__s {{ {unit_arms} {unknown} }} }}, \
                    ::core::option::Option::Some(b'{{') => {{ \
                      __de.begin_object()?; \
                      let __k = __de.next_key(true)?.ok_or_else(|| __de.err(\"expected enum {name}\"))?; \
                      let __r: ::core::result::Result<Self, ::cb_json::Error> = \
-                       match __k.as_str() {{ {data_arms} {unknown} }}; \
+                       match &*__k {{ {data_arms} {unknown} }}; \
                      let __r = __r?; \
                      if __de.next_key(false)?.is_some() {{ \
                        return {ERR}(__de.err(\"expected one entry for enum {name}\")); }} \

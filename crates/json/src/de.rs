@@ -3,6 +3,7 @@
 
 use crate::value::{Map, Number, Value};
 use crate::Error;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
 
@@ -105,24 +106,53 @@ impl<'a> Deserializer<'a> {
     }
 
     /// The text of the next number and whether it has a fraction or an
-    /// exponent.
+    /// exponent. The grammar is RFC 8259's: no leading zero, and at least
+    /// one digit after a `.` and in an exponent.
     pub(crate) fn number(&mut self) -> Result<(&'a str, bool), Error> {
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(self.err("expected number"));
         }
         let start = self.i;
-        let mut float = false;
-        while let Some(&c) = self.b.get(self.i) {
-            match c {
-                b'0'..=b'9' | b'-' | b'+' => {}
-                b'.' | b'e' | b'E' => float = true,
-                _ => break,
-            }
+        if self.b[self.i] == b'-' {
             self.i += 1;
+        }
+        if self.b.get(self.i) == Some(&b'0') {
+            // A leading zero is the whole integer part: a digit after it
+            // is left over and fails whatever reads next.
+            self.i += 1;
+        } else if self.digits() == 0 {
+            return Err(self.err("expected digit"));
+        }
+        let mut float = false;
+        if self.b.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            float = true;
+            if self.digits() == 0 {
+                return Err(self.err("expected fraction digit"));
+            }
+        }
+        if let Some(b'e' | b'E') = self.b.get(self.i) {
+            self.i += 1;
+            float = true;
+            if let Some(b'+' | b'-') = self.b.get(self.i) {
+                self.i += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("expected exponent digit"));
+            }
         }
         let b: &'a [u8] = self.b;
         let text = std::str::from_utf8(&b[start..self.i]).expect("ascii digits");
         Ok((text, float))
+    }
+
+    /// Consume a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while let Some(b'0'..=b'9') = self.b.get(self.i) {
+            self.i += 1;
+        }
+        self.i - start
     }
 
     fn enter(&mut self, open: u8, what: &str) -> Result<(), Error> {
@@ -163,8 +193,8 @@ impl<'a> Deserializer<'a> {
     }
 
     /// The next key (with its `:` consumed), or `None` after consuming the
-    /// closing `}`.
-    pub fn next_key(&mut self, first: bool) -> Result<Option<String>, Error> {
+    /// closing `}`. Borrowed from the input unless it has an escape.
+    pub fn next_key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, Error> {
         match self.peek() {
             Some(b'}') => {
                 self.i += 1;
@@ -175,7 +205,7 @@ impl<'a> Deserializer<'a> {
             Some(b'"') if first => {}
             _ => return Err(self.err("expected , or }")),
         }
-        let k = self.string()?;
+        let k = self.str()?;
         self.expect(b':', "expected :")?;
         Ok(Some(k))
     }
@@ -191,12 +221,15 @@ impl<'a> Deserializer<'a> {
         Ok(v)
     }
 
-    /// Read a string, resolving escapes.
-    pub fn string(&mut self) -> Result<String, Error> {
+    /// Read a string: borrowed from the input when it has no escape,
+    /// decoded into an owned `String` when it has one.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, Error> {
         if self.peek() != Some(b'"') {
             return Err(self.err("expected string"));
         }
         self.i += 1;
+        // Every escape pushes a char, so `out` stays empty (and
+        // unallocated) until the first one.
         let mut out = String::new();
         loop {
             let start = self.i;
@@ -206,16 +239,21 @@ impl<'a> Deserializer<'a> {
                 }
                 self.i += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.b[start..self.i])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            let b: &'a [u8] = self.b;
+            let run =
+                std::str::from_utf8(&b[start..self.i]).map_err(|_| self.err("invalid UTF-8"))?;
             match self.b.get(self.i) {
+                Some(b'"') if out.is_empty() => {
+                    self.i += 1;
+                    return Ok(Cow::Borrowed(run));
+                }
                 Some(b'"') => {
                     self.i += 1;
-                    return Ok(out);
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.i += 1;
                     let esc = *self
                         .b
@@ -263,7 +301,7 @@ impl<'a> Deserializer<'a> {
             None => Err(self.err("EOF while parsing a value")),
             Some(b'n') => self.eat("null").map(|_| Value::Null),
             Some(b't' | b'f') => self.bool().map(Value::Bool),
-            Some(b'"') => self.string().map(Value::String),
+            Some(b'"') => self.str().map(|s| Value::String(s.into_owned())),
             Some(b'[') => {
                 self.begin_array()?;
                 let mut items = Vec::new();
@@ -281,7 +319,7 @@ impl<'a> Deserializer<'a> {
                 while let Some(k) = self.next_key(first)? {
                     first = false;
                     let v = self.value()?;
-                    map.insert(k, v);
+                    map.insert(k.into_owned(), v);
                 }
                 Ok(Value::Object(map))
             }
@@ -304,7 +342,7 @@ impl<'a> Deserializer<'a> {
     /// Skip the next value without building it.
     pub fn skip_value(&mut self) -> Result<(), Error> {
         match self.peek() {
-            Some(b'"') => self.string().map(drop),
+            Some(b'"') => self.str().map(drop),
             Some(b'[') => {
                 self.begin_array()?;
                 let mut first = true;
@@ -371,7 +409,7 @@ impl Deserialize for f64 {
 
 impl Deserialize for String {
     fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
-        de.string()
+        de.str().map(Cow::into_owned)
     }
     fn from_key(k: String) -> Result<Self, Error> {
         Ok(k)
@@ -470,7 +508,7 @@ fn read_map<K: Deserialize, V: Deserialize, C: Default + Extend<(K, V)>>(
     let mut first = true;
     while let Some(k) = de.next_key(first)? {
         first = false;
-        let k = K::from_key(k)?;
+        let k = K::from_key(k.into_owned())?;
         out.extend(Some((k, V::deserialize(de)?)));
     }
     Ok(out)

@@ -5,10 +5,12 @@
 //! record itself) plus inverted maps by landing domain, certificate
 //! fingerprint, screenshot perceptual hash, message class and content
 //! hash — the lookup axes of the paper's longitudinal campaign analysis.
+//! [`RecordMeta::of`] derives every meta from a [`ScanRecord`]: on append
+//! from the record in hand, on recovery from the record decoded out of
+//! its log payload.
 //! Campaign ids are derived, not stored: [`crate::query::cluster_campaigns`]
 //! rebuilds them from these metas with a union-find over shared evidence.
 
-use crate::metascan::ScannedRecord;
 use cb_netsim::Url;
 use cb_phishgen::MessageClass;
 use crawlerbox::ScanRecord;
@@ -77,114 +79,45 @@ pub struct RecordMeta {
     pub url_schemes: Vec<String>,
 }
 
-/// The per-visit evidence meta derivation consumes — one borrowed view
-/// shared by the live append path (full [`ScanRecord`]) and the recovery
-/// path (borrowed [`ScannedRecord`] payload scan), so the two can never
-/// derive different metas for the same record.
-struct VisitFacts<'a> {
-    /// The landing URL (last chain hop, or the requested URL).
-    final_url: &'a str,
-    /// The URL the pipeline requested.
-    requested_url: &'a str,
-    /// Certificate fingerprint of the landing domain.
-    cert_fingerprint: Option<u64>,
-    /// Screenshot perceptual hash.
-    phash: Option<u64>,
-}
-
-fn meta_from_facts<'a>(
-    seq: usize,
-    message_id: usize,
-    content_hash: u128,
-    class: MessageClass,
-    degraded: bool,
-    visits: impl Iterator<Item = VisitFacts<'a>>,
-) -> RecordMeta {
-    let mut domains = Vec::new();
-    let mut cert_fingerprints = Vec::new();
-    let mut phashes = Vec::new();
-    let mut url_schemes = Vec::new();
-    for visit in visits {
-        if let Some(d) = Url::parse(visit.final_url).ok().map(|u| u.host) {
-            if !domains.contains(&d) {
-                domains.push(d);
-            }
-        }
-        if let Some(fp) = visit.cert_fingerprint {
-            if !cert_fingerprints.contains(&fp) {
-                cert_fingerprints.push(fp);
-            }
-        }
-        if let Some(h) = visit.phash {
-            if !phashes.contains(&h) {
-                phashes.push(h);
-            }
-        }
-        if let Some(s) = url_token_scheme(visit.requested_url) {
-            if !url_schemes.contains(&s) {
-                url_schemes.push(s);
-            }
-        }
-    }
-    RecordMeta {
-        seq,
-        message_id,
-        content_hash,
-        class,
-        degraded,
-        domains,
-        cert_fingerprints,
-        phashes,
-        url_schemes,
-    }
-}
-
 impl RecordMeta {
-    /// Derive the meta of `record` at log position `seq`.
+    /// Derive the meta of `record` at log position `seq`: the live append
+    /// path and recovery (which decodes each payload back into a
+    /// [`ScanRecord`]) both come here, so they cannot derive different
+    /// metas for the same record.
     pub fn of(seq: usize, record: &ScanRecord) -> RecordMeta {
-        meta_from_facts(
+        let mut meta = RecordMeta {
             seq,
-            record.message_id,
-            record.content_hash,
-            record.class,
-            record.error.is_some(),
-            record.visits.iter().map(|v| VisitFacts {
-                final_url: v.final_url(),
-                requested_url: &v.requested_url,
-                cert_fingerprint: v.cert_fingerprint,
-                phash: v.screenshot_hash.map(|h| h.phash),
-            }),
-        )
-    }
-
-    /// Derive the meta of a borrowed payload scan at log position `seq`,
-    /// or `None` when the class variant is unknown (the payload would not
-    /// decode as a record either — corruption, not a meta).
-    pub(crate) fn of_scanned(seq: usize, scanned: &ScannedRecord<'_>) -> Option<RecordMeta> {
-        // Unit-variant names of `MessageClass` as the JSON derive writes them. Kept
-        // in sync by the debug-build cross-check in `shard::replay_segment`
-        // (every recovered payload is re-decoded and compared).
-        let class = match scanned.class.as_ref() {
-            "NoResource" => MessageClass::NoResource,
-            "ErrorPage" => MessageClass::ErrorPage,
-            "InteractionRequired" => MessageClass::InteractionRequired,
-            "Download" => MessageClass::Download,
-            "ActivePhish" => MessageClass::ActivePhish,
-            _ => return None,
+            message_id: record.message_id,
+            content_hash: record.content_hash,
+            class: record.class,
+            degraded: record.error.is_some(),
+            domains: Vec::new(),
+            cert_fingerprints: Vec::new(),
+            phashes: Vec::new(),
+            url_schemes: Vec::new(),
         };
-        Some(meta_from_facts(
-            seq,
-            scanned.message_id,
-            scanned.content_hash,
-            class,
-            scanned.degraded,
-            scanned.visits.iter().map(|v| VisitFacts {
-                final_url: v.final_url.as_deref().unwrap_or(v.requested_url.as_ref()),
-                requested_url: v.requested_url.as_ref(),
-                cert_fingerprint: v.cert_fingerprint,
-                phash: v.phash,
-            }),
-        ))
+        for visit in &record.visits {
+            if let Ok(url) = Url::parse(visit.final_url()) {
+                push_new(&mut meta.domains, url.host);
+            }
+            if let Some(fp) = visit.cert_fingerprint {
+                push_new(&mut meta.cert_fingerprints, fp);
+            }
+            if let Some(shot) = visit.screenshot_hash {
+                push_new(&mut meta.phashes, shot.phash);
+            }
+            if let Some(scheme) = url_token_scheme(&visit.requested_url) {
+                push_new(&mut meta.url_schemes, scheme);
+            }
+        }
+        meta
+    }
+}
+
+/// Append `x` unless `v` already holds it (first-seen order).
+fn push_new<T: PartialEq>(v: &mut Vec<T>, x: T) {
+    if !v.contains(&x) {
+        v.push(x);
     }
 }
 
@@ -212,9 +145,9 @@ impl StoreIndex {
         seq
     }
 
-    /// Append a recovery-derived meta as the next log entry, assigning its
-    /// `seq`; returns that seq. The payload-scan path's counterpart of
-    /// [`insert`](Self::insert).
+    /// Append a meta derived elsewhere (by recovery, or by an ingest
+    /// worker) as the next log entry, assigning its `seq`; returns that
+    /// seq. The counterpart of [`insert`](Self::insert) for metas.
     pub(crate) fn push_recovered(&mut self, mut meta: RecordMeta) -> usize {
         let seq = self.metas.len();
         meta.seq = seq;

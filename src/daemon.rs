@@ -538,24 +538,24 @@ fn ingest(state: &DaemonState, req: &cb_httpd::Request) -> Response {
     Response::json(202, json!({ "tasks": out }).to_string())
 }
 
-/// Decode the ingest payload: a JSON `{"messages": ["raw", ..]}` batch
-/// when the content type says JSON, one raw RFC-822 message otherwise.
+/// A JSON ingest batch: `{"messages": ["raw", ..]}`.
+#[derive(cb_json::Deserialize)]
+struct IngestBatch {
+    messages: Vec<String>,
+}
+
+/// Decode the ingest payload: a JSON [`IngestBatch`] when the content type
+/// says JSON, one raw RFC-822 message otherwise.
 fn parse_ingest_body(req: &cb_httpd::Request) -> Result<Vec<String>, &'static str> {
     let is_json =
         req.header("content-type").map(|ct| ct.contains("json")).unwrap_or(false);
     if is_json {
-        let parsed: cb_json::Value =
-            cb_json::from_slice(&req.body).map_err(|_| "body is not valid JSON")?;
-        let Some(messages) = parsed.get("messages").and_then(|m| m.as_array()) else {
-            return Err("expected {\"messages\": [\"raw\", ...]}");
-        };
-        if messages.is_empty() {
+        let batch: IngestBatch = cb_json::from_slice(&req.body)
+            .map_err(|_| "expected {\"messages\": [\"raw\", ...]}")?;
+        if batch.messages.is_empty() {
             return Err("empty message batch");
         }
-        messages
-            .iter()
-            .map(|m| m.as_str().map(str::to_string).ok_or("messages must be strings"))
-            .collect()
+        Ok(batch.messages)
     } else {
         let raw = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8")?;
         if raw.trim().is_empty() {

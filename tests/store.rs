@@ -884,6 +884,69 @@ fn repair_keeps_only_the_pairs_before_a_doubled_blob_ref() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Recovery judges a CRC-valid payload by the record decode alone. A
+/// mistyped field the index never reads, or a number written with a
+/// leading zero, is corruption and quarantines the shard on open. A visit
+/// that leaves out an `Option` field is a record: the store reopens
+/// healthy and the field reads back as `None`.
+#[test]
+fn recovery_adjudicates_crafted_payloads_as_the_record_decode_does() {
+    use cb_store::frame::encode_pair;
+    let (corpus, subset) = corpus_subset(2024, 10);
+    let record = CrawlerBox::new(&corpus.world)
+        .scan_all(&subset)
+        .into_iter()
+        .find(|r| r.visits.iter().any(|v| v.spear.is_none()))
+        .expect("a record with an unmatched visit");
+    let canonical = String::from_utf8(cb_json::to_vec(&record).unwrap()).unwrap();
+    let size = format!("\"body_bytes\":{}", record.body_bytes);
+    let edit = |from: &str, to: &str| {
+        assert!(canonical.contains(from), "edit {from:?} applies");
+        canonical.replacen(from, to, 1)
+    };
+    for (tag, payload, is_record) in [
+        ("mistyped", edit(&size, "\"body_bytes\":\"x\""), false),
+        (
+            "leading-zero",
+            edit(&size, &format!("\"body_bytes\":0{}", record.body_bytes)),
+            false,
+        ),
+        ("no-spear", edit("\"spear\":null,", ""), true),
+    ] {
+        let dir = scratch(&format!("crafted-{tag}"));
+        let first = synthetic_record(0, 1, MessageClass::NoResource);
+        let mut store = Store::open_with(&dir, one_shard()).unwrap();
+        store.append(&first).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let seg = dir
+            .join("shard-00")
+            .join("segments-00000")
+            .join("seg-00000.cbl");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes.extend(encode_pair(&[], payload.as_bytes()));
+        std::fs::write(&seg, bytes).unwrap();
+
+        let mut store = Store::open(&dir).unwrap();
+        if is_record {
+            assert!(!store.is_degraded(), "{tag}: {:?}", store.quarantined());
+            let read = store.read_all().unwrap();
+            assert_eq!(read.len(), 2);
+            assert!(read[1].visits.iter().any(|v| v.spear.is_none()));
+            assert_eq!(cb_json::to_vec(&read[1]).unwrap(), canonical.as_bytes());
+        } else {
+            let quarantined = store.quarantined();
+            assert_eq!(quarantined.len(), 1, "{tag} quarantines the shard");
+            assert!(
+                quarantined[0].1.contains("undecodable record"),
+                "{quarantined:?}"
+            );
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// A v1 store (CURRENT + segments-* at the root) is refused by name: the
 /// open fails with `InvalidData` and touches nothing, rather than reading
 /// as an empty store.
