@@ -106,7 +106,10 @@ impl Request {
     /// First value of header `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(k, _)| *k == name).map(|(_, v)| v.as_str())
+        self.headers
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// The target's path, without the query string.
@@ -166,18 +169,14 @@ fn take_line(buf: &[u8], from: usize) -> Option<(&[u8], usize)> {
 }
 
 /// Split and validate the request line.
-fn parse_request_line(
-    line: &[u8],
-    limits: &Limits,
-) -> Result<(String, String, u8), ParseError> {
+fn parse_request_line(line: &[u8], limits: &Limits) -> Result<(String, String, u8), ParseError> {
     if line.len() > limits.max_start_line {
         return Err(ParseError::UriTooLong);
     }
     let text = std::str::from_utf8(line)
         .map_err(|_| ParseError::BadRequest("request line is not utf-8"))?;
     let mut parts = text.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
         _ => return Err(ParseError::BadRequest("malformed request line")),
     };
@@ -200,14 +199,18 @@ fn parse_request_line(
 fn parse_header_line(line: &[u8]) -> Result<(String, String), ParseError> {
     let text =
         std::str::from_utf8(line).map_err(|_| ParseError::BadRequest("header is not utf-8"))?;
-    let (name, value) =
-        text.split_once(':').ok_or(ParseError::BadRequest("header without a colon"))?;
+    let (name, value) = text
+        .split_once(':')
+        .ok_or(ParseError::BadRequest("header without a colon"))?;
     // RFC 9112 §5.1: no whitespace between the field name and the colon
     // (a classic smuggling vector across disagreeing parsers).
     if name.is_empty() || !name.bytes().all(is_token_byte) {
         return Err(ParseError::BadRequest("malformed header name"));
     }
-    Ok((name.to_ascii_lowercase(), value.trim_matches([' ', '\t']).to_string()))
+    Ok((
+        name.to_ascii_lowercase(),
+        value.trim_matches([' ', '\t']).to_string(),
+    ))
 }
 
 /// How the body is framed, decided from the parsed headers.
@@ -219,8 +222,11 @@ enum BodyFraming {
 
 /// Apply RFC 9112 §6 message-body rules, strictly.
 fn body_framing(headers: &[(String, String)], limits: &Limits) -> Result<BodyFraming, ParseError> {
-    let lengths: Vec<&str> =
-        headers.iter().filter(|(k, _)| k == "content-length").map(|(_, v)| v.as_str()).collect();
+    let lengths: Vec<&str> = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str())
+        .collect();
     let encodings: Vec<&str> = headers
         .iter()
         .filter(|(k, _)| k == "transfer-encoding")
@@ -230,7 +236,9 @@ fn body_framing(headers: &[(String, String)], limits: &Limits) -> Result<BodyFra
     if !encodings.is_empty() {
         if !lengths.is_empty() {
             // The smuggling-shaped conflict: reject, never reconcile.
-            return Err(ParseError::BadRequest("content-length with transfer-encoding"));
+            return Err(ParseError::BadRequest(
+                "content-length with transfer-encoding",
+            ));
         }
         if encodings.len() > 1 || !encodings[0].trim().eq_ignore_ascii_case("chunked") {
             return Err(ParseError::NotImplemented("unsupported transfer-encoding"));
@@ -266,7 +274,9 @@ fn decode_chunked(
     let mut body = Vec::new();
     let mut at = from;
     loop {
-        let Some((size_line, after_size)) = take_line(buf, at) else { return Ok(None) };
+        let Some((size_line, after_size)) = take_line(buf, at) else {
+            return Ok(None);
+        };
         // Chunk extensions (";ext=val") are tolerated and ignored.
         let size_text = size_line.split(|&b| b == b';').next().unwrap_or(b"");
         let size_text = std::str::from_utf8(size_text)
@@ -284,7 +294,9 @@ fn decode_chunked(
             // Trailer section: skip header-shaped lines up to the blank.
             let mut t = after_size;
             loop {
-                let Some((line, next)) = take_line(buf, t) else { return Ok(None) };
+                let Some((line, next)) = take_line(buf, t) else {
+                    return Ok(None);
+                };
                 if line.is_empty() {
                     return Ok(Some((body, next)));
                 }
@@ -296,9 +308,13 @@ fn decode_chunked(
             }
         }
         let data_end = after_size + size;
-        let Some(data) = buf.get(after_size..data_end) else { return Ok(None) };
+        let Some(data) = buf.get(after_size..data_end) else {
+            return Ok(None);
+        };
         // The chunk data must be followed by its own CRLF.
-        let Some((crlf, next)) = take_line(buf, data_end) else { return Ok(None) };
+        let Some((crlf, next)) = take_line(buf, data_end) else {
+            return Ok(None);
+        };
         if !crlf.is_empty() {
             return Err(ParseError::BadRequest("chunk data not followed by crlf"));
         }
@@ -316,10 +332,7 @@ fn decode_chunked(
 /// # Errors
 ///
 /// A [`ParseError`] naming the response status (4xx/501/505) to send.
-pub fn parse_request(
-    buf: &[u8],
-    limits: &Limits,
-) -> Result<Option<(Request, usize)>, ParseError> {
+pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, ParseError> {
     // Request line.
     let Some((line, mut at)) = take_line(buf, 0) else {
         // Not even one full line yet: bound how long we will wait for one.
@@ -368,7 +381,16 @@ pub fn parse_request(
             None => return Ok(None),
         },
     };
-    Ok(Some((Request { method, target, minor_version, headers, body }, consumed)))
+    Ok(Some((
+        Request {
+            method,
+            target,
+            minor_version,
+            headers,
+            body,
+        },
+        consumed,
+    )))
 }
 
 #[cfg(test)]
@@ -391,7 +413,10 @@ mod tests {
         assert_eq!(req.query_param("mode"), Some("full"));
         assert_eq!(req.header("host"), Some("x"));
         assert!(req.keep_alive());
-        assert_eq!(used, b"GET /health?mode=full HTTP/1.1\r\nHost: x\r\n\r\n".len());
+        assert_eq!(
+            used,
+            b"GET /health?mode=full HTTP/1.1\r\nHost: x\r\n\r\n".len()
+        );
     }
 
     #[test]
@@ -420,13 +445,18 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nhal",
             b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel",
         ] {
-            assert!(matches!(parse(wire), Ok(None)), "{:?}", String::from_utf8_lossy(wire));
+            assert!(
+                matches!(parse(wire), Ok(None)),
+                "{:?}",
+                String::from_utf8_lossy(wire)
+            );
         }
     }
 
     #[test]
     fn smuggling_shapes_are_rejected() {
-        let cl_te = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n";
+        let cl_te =
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n";
         assert_eq!(parse(cl_te).unwrap_err().status(), 400);
         let dup = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
         assert_eq!(parse(dup).unwrap_err().status(), 400);
@@ -447,7 +477,10 @@ mod tests {
         let long_line = [b"GET /".as_slice(), &vec![b'a'; 9000], b" HTTP/1.1\r\n\r\n"].concat();
         assert_eq!(parse(&long_line).unwrap_err(), ParseError::UriTooLong);
         // An unterminated start line longer than the limit fails early.
-        assert_eq!(parse(&vec![b'a'; 9000]).unwrap_err(), ParseError::UriTooLong);
+        assert_eq!(
+            parse(&vec![b'a'; 9000]).unwrap_err(),
+            ParseError::UriTooLong
+        );
 
         let mut many = b"GET / HTTP/1.1\r\n".to_vec();
         for i in 0..200 {
@@ -459,16 +492,23 @@ mod tests {
         let huge = b"POST / HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n";
         assert_eq!(parse(huge).unwrap_err(), ParseError::PayloadTooLarge);
 
-        let chunked_huge =
-            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nFFFFFFF0\r\n";
-        assert_eq!(parse(chunked_huge).unwrap_err(), ParseError::PayloadTooLarge);
+        let chunked_huge = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nFFFFFFF0\r\n";
+        assert_eq!(
+            parse(chunked_huge).unwrap_err(),
+            ParseError::PayloadTooLarge
+        );
     }
 
     #[test]
     fn version_and_form_rules() {
         assert_eq!(parse(b"GET / HTTP/2.0\r\n\r\n").unwrap_err().status(), 505);
         assert_eq!(parse(b"GET / FTP/1.0\r\n\r\n").unwrap_err().status(), 400);
-        assert_eq!(parse(b"GET http://x/ HTTP/1.1\r\n\r\n").unwrap_err().status(), 400);
+        assert_eq!(
+            parse(b"GET http://x/ HTTP/1.1\r\n\r\n")
+                .unwrap_err()
+                .status(),
+            400
+        );
         assert_eq!(parse(b"GET  / HTTP/1.1\r\n\r\n").unwrap_err().status(), 400);
         let (req, _) = must(b"GET / HTTP/1.0\r\n\r\n");
         assert!(!req.keep_alive(), "HTTP/1.0 defaults to close");

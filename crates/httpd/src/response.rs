@@ -17,7 +17,11 @@ pub struct Response {
 impl Response {
     /// An empty response with `status`.
     pub fn new(status: u16) -> Response {
-        Response { status, headers: Vec::new(), body: Vec::new() }
+        Response {
+            status,
+            headers: Vec::new(),
+            body: Vec::new(),
+        }
     }
 
     /// A `text/plain` response.
@@ -100,7 +104,9 @@ mod tests {
     #[test]
     fn serializes_status_headers_and_framing() {
         let mut out = Vec::new();
-        Response::json(202, "{\"ok\":true}").write_to(true, &mut out).unwrap();
+        Response::json(202, "{\"ok\":true}")
+            .write_to(true, &mut out)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 202 Accepted\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -110,6 +116,8 @@ mod tests {
 
         let mut out = Vec::new();
         Response::new(404).write_to(false, &mut out).unwrap();
-        assert!(String::from_utf8(out).unwrap().contains("Connection: close"));
+        assert!(String::from_utf8(out)
+            .unwrap()
+            .contains("Connection: close"));
     }
 }

@@ -112,26 +112,35 @@ pub fn serve(
     let accept = {
         let stop = Arc::clone(&stop);
         let active = Arc::clone(&active);
-        thread::Builder::new().name("httpd-accept".into()).spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
+        thread::Builder::new()
+            .name("httpd-accept".into())
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    active.fetch_add(1, Ordering::SeqCst);
+                    let guard = ActiveGuard(Arc::clone(&active));
+                    let config = config.clone();
+                    let handler = Arc::clone(&handler);
+                    // On spawn failure the closure (and the guard in it) is
+                    // dropped, releasing the connection count.
+                    let _ = thread::Builder::new()
+                        .name("httpd-conn".into())
+                        .spawn(move || {
+                            let _guard = guard;
+                            serve_connection(stream, &config, &handler);
+                        });
                 }
-                let Ok(stream) = stream else { continue };
-                active.fetch_add(1, Ordering::SeqCst);
-                let guard = ActiveGuard(Arc::clone(&active));
-                let config = config.clone();
-                let handler = Arc::clone(&handler);
-                // On spawn failure the closure (and the guard in it) is
-                // dropped, releasing the connection count.
-                let _ = thread::Builder::new().name("httpd-conn".into()).spawn(move || {
-                    let _guard = guard;
-                    serve_connection(stream, &config, &handler);
-                });
-            }
-        })?
+            })?
     };
-    Ok(ServerHandle { addr, stop, active, accept: Some(accept) })
+    Ok(ServerHandle {
+        addr,
+        stop,
+        active,
+        accept: Some(accept),
+    })
 }
 
 /// Serve one connection until close, error, timeout or request cap.
@@ -151,8 +160,7 @@ fn serve_connection(mut stream: TcpStream, config: &ServerConfig, handler: &Hand
                 Ok(Some((request, consumed))) => {
                     buf.drain(..consumed);
                     served += 1;
-                    let keep_alive =
-                        request.keep_alive() && served < config.max_requests_per_conn;
+                    let keep_alive = request.keep_alive() && served < config.max_requests_per_conn;
                     let response = handler(&request);
                     if response.write_to(keep_alive, &mut stream).is_err() || !keep_alive {
                         let _ = stream.shutdown(Shutdown::Both);
@@ -211,9 +219,7 @@ mod tests {
     }
 
     fn echo_handler() -> Handler {
-        Arc::new(|req: &Request| {
-            Response::text(200, format!("{} {}", req.method, req.path()))
-        })
+        Arc::new(|req: &Request| Response::text(200, format!("{} {}", req.method, req.path())))
     }
 
     fn read_all(stream: &mut TcpStream) -> String {
@@ -242,14 +248,18 @@ mod tests {
         let server = start(echo_handler());
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream
-            .write_all(b"POST / HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n")
+            .write_all(
+                b"POST / HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n",
+            )
             .unwrap();
         let text = read_all(&mut stream);
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
 
         // The server survives and keeps serving fresh connections.
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(b"GET /ok HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        stream
+            .write_all(b"GET /ok HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
         assert!(read_all(&mut stream).contains("200 OK"));
         server.shutdown();
     }
@@ -274,7 +284,9 @@ mod tests {
         let addr = server.addr();
         let client = thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            stream
+                .write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
             read_all(&mut stream)
         });
         thread::sleep(Duration::from_millis(10));

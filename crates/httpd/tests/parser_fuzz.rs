@@ -11,7 +11,12 @@ use cb_sim::prop::{bytes, check, one_of, string, vec};
 use cb_sim::{prop_assert, prop_assert_eq};
 
 fn small_limits() -> Limits {
-    Limits { max_start_line: 256, max_head_bytes: 1024, max_headers: 16, max_body: 4096 }
+    Limits {
+        max_start_line: 256,
+        max_head_bytes: 1024,
+        max_headers: 16,
+        max_body: 4096,
+    }
 }
 
 /// The curated fuzz corpus: every historically nasty shape we reject, and
@@ -19,10 +24,22 @@ fn small_limits() -> Limits {
 /// pinned as regressions.
 const REJECT_CORPUS: &[(&[u8], u16)] = &[
     // Smuggling-shaped framing conflicts.
-    (b"POST / HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 400),
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 4\r\n\r\n0\r\n\r\n", 400),
-    (b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd", 400),
-    (b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcd", 400),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        400,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 4\r\n\r\n0\r\n\r\n",
+        400,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
+        400,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcd",
+        400,
+    ),
     (b"POST / HTTP/1.1\r\nContent-Length: 4, 4\r\n\r\nabcd", 400),
     (b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd", 400),
     (b"POST / HTTP/1.1\r\nContent-Length: 0x4\r\n\r\nabcd", 400),
@@ -30,8 +47,14 @@ const REJECT_CORPUS: &[(&[u8], u16)] = &[
     (b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
     // Transfer codings we refuse to guess about.
     (b"POST / HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n", 501),
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked, gzip\r\n\r\n", 501),
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked, gzip\r\n\r\n",
+        501,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n",
+        501,
+    ),
     // Obsolete folding and whitespace games.
     (b"GET / HTTP/1.1\r\nHost: a\r\n b\r\n\r\n", 400),
     (b"GET / HTTP/1.1\r\nHost: a\r\n\tb\r\n\r\n", 400),
@@ -50,10 +73,22 @@ const REJECT_CORPUS: &[(&[u8], u16)] = &[
     (b"GET / HTTP/1.2\r\n\r\n", 505),
     (b"GET / SMTP/1.1\r\n\r\n", 400),
     // Chunked-body corruption.
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", 400),
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhelloX\r\n0\r\n\r\n", 400),
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nFFFFFFFF\r\n", 413),
-    (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n123456789\r\n", 400),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+        400,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhelloX\r\n0\r\n\r\n",
+        400,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nFFFFFFFF\r\n",
+        413,
+    ),
+    (
+        b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n123456789\r\n",
+        400,
+    ),
 ];
 
 #[test]
@@ -78,17 +113,26 @@ fn reject_corpus_maps_to_expected_statuses() {
 fn oversized_inputs_map_to_bounded_statuses() {
     let limits = small_limits();
     let long_uri = [b"GET /".as_slice(), &vec![b'a'; 500], b" HTTP/1.1\r\n\r\n"].concat();
-    assert_eq!(parse_request(&long_uri, &limits), Err(ParseError::UriTooLong));
+    assert_eq!(
+        parse_request(&long_uri, &limits),
+        Err(ParseError::UriTooLong)
+    );
 
     let mut heads = b"GET / HTTP/1.1\r\n".to_vec();
     for i in 0..64 {
         heads.extend_from_slice(format!("X-Pad-{i}: {}\r\n", "v".repeat(32)).as_bytes());
     }
     heads.extend_from_slice(b"\r\n");
-    assert_eq!(parse_request(&heads, &limits), Err(ParseError::HeadersTooLarge));
+    assert_eq!(
+        parse_request(&heads, &limits),
+        Err(ParseError::HeadersTooLarge)
+    );
 
     let body = b"POST / HTTP/1.1\r\nContent-Length: 5000\r\n\r\n".to_vec();
-    assert_eq!(parse_request(&body, &limits), Err(ParseError::PayloadTooLarge));
+    assert_eq!(
+        parse_request(&body, &limits),
+        Err(ParseError::PayloadTooLarge)
+    );
 }
 
 /// Arbitrary bytes: any outcome is fine, panicking is not.
