@@ -728,8 +728,8 @@ impl<'a> CrawlerBox<'a> {
     /// content checksums, frame building) moves off the delivery thread:
     /// the collector only routes bytes the workers already encoded. The
     /// plain [`RecordSink`] path is this pipeline with
-    /// [`NoopEncoder`](crate::sink::NoopEncoder), so the owned-record sink
-    /// path stays the reference oracle for the encoded one.
+    /// [`NoopEncoder`](crate::sink::NoopEncoder), so both entry points
+    /// share one delivery engine.
     pub fn scan_stream_encoded<I, E, S>(&self, messages: I, encoder: &E, sink: &mut S) -> usize
     where
         I: IntoIterator<Item = ReportedMessage>,

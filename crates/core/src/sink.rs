@@ -46,8 +46,7 @@ pub trait RecordEncoder: Sync {
 
 /// The identity encoder: no producer-side work. The plain
 /// [`RecordSink`] path of `scan_stream` is `scan_stream_encoded` with this
-/// encoder, which keeps the owned-record path as the reference oracle for
-/// the encoded one.
+/// encoder.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopEncoder;
 

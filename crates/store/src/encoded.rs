@@ -1,24 +1,24 @@
 //! Producer-side record encoding: the worker half of the group-commit
 //! ingest pipeline.
 //!
-//! On the owned-record path, `StoreSink::accept` performs canonical JSON
-//! serialization, meta derivation and CRC framing on `scan_stream`'s
-//! delivery thread — the serial tail of the pipeline. [`StoreEncoder`]
-//! moves all of that onto the scan workers via
-//! [`scan_stream_encoded`](crawlerbox::CrawlerBox::scan_stream_encoded):
-//! each worker emits an [`EncodedRecord`] carrying the canonical payload
-//! bytes, the pre-built (CRC'd) blob-ref + record frames, the derived
-//! [`RecordMeta`] and the captured artifacts, so the delivery thread
-//! only routes bytes to shards and the store only writes them. A
-//! screenshot captured on a page-key hit stays undrawn here; the store
-//! draws it only if its blob pack lacks the address.
+//! [`StoreEncoder`] runs canonical JSON serialization, meta derivation and
+//! CRC framing on the scan workers via
+//! [`scan_stream_encoded`](crawlerbox::CrawlerBox::scan_stream_encoded),
+//! off `scan_stream`'s delivery thread — the serial tail of the pipeline.
+//! Each worker emits an [`EncodedRecord`] carrying the pre-built (CRC'd)
+//! blob-ref + record frames, the derived [`RecordMeta`] and the captured
+//! artifacts, so the delivery thread only routes bytes to shards and the
+//! store only writes them. A screenshot captured on a page-key hit stays
+//! undrawn here; the store draws it only if its blob pack lacks the
+//! address. [`encode_record`] is the only encoder: [`Store::append`]
+//! runs it too, on the calling thread.
 //!
-//! The encoding is byte-identical to the owned-record path: artifacts are
-//! taken off the record *before* serialization, which changes nothing
-//! because `ScanRecord.artifacts` is `#[serde(skip)]` — the canonical
-//! encoding never contains them. The owned-record `StoreSink` path stays
-//! in place as the reference oracle; `tests/store.rs` asserts both paths
-//! produce bit-identical logs.
+//! Artifacts are taken off the record *before* serialization, which
+//! changes nothing because `ScanRecord.artifacts` is `#[serde(skip)]` —
+//! the canonical encoding never contains them. `tests/store.rs` checks the
+//! stored payloads against `cb_json::to_vec` of a fresh-box reference.
+//!
+//! [`Store::append`]: crate::Store::append
 
 use crate::frame::encode_pair;
 use crate::index::RecordMeta;
@@ -34,8 +34,7 @@ pub struct EncodedRecord {
     /// assigns the shard-local log position at insert.
     pub meta: RecordMeta,
     /// The bytes to append: the blob-ref frame (when artifacts are
-    /// present) followed by the record frame, CRCs included, exactly as
-    /// the owned-record path would build them.
+    /// present) followed by the record frame, CRCs included.
     pub frame: Vec<u8>,
     /// Blob addresses referenced by the frame, in artifact order.
     pub refs: Vec<u128>,
@@ -46,7 +45,7 @@ pub struct EncodedRecord {
 
 /// Encode `record` for the store on the calling (worker) thread, taking
 /// its artifacts (the downstream sink sees the record with artifacts
-/// already shed, exactly like the owned-record `StoreSink` path).
+/// already shed).
 ///
 /// # Errors
 ///
@@ -68,8 +67,7 @@ pub fn encode_record(record: &mut ScanRecord) -> io::Result<EncodedRecord> {
 }
 
 /// The [`RecordEncoder`] that runs [`encode_record`] on every scan worker.
-/// Pair with
-/// [`EncodedStoreSink`](crate::sink::EncodedStoreSink) via
+/// Pair with [`StoreSink`](crate::sink::StoreSink) via
 /// [`scan_stream_encoded`](crawlerbox::CrawlerBox::scan_stream_encoded).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreEncoder;

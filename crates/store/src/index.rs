@@ -6,8 +6,8 @@
 //! fingerprint, screenshot perceptual hash, message class and content
 //! hash — the lookup axes of the paper's longitudinal campaign analysis.
 //! [`RecordMeta::of`] derives every meta from a [`ScanRecord`]: on append
-//! from the record in hand, on recovery from the record decoded out of
-//! its log payload.
+//! in [`encode_record`](crate::encode_record), on recovery from the record
+//! decoded out of its log payload.
 //! Campaign ids are derived, not stored: [`crate::query::cluster_campaigns`]
 //! rebuilds them from these metas with a union-find over shared evidence.
 
@@ -138,16 +138,9 @@ impl StoreIndex {
         StoreIndex::default()
     }
 
-    /// Index `record` as the next log entry; returns its `seq`.
-    pub fn insert(&mut self, record: &ScanRecord) -> usize {
-        let seq = self.metas.len();
-        self.push_meta(RecordMeta::of(seq, record));
-        seq
-    }
-
     /// Append a meta derived elsewhere (by recovery, or by an ingest
     /// worker) as the next log entry, assigning its `seq`; returns that
-    /// seq. The counterpart of [`insert`](Self::insert) for metas.
+    /// seq.
     pub(crate) fn push_recovered(&mut self, mut meta: RecordMeta) -> usize {
         let seq = self.metas.len();
         meta.seq = seq;

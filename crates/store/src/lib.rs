@@ -13,8 +13,9 @@
 //!   each record frame, preceded by the blob-ref frame of its artifacts,
 //!   carries one [`ScanRecord`](crawlerbox::ScanRecord) in its fixed
 //!   canonical encoding (the same `cb_json` byte encoding the determinism
-//!   tests compare), appended in message order via [`StoreSink`] on `scan_stream`'s
-//!   delivery path — so the on-disk bytes are identical across worker counts.
+//!   tests compare), appended in message order via [`StoreSink`] on
+//!   `scan_stream_encoded`'s delivery path — so the on-disk bytes are
+//!   identical across worker counts.
 //! * **Blob pack** — content-addressed artifact bytes (raw messages,
 //!   screenshots) keyed on the pipeline's existing fnv128 hashes,
 //!   deduplicating identical bytes across messages and campaigns, appended
@@ -32,14 +33,14 @@
 //!   turn a repeated scan into a cheap delta scan, and [`Store::repair`]
 //!   returns a quarantined shard to service from its last valid frames.
 //!
-//! The ingest side has two paths (DESIGN.md §14): the owned-record
-//! [`StoreSink`] oracle above, and the group-commit pipeline —
-//! [`StoreEncoder`] encodes records on the scan workers,
-//! [`EncodedStoreSink`] batches them, and
+//! The ingest side has one path (DESIGN.md §14): [`StoreEncoder`]
+//! encodes records on the scan workers, [`StoreSink`] batches them, and
 //! [`Store::append_batch`] fans the pre-built frames out to their shards
-//! in parallel, amortizing the durable barrier over
-//! [`StoreOptions::commit_batch`] records. Both paths produce
-//! bit-identical logs; a record is acked only once a barrier covers it.
+//! in parallel ([`Store::append`] is a one-record batch). The store never
+//! runs a barrier on its own: [`Store::sync`] is its only barrier and ack
+//! point, and the caller owns the cadence — the sink group-commits every
+//! [`StoreOptions::commit_batch`] records, and a record is acked only once
+//! a sync covers it.
 //!
 //! Everything is plain `std` file I/O behind the [`vfs::Vfs`] seam —
 //! [`vfs::FaultVfs`] injects deterministic short writes, fsync failures
@@ -50,7 +51,7 @@
 //! # Example
 //!
 //! ```no_run
-//! use cb_store::{Store, StoreSink};
+//! use cb_store::{Store, StoreEncoder, StoreSink};
 //! use cb_phishgen::{Corpus, CorpusSpec};
 //! use crawlerbox::CrawlerBox;
 //!
@@ -61,7 +62,7 @@
 //!     .with_known_hashes(store.known_hashes()) // delta scan on reopen
 //!     .with_artifact_capture(true);            // feed the blob store
 //! let mut sink = StoreSink::new(store);
-//! cbx.scan_stream(stream, &mut sink);
+//! cbx.scan_stream_encoded(stream, &StoreEncoder, &mut sink);
 //! let (store, ()) = sink.finish().unwrap();
 //! println!("{} records durable", store.len());
 //! ```
@@ -84,7 +85,7 @@ pub use encoded::{encode_record, EncodedRecord, StoreEncoder};
 pub use index::{url_token_scheme, RecordMeta, StoreIndex};
 pub use query::{cluster_campaigns, Campaign, CampaignClusterer};
 pub use shard::{shard_of, RepairReport, Shard, ShardHealth, TornTail};
-pub use sink::{EncodedStoreSink, StoreSink};
+pub use sink::StoreSink;
 pub use store::{
     CompactReport, RecoveryReport, Store, StoreOptions, StoreStats, StoreWatch, VerifyFault,
     VerifyReport,

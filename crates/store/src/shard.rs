@@ -29,8 +29,8 @@
 //!   valid pairs by the same rules.
 //!
 //! A record payload is a record exactly when it decodes as a
-//! [`ScanRecord`] through the workspace's one JSON reader (`cb_json`), the
-//! decode `/records` and `crawl-log` use too. Replay, repair and verify
+//! [`ScanRecord`](crawlerbox::ScanRecord) through the workspace's one JSON
+//! reader (`cb_json`), the decode `/records` and `crawl-log` use too. Replay, repair and verify
 //! all adjudicate payloads that way (the record decode,
 //! [`scan_meta`](crate::metascan::scan_meta)) and keep only the decoded
 //! record's [`RecordMeta`](crate::index::RecordMeta): the index never
@@ -43,7 +43,6 @@ use crate::metascan::scan_meta;
 use crate::segment::{list_segments, segment_file_name, SegmentWriter};
 use crate::store::{corrupt, StoreMetrics, StoreOptions};
 use crate::vfs::Vfs;
-use crawlerbox::ScanRecord;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -486,14 +485,8 @@ impl Shard {
         )
     }
 
-    /// Append one already-encoded record payload with its blob refs.
-    /// Returns the frame bytes written.
-    pub(crate) fn append_payload(&mut self, payload: &[u8], refs: &[u128]) -> io::Result<u64> {
-        self.append_frame(&encode_pair(refs, payload))
-    }
-
-    /// Append one pre-built blob-ref/record frame pair (the encoded ingest
-    /// path: the frame bytes were already built and CRC'd on a scan
+    /// Append one pre-built blob-ref/record frame pair (built and CRC'd
+    /// by [`encode_record`](crate::encode_record), usually on a scan
     /// worker). Returns the frame bytes written.
     pub(crate) fn append_frame(&mut self, frame: &[u8]) -> io::Result<u64> {
         if !self.health.is_healthy() {
@@ -565,16 +558,8 @@ impl Shard {
         Ok(())
     }
 
-    /// Record `record` in the in-memory index (after a successful append).
-    pub(crate) fn index_record(&mut self, record: &ScanRecord, refs: Vec<u128>) -> usize {
-        let seq = self.index.insert(record);
-        self.blob_refs.push(refs);
-        seq
-    }
-
-    /// Record a worker-derived meta in the in-memory index (the encoded
-    /// ingest path's counterpart of [`index_record`](Self::index_record) —
-    /// the shard-local `seq` is assigned here).
+    /// Record a worker-derived meta in the in-memory index after a
+    /// successful append (the shard-local `seq` is assigned here).
     pub(crate) fn index_encoded(&mut self, meta: RecordMeta, refs: Vec<u128>) -> usize {
         let seq = self.index.push_recovered(meta);
         self.blob_refs.push(refs);

@@ -49,7 +49,7 @@
 //! can be lost.
 
 use crate::blob::BlobStore;
-use crate::encoded::EncodedRecord;
+use crate::encoded::{encode_record, EncodedRecord};
 use crate::index::{RecordMeta, StoreIndex};
 use crate::query::{Campaign, CampaignClusterer};
 use crate::shard::{shard_dir_name, shard_of, RepairReport, Shard, ShardHealth, TornTail};
@@ -62,28 +62,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Byte cap on a group commit: in durable ingest mode the barrier also
-/// fires once this many pending frame bytes accumulate, whatever the batch
-/// count says, and [`EncodedStoreSink`](crate::EncodedStoreSink) flushes
-/// its buffer at the same size.
-pub(crate) const COMMIT_MAX_BYTES: u64 = 4 * 1024 * 1024;
-
 /// Tuning and behaviour knobs for [`Store::open_with`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Roll to a fresh segment once the current one reaches this size.
     pub segment_target_bytes: u64,
-    /// Run the durable barrier automatically as records arrive (durable
-    /// ingest mode). Off by default; an explicit [`Store::sync`] is always
-    /// available and `StoreSink` syncs once when finished. With
-    /// [`commit_batch`](StoreOptions::commit_batch) = 1 this is the classic
-    /// fsync-per-append discipline; larger batches group-commit.
-    pub fsync_each_append: bool,
-    /// Group-commit batch size: in durable ingest mode, run the barrier
-    /// once per this many appended records instead of after every one,
-    /// amortizing the pack → index → segment → generation-dir fsync chain.
-    /// A record is **acked** only once a barrier covering it completes.
-    /// 1 (the default) reproduces fsync-per-append exactly.
+    /// Group-commit batch size for a [`StoreSink`](crate::StoreSink):
+    /// records per flush, each flush one [`Store::append_batch`] and one
+    /// [`Store::sync`], amortizing the pack → index → segment →
+    /// generation-dir fsync chain. The store itself never runs a barrier
+    /// on its own; a record is **acked** only once a [`Store::sync`]
+    /// covering it completes. 1 (the default) syncs after every record.
     pub commit_batch: usize,
     /// Shard count for a store created by this open. An existing store's
     /// manifest always wins — the count is fixed at creation.
@@ -97,7 +86,6 @@ impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             segment_target_bytes: 4 * 1024 * 1024,
-            fsync_each_append: false,
             commit_batch: 1,
             shards: 4,
             recovery_workers: std::thread::available_parallelism()
@@ -234,7 +222,8 @@ pub struct StoreStats {
     pub quarantined: usize,
     /// Records appended this session.
     pub appended: u64,
-    /// Append errors this session (each one poisons a `StoreSink`).
+    /// Failed appends this session. A failed [`Store::sync`] is not
+    /// counted here: its caller sees the error.
     pub append_errors: u64,
     /// Group-commit barriers that acked at least one record this session.
     pub commit_batches: u64,
@@ -361,8 +350,6 @@ pub struct Store {
     /// Records appended since the last durable barrier (the unacked
     /// window — a crash may lose exactly these, never an acked record).
     pending_records: u64,
-    /// Frame bytes appended since the last barrier.
-    pending_bytes: u64,
     /// Records acked by a completed barrier this session.
     acked: u64,
     /// Parents of the directories this open created (the root, its
@@ -471,62 +458,20 @@ impl Store {
             metrics,
             m,
             pending_records: 0,
-            pending_bytes: 0,
             acked: 0,
             unsynced_dirs,
         })
     }
 
-    /// Append one record: its artifacts go to the blob store first, then
-    /// the canonically encoded record (preceded by a blob-ref frame when
-    /// artifacts are present) is framed onto its shard's log.
-    ///
-    /// This is the owned-record **reference oracle** of the ingest
-    /// pipeline; [`Store::append_batch`] must produce bit-identical logs.
+    /// Append one record: a one-record [`Store::append_batch`] of its
+    /// [`encode_record`] encoding. Like every append it runs no barrier;
+    /// the record is acked by the next [`Store::sync`].
     ///
     /// # Errors
     ///
-    /// I/O failure writing blobs or the segment, or the record routing to
-    /// a quarantined shard (repair it first, or re-scan after repair).
+    /// Like [`Store::append_batch`].
     pub fn append(&mut self, record: &ScanRecord) -> io::Result<()> {
-        let result = self.append_oracle(record);
-        if result.is_err() {
-            self.m.append_errors.incr();
-        }
-        result
-    }
-
-    fn append_oracle(&mut self, record: &ScanRecord) -> io::Result<()> {
-        let shard_id = shard_of(record.content_hash, self.shards.len());
-        if let Some(e) = self.shards[shard_id].quarantine_refusal() {
-            // Check health before writing blobs, so a refused append has
-            // no side effects.
-            return Err(e);
-        }
-
-        // Blobs before the record frame: recovery must never surface a
-        // record whose artifacts are missing. A crash in this window
-        // leaves orphan blobs for gc_orphan_blobs, never dangling refs.
-        let mut refs = Vec::with_capacity(record.artifacts.len());
-        for artifact in &record.artifacts {
-            self.put_blob(artifact)?;
-            refs.push(artifact.hash);
-        }
-
-        let payload =
-            cb_json::to_vec(record).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let wrote = self.shards[shard_id].append_payload(&payload, &refs)?;
-        self.m.append_records.incr();
-        self.m.append_bytes.add(wrote);
-        self.shards[shard_id].index_record(record, refs);
-        if self.shards[shard_id].segment_full() {
-            // Seal the full segment durably — blobs first, so a frame can
-            // never become durable ahead of the evidence it references.
-            self.blobs.sync()?;
-            self.shards[shard_id].seal_active_segment()?;
-        }
-        self.note_pending(wrote);
-        self.commit_if_due()
+        self.append_batch(vec![encode_record(&mut record.clone())?])
     }
 
     /// Append a batch of records already encoded on scan workers: blob
@@ -537,10 +482,15 @@ impl Store {
     /// same records one by one through [`Store::append`], whatever the
     /// worker count or batch size.
     ///
+    /// The appended records stay pending: the only barrier that acks them
+    /// is the caller's [`Store::sync`]. A segment that fills is still
+    /// sealed durably here, after an fsync of the blob pack.
+    ///
     /// # Errors
     ///
-    /// Like [`Store::append`]; any record routing to a quarantined shard
-    /// refuses the whole batch before side effects.
+    /// I/O failure writing blobs or segments, or any record routing to a
+    /// quarantined shard, which refuses the whole batch before side
+    /// effects (repair the shard first).
     pub fn append_batch(&mut self, batch: Vec<EncodedRecord>) -> io::Result<()> {
         let result = self.append_batch_inner(batch);
         if result.is_err() {
@@ -555,7 +505,7 @@ impl Store {
         }
         let shard_count = self.shards.len();
         // Health pre-check of every target shard: a refused batch has no
-        // side effects (mirrors the oracle's refusal-before-blobs rule).
+        // side effects.
         for rec in &batch {
             if let Some(e) =
                 self.shards[shard_of(rec.meta.content_hash, shard_count)].quarantine_refusal()
@@ -634,9 +584,10 @@ impl Store {
             self.m.append_records.incr();
             self.m.append_bytes.add(wrote_by_pos[pos]);
             self.shards[sid].index_encoded(meta, refs);
-            self.note_pending(wrote_by_pos[pos]);
+            self.pending_records += 1;
+            self.m.append_pending.add(1);
         }
-        self.commit_if_due()
+        Ok(())
     }
 
     /// Put one artifact into the blob pack, counting the write or the
@@ -654,28 +605,6 @@ impl Store {
         Ok(())
     }
 
-    /// Track one appended-but-unacked record.
-    fn note_pending(&mut self, bytes: u64) {
-        self.pending_records += 1;
-        self.pending_bytes += bytes;
-        self.m.append_pending.add(1);
-    }
-
-    /// Whether the pending window must commit now (durable ingest mode
-    /// only): batch count or [`COMMIT_MAX_BYTES`] reached.
-    fn commit_due(&self) -> bool {
-        self.opts.fsync_each_append
-            && (self.pending_records >= self.opts.commit_batch.max(1) as u64
-                || self.pending_bytes >= COMMIT_MAX_BYTES)
-    }
-
-    fn commit_if_due(&mut self) -> io::Result<()> {
-        if self.commit_due() {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
     /// Records appended but not yet acked by a durable barrier.
     pub fn pending_appends(&self) -> u64 {
         self.pending_records
@@ -687,7 +616,8 @@ impl Store {
         self.acked
     }
 
-    /// The configured group-commit batch size.
+    /// The configured group-commit batch size
+    /// ([`StoreOptions::commit_batch`]).
     pub fn commit_batch(&self) -> usize {
         self.opts.commit_batch.max(1)
     }
@@ -710,7 +640,9 @@ impl Store {
     /// them), then every dirty shard's segment and generation directory.
     /// Clean shards and an unchanged pack cost zero fsyncs, so a sync after
     /// a read-only window is free. On success every pending record becomes
-    /// **acked** — this is the group-commit ack point.
+    /// **acked** — this is the store's only barrier and ack point; the
+    /// caller decides its cadence (a [`StoreSink`](crate::StoreSink)
+    /// syncs once per flush).
     ///
     /// # Errors
     ///
@@ -730,7 +662,6 @@ impl Store {
             self.m.append_pending.sub(self.pending_records);
             self.acked += self.pending_records;
             self.pending_records = 0;
-            self.pending_bytes = 0;
         }
         Ok(())
     }

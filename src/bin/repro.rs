@@ -34,10 +34,10 @@
 //!                 run `crawl-log store DIR repair` first.
 //! --store-shards N: shard count when DIR is created (default 4; an
 //!                 existing store's shard count is fixed at creation)
-//! --commit-batch N: durable group-commit ingest: fsync barriers are
-//!                 amortized over batches of N records, and a record is
-//!                 acked only once a barrier covers it. Without this flag
-//!                 the log is made durable once, at the end of the run.
+//! --commit-batch N: group-commit batch size: the store sink appends and
+//!                 fsyncs every N records, and a record is acked only once
+//!                 a barrier covers it (default 256, crawlboxd's burst
+//!                 cap). The stored bytes are the same at every N.
 //!                 Requires --store.
 //! --trace FILE:        write the sim-time span trace as JSONL (full mode:
 //!                      advisory worker/cache fields included)
@@ -60,7 +60,7 @@
 
 use cb_phishgen::{Corpus, CorpusSpec};
 use cb_stats::{Moments, P2Quantile};
-use cb_store::{EncodedStoreSink, Store, StoreEncoder};
+use cb_store::{Store, StoreEncoder, StoreSink};
 use crawlerbox::analysis::{analyze, fault_sweep, AnalysisReport};
 use crawlerbox::{ClassMixSink, CrawlerBox, ExportMode, RecordSink, ScanRecord, TruthLedger};
 
@@ -397,14 +397,12 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
         .with_tracing(args.trace.is_some() || args.trace_chrome.is_some());
     cbx.parallelism = args.workers;
     let store = args.store.as_ref().map(|dir| {
-        // --commit-batch switches on durable group-commit ingest: every
-        // batch ends with the pack → index → segment → watermark barrier
-        // and records are acked batch-at-a-time. Without it the run syncs
-        // once, at finish.
+        // The sink group-commits: every batch of --commit-batch records
+        // ends with the pack → index → segment barrier and is acked at
+        // once. The default is crawlboxd's burst cap.
         let opts = cb_store::StoreOptions {
             shards: args.store_shards,
-            fsync_each_append: args.commit_batch.is_some(),
-            commit_batch: args.commit_batch.unwrap_or(1),
+            commit_batch: args.commit_batch.unwrap_or(256),
             ..Default::default()
         };
         match Store::open_with(std::path::Path::new(dir), opts) {
@@ -453,11 +451,10 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
     let (delivered, store_stats, store_dropped) = match store {
         None => (cbx.scan_stream(stream, &mut sink), None, 0),
         Some(store) => {
-            // The encoded ingest path: records are serialized and framed
-            // on the scan workers, batched by the sink, and fanned out to
-            // their shards in parallel by `append_batch` — bit-identical
-            // on disk to the owned-record oracle path.
-            let mut persisting = EncodedStoreSink::with_inner(store, sink);
+            // Records are serialized and framed on the scan workers,
+            // batched by the sink, and fanned out to their shards in
+            // parallel by `append_batch`.
+            let mut persisting = StoreSink::with_inner(store, sink);
             let delivered = cbx.scan_stream_encoded(stream, &StoreEncoder, &mut persisting);
             let dropped = persisting.dropped() as u64;
             let (store, inner) = match persisting.finish() {

@@ -65,9 +65,9 @@ pub struct DaemonConfig {
     /// Root directory; partitions live at `<root>/part-NN`.
     pub store_root: PathBuf,
     /// Records per [`Store::append_batch`] call while a shard worker drains
-    /// a burst. It does not set the fsync cadence: the partitions run
-    /// without `fsync_each_append`, so the durable barrier runs once per
-    /// drained burst (up to 256 queued tasks) whatever this value is.
+    /// a burst. It does not set the fsync cadence: the store never syncs
+    /// on its own, and the worker calls [`Store::sync`] once per drained
+    /// burst (up to 256 queued tasks) whatever this value is.
     pub commit_batch: usize,
     /// World seed (must match the corpus the messages came from for the
     /// crawls to resolve).
@@ -547,8 +547,9 @@ struct IngestBatch {
 /// Decode the ingest payload: a JSON [`IngestBatch`] when the content type
 /// says JSON, one raw RFC-822 message otherwise.
 fn parse_ingest_body(req: &cb_httpd::Request) -> Result<Vec<String>, &'static str> {
-    let is_json =
-        req.header("content-type").map(|ct| ct.contains("json")).unwrap_or(false);
+    let is_json = req
+        .header("content-type")
+        .is_some_and(|ct| ct.to_ascii_lowercase().contains("json"));
     if is_json {
         let batch: IngestBatch = cb_json::from_slice(&req.body)
             .map_err(|_| "expected {\"messages\": [\"raw\", ...]}")?;

@@ -228,6 +228,14 @@ fn health_metrics_and_route_errors() {
     let repeated = r#"{"messages":["a"],"messages":["b"]}"#;
     assert_eq!(d.post_json("/ingest", repeated).0, 400);
 
+    // Media types are case-insensitive: a JSON batch sent as
+    // `Application/JSON` is two messages, not one raw message of JSON text.
+    let batch = r#"{"messages":["Subject: one\r\n\r\nfirst","Subject: two\r\n\r\nsecond"]}"#;
+    let ct = Some("Application/JSON");
+    let (status, body) = d.request("POST", "/ingest", ct, batch.as_bytes());
+    assert_eq!(status, 202, "{body}");
+    assert_eq!(ingested_tasks(&body).len(), 2, "{body}");
+
     d.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,10 +10,9 @@ use cb_phishgen::{Corpus, CorpusSpec, MessageClass, ReportedMessage};
 use cb_sim::SimTime;
 use cb_store::blob::{index_file_name, pack_file_name};
 use cb_store::{
-    encode_record, shard_of, BlobStore, EncodedStoreSink, RealVfs, Store, StoreEncoder,
-    StoreOptions, StoreSink,
+    encode_record, shard_of, BlobStore, RealVfs, Store, StoreEncoder, StoreOptions, StoreSink,
 };
-use crawlerbox::{ArtifactKind, CapturedArtifact, CrawlerBox, RecordSink, ScanRecord};
+use crawlerbox::{ArtifactKind, CapturedArtifact, CrawlerBox, EncodedSink, ScanRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -106,7 +105,7 @@ fn hash_in_shard(shard: usize, n: usize, salt: u128) -> u128 {
 }
 
 /// The tentpole acceptance check: streaming a corpus through `StoreSink`
-/// writes byte-identical segment files at every worker count, and the
+/// on `scan_stream_encoded` writes byte-identical segment files at every worker count, and the
 /// payloads read back equal to the canonical encoding of the fresh-box
 /// reference (grouped by shard, delivery order within each shard).
 /// Reopening the store reproduces the same log with a clean verify.
@@ -139,7 +138,7 @@ fn store_round_trip_is_byte_identical_across_configs() {
             .with_stream_capacity(4);
         cbx.parallelism = workers;
         let mut sink = StoreSink::new(Store::open(&dir).unwrap());
-        let delivered = cbx.scan_stream(subset.iter().cloned(), &mut sink);
+        let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
         assert_eq!(delivered, subset.len(), "{workers} worker(s)");
         assert_eq!(sink.appended(), subset.len());
         let (mut store, ()) = sink.finish().unwrap();
@@ -174,12 +173,13 @@ fn store_round_trip_is_byte_identical_across_configs() {
     }
 }
 
-/// The group-commit tentpole acceptance: the encoded ingest path
-/// (worker-side encoding via `StoreEncoder`, batched appends via
-/// `EncodedStoreSink`, parallel per-shard fan-out in `append_batch`)
-/// writes segment files byte-identical to the owned-record `StoreSink`
-/// oracle for every worker count × commit batch × shard count, with durable
-/// ingest on, and the same blob pack — and at batch ≥ 16 the barrier is
+/// The group-commit tentpole acceptance: the ingest path (worker-side
+/// encoding via `StoreEncoder`, batched appends and barriers via
+/// `StoreSink`, parallel per-shard fan-out in `append_batch`) writes
+/// segment files byte-identical to an oracle store holding the fresh-box
+/// reference, appended one record at a time, for every worker count ×
+/// commit batch × shard count, and the same blob pack — and at batch ≥ 16
+/// the barrier is
 /// amortized: ingest costs less than half the fsyncs of batch 1 and under
 /// one fsync per record (every fsync counts: pack, index, segments and
 /// directories). Every store then reopens with every record and no
@@ -189,17 +189,21 @@ fn store_round_trip_is_byte_identical_across_configs() {
 fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
     let (corpus, subset) = corpus_subset(13, usize::MAX);
     assert!(subset.len() >= 52, "the 1% corpus: {} records", subset.len());
+    let (reference, _) =
+        common::fresh_box_scan(&corpus.world, &subset, |b| b.with_artifact_capture(true));
     for shards in [1usize, 4, 8] {
-        // Oracle: a one-worker scan through the owned-record reference sink.
+        // Oracle: the fresh-box reference, appended one record at a time.
         let oracle_dir = scratch(&format!("enc-oracle-{shards}"));
-        let opts = StoreOptions { shards, ..StoreOptions::default() };
-        let mut cbx = CrawlerBox::new(&corpus.world)
-            .with_artifact_capture(true)
-            .with_stream_capacity(4);
-        cbx.parallelism = 1;
-        let mut sink = StoreSink::new(Store::open_with(&oracle_dir, opts).unwrap());
-        cbx.scan_stream(subset.iter().cloned(), &mut sink);
-        let (_store, ()) = sink.finish().unwrap();
+        let opts = StoreOptions {
+            shards,
+            ..StoreOptions::default()
+        };
+        let mut store = Store::open_with(&oracle_dir, opts).unwrap();
+        for r in &reference {
+            store.append(r).unwrap();
+        }
+        store.sync().unwrap();
+        drop(store);
         let golden = (segment_bytes(&oracle_dir), pack_bytes(&oracle_dir));
 
         for workers in WORKERS {
@@ -208,7 +212,6 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
                 let dir = scratch(&format!("enc-{shards}-{workers}-{batch}"));
                 let opts = StoreOptions {
                     shards,
-                    fsync_each_append: true,
                     commit_batch: batch,
                     ..StoreOptions::default()
                 };
@@ -218,7 +221,7 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
                 cbx.parallelism = workers;
                 let store = Store::open_with(&dir, opts.clone()).unwrap();
                 let opened_fsyncs = store.stats().fsyncs;
-                let mut sink = EncodedStoreSink::new(store);
+                let mut sink = StoreSink::new(store);
                 let delivered =
                     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
                 assert_eq!(delivered, subset.len(), "{shards} {workers} {batch}");
@@ -298,7 +301,7 @@ fn store_draws_undrawn_screenshots_byte_identically() {
         let cbx = cbx.with_artifact_capture(true);
         let warm = cbx.stats();
         let dir = scratch(&format!("draw-{workers}"));
-        let mut sink = EncodedStoreSink::new(Store::open(&dir).unwrap());
+        let mut sink = StoreSink::new(Store::open(&dir).unwrap());
         let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
         assert_eq!(delivered, subset.len(), "{workers} worker(s)");
         assert_eq!(sink.dropped(), 0);
@@ -346,7 +349,6 @@ fn soak_rounds_through_one_box_and_store_keep_every_message_and_caches_flat() {
     let dir = scratch("soak");
     let opts = StoreOptions {
         shards: 4,
-        fsync_each_append: true,
         commit_batch: 256,
         ..StoreOptions::default()
     };
@@ -368,7 +370,7 @@ fn soak_rounds_through_one_box_and_store_keep_every_message_and_caches_flat() {
                 m
             })
             .collect();
-        let mut sink = EncodedStoreSink::new(store);
+        let mut sink = StoreSink::new(store);
         cbx.scan_stream_encoded(wave, &StoreEncoder, &mut sink);
         let (finished, ()) = sink.finish().unwrap();
         store = finished;
@@ -395,40 +397,72 @@ fn soak_rounds_through_one_box_and_store_keep_every_message_and_caches_flat() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Group-commit ack semantics: in durable ingest mode a record is acked
-/// only once a barrier covering it completes — `commit_batch` records
-/// accumulate pending, then one barrier acks the whole window at once.
+/// Group-commit ack semantics: the caller owns the barrier. Through
+/// `StoreSink` at `commit_batch` = 4, records stay unacked until the 4th
+/// flushes the batch (one append, one sync) and acks all four; `finish`
+/// acks a partial tail. Directly on the store, appends that seal no
+/// segment issue no fsync and only grow the pending window; only `sync`
+/// acks it.
 #[test]
 fn group_commit_acks_records_only_at_batch_barriers() {
     let dir = scratch("ack");
     let opts = StoreOptions {
         shards: 1,
-        fsync_each_append: true,
         commit_batch: 4,
         ..StoreOptions::default()
     };
-    let mut store = Store::open_with(&dir, opts).unwrap();
+    let feed = |sink: &mut StoreSink, id: usize, class: MessageClass| {
+        let mut r = synthetic_record(id, id as u128 + 1, class);
+        let encoded = encode_record(&mut r);
+        sink.accept_encoded(r, encoded);
+    };
+    let mut sink = StoreSink::new(Store::open_with(&dir, opts).unwrap());
     for id in 0..3usize {
-        let mut r = synthetic_record(id, id as u128 + 1, MessageClass::NoResource);
-        store.append_batch(vec![encode_record(&mut r).unwrap()]).unwrap();
+        feed(&mut sink, id, MessageClass::NoResource);
     }
-    assert_eq!(store.pending_appends(), 3, "below the batch size nothing commits");
-    assert_eq!(store.acked_appends(), 0);
+    assert_eq!(
+        sink.store().acked_appends(),
+        0,
+        "below the batch size nothing commits"
+    );
+    assert_eq!(
+        sink.store().pending_appends(),
+        0,
+        "nothing is appended before the flush"
+    );
 
-    let mut r = synthetic_record(3, 4, MessageClass::ErrorPage);
-    store.append_batch(vec![encode_record(&mut r).unwrap()]).unwrap();
-    assert_eq!(store.pending_appends(), 0, "the 4th record trips the barrier");
-    assert_eq!(store.acked_appends(), 4);
-    let stats = store.stats();
-    assert_eq!(stats.commit_batches, 1);
+    feed(&mut sink, 3, MessageClass::ErrorPage);
+    assert_eq!(
+        sink.store().acked_appends(),
+        4,
+        "the 4th record flushes the batch"
+    );
+    assert_eq!(sink.store().pending_appends(), 0);
+    assert_eq!(sink.store().stats().commit_batches, 1);
+    assert_eq!(sink.appended(), 4);
 
-    // An explicit sync acks a partial window too.
-    let mut r = synthetic_record(4, 5, MessageClass::Download);
-    store.append_batch(vec![encode_record(&mut r).unwrap()]).unwrap();
-    assert_eq!(store.pending_appends(), 1);
-    store.sync().unwrap();
+    // `finish` flushes and acks a partial tail.
+    feed(&mut sink, 4, MessageClass::Download);
+    assert_eq!(sink.store().acked_appends(), 4);
+    let (mut store, ()) = sink.finish().unwrap();
     assert_eq!((store.pending_appends(), store.acked_appends()), (0, 5));
     assert_eq!(store.stats().commit_batches, 2);
+
+    // The store itself never syncs: appends that seal no segment leave
+    // the fsync count flat and the pending window growing.
+    let fsyncs = store.stats().fsyncs;
+    for id in 5..8usize {
+        let mut r = synthetic_record(id, id as u128 + 1, MessageClass::NoResource);
+        store
+            .append_batch(vec![encode_record(&mut r).unwrap()])
+            .unwrap();
+        assert_eq!(store.pending_appends(), (id - 4) as u64);
+    }
+    assert_eq!(store.stats().fsyncs, fsyncs, "append_batch runs no barrier");
+    assert_eq!(store.acked_appends(), 5);
+    store.sync().unwrap();
+    assert_eq!((store.pending_appends(), store.acked_appends()), (0, 8));
+    assert_eq!(store.stats().commit_batches, 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -454,8 +488,6 @@ fn batch_one_and_batch_256_logs_identical_after_compaction() {
         let dir = scratch(&format!("cbatch-{batch}"));
         let opts = StoreOptions {
             shards,
-            fsync_each_append: true,
-            commit_batch: batch,
             ..StoreOptions::default()
         };
         let mut store = Store::open_with(&dir, opts).unwrap();
@@ -466,6 +498,7 @@ fn batch_one_and_batch_256_logs_identical_after_compaction() {
         if batch == 1 {
             for enc in encoded {
                 store.append_batch(vec![enc]).unwrap();
+                store.sync().unwrap();
             }
         } else {
             store.append_batch(encoded).unwrap();
@@ -540,7 +573,7 @@ fn sync_after_read_only_window_performs_zero_fsyncs() {
 
 /// Poison-surfacing satellite: a failed append poisons the sink, later
 /// records are dropped (and counted), and the store's `append_errors`
-/// counter surfaces the failure in `stats()`.
+/// counter surfaces the failed append in `stats()`.
 #[test]
 fn poisoned_sink_surfaces_drop_count_and_error_counter() {
     let dir = scratch("poison");
@@ -566,7 +599,13 @@ fn poisoned_sink_surfaces_drop_count_and_error_counter() {
     // First record routes to the quarantined shard: append fails, the
     // sink poisons. The next two are dropped without touching the store.
     for id in 0..3usize {
-        sink.accept(synthetic_record(20 + id, hash_in_shard(1, shards, 500 + id as u128), MessageClass::Download));
+        let mut r = synthetic_record(
+            20 + id,
+            hash_in_shard(1, shards, 500 + id as u128),
+            MessageClass::Download,
+        );
+        let encoded = encode_record(&mut r);
+        sink.accept_encoded(r, encoded);
     }
     assert_eq!(sink.appended(), 0);
     assert_eq!(sink.dropped(), 3);
@@ -588,7 +627,7 @@ fn torn_tail_is_truncated_and_incremental_rescan_fills_the_gap() {
         .with_artifact_capture(true)
         .with_stream_capacity(4);
     let mut sink = StoreSink::new(Store::open_with(&dir, one_shard()).unwrap());
-    cbx.scan_stream(subset.iter().cloned(), &mut sink);
+    cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
     let (store, ()) = sink.finish().unwrap();
     let total = store.len();
     assert_eq!(total, subset.len());
@@ -626,7 +665,7 @@ fn torn_tail_is_truncated_and_incremental_rescan_fills_the_gap() {
         .with_known_hashes(known)
         .with_stream_capacity(4);
     let mut sink = StoreSink::new(store);
-    let delivered = cbx.scan_stream(subset.iter().cloned(), &mut sink);
+    let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
     assert_eq!(delivered, 1, "only the lost record is rescanned");
     assert_eq!(cbx.stats().skipped_known, (total - 1) as u64);
     let (mut store, ()) = sink.finish().unwrap();
@@ -1000,7 +1039,7 @@ fn campaign_clustering_runs_from_a_reopened_store() {
         .with_artifact_capture(true)
         .with_stream_capacity(8);
     let mut sink = StoreSink::new(Store::open(&dir).unwrap());
-    cbx.scan_stream(subset.iter().cloned(), &mut sink);
+    cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
     let (store, ()) = sink.finish().unwrap();
     drop(store);
 
@@ -1056,7 +1095,7 @@ fn crawl_log_cli_store_queries_run_clean() {
         .with_artifact_capture(true)
         .with_stream_capacity(4);
     let mut sink = StoreSink::new(Store::open(&dir).unwrap());
-    cbx.scan_stream(subset.iter().cloned(), &mut sink);
+    cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
     let (store, ()) = sink.finish().unwrap();
     drop(store);
 
@@ -1136,7 +1175,7 @@ fn crawl_log_cli_store_subcommand_goldens() {
     let dir = scratch("cli-goldens");
     let cbx = CrawlerBox::new(&corpus.world);
     let mut sink = StoreSink::new(Store::open(&dir).unwrap());
-    cbx.scan_stream(subset.iter().cloned(), &mut sink);
+    cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
     drop(sink.finish().unwrap());
     let dir_arg = dir.to_str().unwrap().to_string();
 

@@ -8,8 +8,8 @@
 //! rolled back), the store is reopened, and the sweep asserts the
 //! recovery contract:
 //!
-//! * no acknowledged record is ever lost (an ack is an append under
-//!   `fsync_each_append`),
+//! * no acknowledged record is ever lost (an ack is an append followed
+//!   by a completed `Store::sync`),
 //! * crash artifacts never quarantine a shard (quarantine is for real
 //!   corruption, not power cuts),
 //! * a crash between blob write and frame append leaves at worst an
@@ -21,9 +21,10 @@
 //! `CB_CHAOS_SHARDS` pins a single shard count (default: sweep 1 and 4)
 //! and `CB_CHAOS_BATCH` pins a single group-commit batch size (default:
 //! sweep 1 and 16); CI runs the sweep across seeds, shard counts and
-//! batch sizes. Under group commit an append is **acked** only once a
-//! barrier covers it (`Store::pending_appends` drops to zero), and the
-//! sweep's lost-record assertion tracks exactly that watermark.
+//! batch sizes. The store never runs a barrier on its own: the drivers
+//! here call `Store::sync` after each append, as `StoreSink` does after
+//! each flush, and a record is **acked** only once such a sync covers it.
+//! The sweep's lost-record assertion tracks exactly that watermark.
 
 use cb_artifacts::fingerprint::fnv128;
 use cb_phishgen::MessageClass;
@@ -32,9 +33,9 @@ use cb_store::blob::{index_file_name, pack_file_name, INDEX_ENTRY_LEN, PACK_HEAD
 use cb_store::vfs::VfsFile;
 use cb_store::{
     encode_record, BlobStore, FaultVfs, IoFaultKind, IoFaultPlan, RealVfs, Store, StoreOptions,
-    Vfs,
+    StoreSink, Vfs,
 };
-use crawlerbox::{ArtifactKind, CapturedArtifact, ScanRecord};
+use crawlerbox::{ArtifactKind, CapturedArtifact, EncodedSink, ScanRecord};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -50,14 +51,11 @@ fn scratch(tag: &str) -> PathBuf {
 /// Deterministic sweep options: single-threaded recovery (so the mutating
 /// op sequence is identical across probe and crash runs — one worker also
 /// inlines the batch-append fan-out), a small segment target (so the
-/// sweep crosses segment seals and rolls), and `fsync_each_append` with
-/// the given group-commit batch size (so the ack watermark is exercised:
-/// at `batch` = 1 every `Ok` append is an acknowledged record, at larger
-/// batches only a completed barrier acks the window).
+/// sweep crosses segment seals and rolls), and the given group-commit
+/// batch size.
 fn sweep_opts(shards: usize, batch: usize) -> StoreOptions {
     StoreOptions {
         segment_target_bytes: 256,
-        fsync_each_append: true,
         commit_batch: batch,
         shards,
         recovery_workers: 1,
@@ -65,31 +63,23 @@ fn sweep_opts(shards: usize, batch: usize) -> StoreOptions {
 }
 
 /// Drive `records` into `store` through the group-commit ingest path in
-/// `batch`-sized chunks, stopping at the first I/O error, then run one
-/// final explicit barrier for any partial window. Returns the content
+/// `batch`-sized chunks, each one `append_batch` and one barrier
+/// (`Store::sync`), stopping at the first I/O error. Returns the content
 /// hashes that were **acked** — covered by a completed durable barrier —
 /// when the run ended. A crash may lose anything beyond these, never one
 /// of them.
 fn ingest_acked(store: &mut Store, records: &[ScanRecord], batch: usize) -> Vec<u128> {
     let mut acked = Vec::new();
-    let mut pending = Vec::new();
-    'run: for chunk in records.chunks(batch.max(1)) {
+    for chunk in records.chunks(batch.max(1)) {
         let mut encoded = Vec::with_capacity(chunk.len());
         for r in chunk {
             encoded.push(encode_record(&mut r.clone()).expect("canonical encoding"));
         }
-        match store.append_batch(encoded) {
-            Ok(()) => {
-                pending.extend(chunk.iter().map(|r| r.content_hash));
-                if store.pending_appends() == 0 {
-                    acked.append(&mut pending);
-                }
-            }
-            Err(_) => break 'run,
+        let appended = store.append_batch(encoded);
+        if appended.and_then(|()| store.sync()).is_err() {
+            break;
         }
-    }
-    if !pending.is_empty() && store.sync().is_ok() {
-        acked.append(&mut pending);
+        acked.extend(chunk.iter().map(|r| r.content_hash));
     }
     acked
 }
@@ -261,8 +251,8 @@ fn crash_point_sweep_loses_no_acked_records() {
 }
 
 /// Group-commit ack semantics under crashes, pinned at batch boundaries:
-/// with `commit_batch` = 3 every `Ok` batch append whose barrier
-/// completed is an acked *batch*, and a crash anywhere in the run must
+/// with batches of 3, every batch append whose barrier completed is an
+/// acked *batch*, and a crash anywhere in the run must
 /// recover either the whole batch or (if unacked) any prefix of it —
 /// acked batches are all-or-nothing, and the single-shard log recovers as
 /// an exact prefix of the append order (frames are never reordered or
@@ -298,8 +288,8 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
             Ok(mut store) => acked = ingest_acked(&mut store, &records, batch),
         }
         assert!(fault.crashed(), "crash point {crash_at}/{ops} was never reached");
-        // The helper acks whole batches only: a partial window is acked
-        // by the trailing sync, which this run never completed.
+        // The helper acks whole batches only: each ack is a completed
+        // barrier over one 3-record batch.
         assert_eq!(acked.len() % batch, 0, "crash {crash_at}: torn ack watermark");
         fault.apply_crash().unwrap();
 
@@ -356,6 +346,7 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(1, 1), probe_vfs).unwrap();
     store.append(record).unwrap();
+    store.sync().unwrap();
     drop(store);
     std::fs::remove_dir_all(&probe_dir).unwrap();
     let segment_fsync_op = probe.ops() - 1;
@@ -368,7 +359,8 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
         let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, segment_fsync_op));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, sweep_opts(1, 1), vfs).unwrap();
-        store.append(record).unwrap_err();
+        store.append(record).unwrap();
+        store.sync().unwrap_err();
         drop(store);
         fault.apply_crash().unwrap();
 
@@ -421,7 +413,7 @@ fn transient_io_faults_fail_appends_without_corrupting_the_log() {
         Err(_) => {} // creation itself may fault; nothing was acked
         Ok(mut store) => {
             for r in &records {
-                if store.append(r).is_ok() {
+                if store.append(r).and_then(|()| store.sync()).is_ok() {
                     acked.push(r.content_hash);
                 }
             }
@@ -444,6 +436,7 @@ fn store_with_orphans(dir: &Path) -> Vec<u128> {
     let mut store = Store::open_with(dir, sweep_opts(2, 1)).unwrap();
     for r in chaos_records() {
         store.append(&r).unwrap();
+        store.sync().unwrap();
     }
     drop(store);
     let mut blobs = BlobStore::open(RealVfs::arc(), dir).unwrap();
@@ -549,8 +542,8 @@ fn store_with_duplicates(dir: &Path) {
             r.message_id += 100;
         }
         store.append(&r).unwrap();
+        store.sync().unwrap();
     }
-    store.sync().unwrap();
 }
 
 /// Compaction rewrites the log into a new generation and swaps the shard's
@@ -772,7 +765,8 @@ fn transient_pack_append_fault_fails_only_that_batch() {
         let mut failed = Vec::new();
         for (i, r) in records.iter().enumerate() {
             let encoded = encode_record(&mut r.clone()).unwrap();
-            if store.append_batch(vec![encoded]).is_err() {
+            let appended = store.append_batch(vec![encoded]);
+            if appended.and_then(|()| store.sync()).is_err() {
                 failed.push(i);
             }
         }
@@ -780,6 +774,7 @@ fn transient_pack_append_fault_fails_only_that_batch() {
         assert!(store.verify().unwrap().is_clean(), "{kind:?}: no torn bytes left in the pack");
         let retry = encode_record(&mut records[1].clone()).unwrap();
         store.append_batch(vec![retry]).unwrap();
+        store.sync().unwrap();
         assert_eq!(store.pending_appends(), 0);
         drop(store);
 
@@ -826,7 +821,9 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap();
     store.append_batch(encode(first)).unwrap();
+    store.sync().unwrap();
     store.append_batch(encode(second)).unwrap();
+    store.sync().unwrap();
     assert_eq!(store.pending_appends(), 0);
     drop(store);
     std::fs::remove_dir_all(&probe_dir).unwrap();
@@ -839,7 +836,9 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, opts(), vfs).unwrap();
         store.append_batch(encode(first)).unwrap();
-        store.append_batch(encode(second)).unwrap_err();
+        store.sync().unwrap();
+        store.append_batch(encode(second)).unwrap();
+        store.sync().unwrap_err();
         drop(store);
         fault.apply_crash().unwrap();
 
@@ -874,4 +873,97 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
         }
     }
     assert!(seen, "no seed in 0..512 left an index entry past the pack's end");
+}
+
+/// A crash at the second flush's pack fsync poisons a `StoreSink`: the
+/// failed barrier surfaces as the sink's error, the batch it carried and
+/// every later record are counted dropped, and `finish` fails. After the
+/// power cut the store reopens without quarantine and holds every record
+/// the first flush acked.
+#[test]
+fn failed_flush_barrier_poisons_the_sink() {
+    let records = chaos_records();
+    // Flushes of two records, with segments large enough that no seal
+    // syncs the pack early; the second flush's barrier ends with: pack
+    // fsync, index fsync, segment fsync.
+    let opts = || StoreOptions {
+        segment_target_bytes: 1 << 20,
+        ..sweep_opts(1, 2)
+    };
+    let feed = |sink: &mut StoreSink, record: &ScanRecord| {
+        let mut record = record.clone();
+        let encoded = encode_record(&mut record);
+        sink.accept_encoded(record, encoded);
+    };
+    let probe_dir = scratch("flushfail-probe");
+    let probe = FaultVfs::new(IoFaultPlan::counting(0));
+    let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
+    let mut sink = StoreSink::new(Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap());
+    for r in &records[..4] {
+        feed(&mut sink, r);
+    }
+    assert_eq!(
+        sink.store().acked_appends(),
+        4,
+        "two flushes ack four records"
+    );
+    let pack_fsync_op = probe.ops() - 2;
+    drop(sink);
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+
+    let dir = scratch("flushfail");
+    let fault = FaultVfs::new(IoFaultPlan::crash_at(0, pack_fsync_op));
+    let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
+    let mut sink = StoreSink::new(Store::open_with_vfs(&dir, opts(), vfs).unwrap());
+    for r in &records[..2] {
+        feed(&mut sink, r);
+    }
+    assert!(sink.error().is_none() && !fault.crashed());
+    assert_eq!(sink.store().acked_appends(), 2, "the first flush acks");
+    for r in &records[2..4] {
+        feed(&mut sink, r);
+    }
+    assert!(
+        fault.crashed(),
+        "the second flush must reach its pack fsync"
+    );
+    assert!(sink.error().is_some(), "a failed barrier poisons the sink");
+    assert_eq!(
+        sink.store().acked_appends(),
+        2,
+        "a failed barrier acks nothing"
+    );
+    assert_eq!(sink.dropped(), 2, "the failed flush's batch is dropped");
+    for r in &records[4..] {
+        feed(&mut sink, r);
+    }
+    assert_eq!(
+        sink.dropped(),
+        records.len() - 2,
+        "later records are dropped"
+    );
+    assert_eq!(sink.appended(), 2);
+    assert_eq!(
+        sink.store().stats().append_errors,
+        0,
+        "a failed barrier is the sink's error, not a failed append"
+    );
+    assert!(sink.finish().is_err(), "finish surfaces the failed barrier");
+    fault.apply_crash().unwrap();
+
+    let mut store = Store::open_with(&dir, opts()).unwrap();
+    assert!(
+        store.recovery().quarantined.is_empty(),
+        "a crash never quarantines"
+    );
+    for r in &records[..2] {
+        assert!(
+            store.contains_hash(r.content_hash),
+            "record {} acked by the first flush was lost",
+            r.message_id
+        );
+    }
+    assert!(store.verify().unwrap().is_clean());
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
