@@ -26,8 +26,16 @@ fn b64_encode(data: &[u8]) -> String {
         let t = ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32;
         out.push(A[(t >> 18) as usize & 63] as char);
         out.push(A[(t >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 { A[(t >> 6) as usize & 63] as char } else { '=' });
-        out.push(if chunk.len() > 2 { A[t as usize & 63] as char } else { '=' });
+        out.push(if chunk.len() > 1 {
+            A[(t >> 6) as usize & 63] as char
+        } else {
+            '='
+        });
+        out.push(if chunk.len() > 2 {
+            A[t as usize & 63] as char
+        } else {
+            '='
+        });
     }
     out
 }
@@ -141,7 +149,14 @@ impl RecordingHost {
 }
 
 const GLOBALS: &[&str] = &[
-    "navigator", "console", "document", "window", "location", "screen", "Intl", "Date",
+    "navigator",
+    "console",
+    "document",
+    "window",
+    "location",
+    "screen",
+    "Intl",
+    "Date",
 ];
 
 impl Host for RecordingHost {
@@ -180,13 +195,12 @@ impl Host for RecordingHost {
         args: &[Value],
     ) -> Result<Value, ScriptError> {
         match (object, method) {
-            ("console", "log") | ("console", "warn") | ("console", "error")
-            | ("console", "info") | ("console", "debug") => {
-                let line = args
-                    .iter()
-                    .map(Value::as_str)
-                    .collect::<Vec<_>>()
-                    .join(" ");
+            ("console", "log")
+            | ("console", "warn")
+            | ("console", "error")
+            | ("console", "info")
+            | ("console", "debug") => {
+                let line = args.iter().map(Value::as_str).collect::<Vec<_>>().join(" ");
                 self.console.push(line);
                 Ok(Value::Null)
             }
@@ -233,9 +247,8 @@ impl Host for RecordingHost {
             }
             "atob" => {
                 let input = args.first().map(Value::as_str).unwrap_or_default();
-                let decoded = b64_decode(&input).ok_or_else(|| {
-                    ScriptError::TypeError("atob: invalid base64".to_string())
-                })?;
+                let decoded = b64_decode(&input)
+                    .ok_or_else(|| ScriptError::TypeError("atob: invalid base64".to_string()))?;
                 Ok(Value::Str(String::from_utf8_lossy(&decoded).into_owned()))
             }
             "btoa" => {
@@ -244,11 +257,7 @@ impl Host for RecordingHost {
             }
             "setTimeout" | "setInterval" | "sleep" => {
                 // The delay is the *last* numeric arg in JS signatures.
-                let delay = args
-                    .iter()
-                    .rev()
-                    .find_map(Value::as_num)
-                    .unwrap_or(0.0);
+                let delay = args.iter().rev().find_map(Value::as_num).unwrap_or(0.0);
                 self.timers.push(delay);
                 Ok(Value::Num(self.timers.len() as f64))
             }

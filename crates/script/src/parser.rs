@@ -360,7 +360,9 @@ mod tests {
         };
         // Expect Or(a, And(b, c))
         match init {
-            Expr::Binary { op: BinOp::Or, rhs, .. } => {
+            Expr::Binary {
+                op: BinOp::Or, rhs, ..
+            } => {
                 assert!(matches!(**rhs, Expr::Binary { op: BinOp::And, .. }));
             }
             other => panic!("{other:?}"),
@@ -374,7 +376,11 @@ mod tests {
             panic!()
         };
         match init {
-            Expr::Binary { op: BinOp::Add, rhs, .. } => {
+            Expr::Binary {
+                op: BinOp::Add,
+                rhs,
+                ..
+            } => {
                 assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
             }
             other => panic!("{other:?}"),

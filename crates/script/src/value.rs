@@ -74,12 +74,10 @@ impl Value {
                     _ => false,
                 }
             }
-            (Value::Bool(_), _) | (_, Value::Bool(_)) => {
-                match (self.as_num(), other.as_num()) {
-                    (Some(a), Some(b)) => a == b,
-                    _ => false,
-                }
-            }
+            (Value::Bool(_), _) | (_, Value::Bool(_)) => match (self.as_num(), other.as_num()) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            },
             _ => false,
         }
     }
