@@ -18,8 +18,8 @@
 //! reads as a fresh one. The bandit discovers this, it is not told.
 
 use cb_browser::{Browser, CrawlerProfile};
-use cb_netsim::IpClass;
 use cb_json::{Deserialize, Serialize};
+use cb_netsim::IpClass;
 
 /// Mobile-Chrome UA used by the mobile arms. Contains `Android`/`Mobile`
 /// (passes kit-side mobile filters) while still claiming Chrome, so the
@@ -74,7 +74,12 @@ impl Arm {
             for egress in IpClass::ALL {
                 for patience_secs in PATIENCE_LEVELS {
                     for interact in [true, false] {
-                        arms.push(Arm { ua, egress, patience_secs, interact });
+                        arms.push(Arm {
+                            ua,
+                            egress,
+                            patience_secs,
+                            interact,
+                        });
                     }
                 }
             }
@@ -121,7 +126,11 @@ impl Arm {
             self.ua.label(),
             self.egress,
             self.patience_secs,
-            if self.interact { "interact" } else { "no-interact" },
+            if self.interact {
+                "interact"
+            } else {
+                "no-interact"
+            },
         )
     }
 
@@ -155,16 +164,28 @@ impl Arm {
 pub fn canonical_probes() -> Vec<usize> {
     [
         Arm::notabot(),
-        Arm { ua: UaFamily::Mobile, ..Arm::notabot() },
-        Arm { patience_secs: 300, ..Arm::notabot() },
-        Arm { egress: IpClass::Residential, ..Arm::notabot() },
+        Arm {
+            ua: UaFamily::Mobile,
+            ..Arm::notabot()
+        },
+        Arm {
+            patience_secs: 300,
+            ..Arm::notabot()
+        },
+        Arm {
+            egress: IpClass::Residential,
+            ..Arm::notabot()
+        },
         Arm {
             ua: UaFamily::Mobile,
             egress: IpClass::Residential,
             patience_secs: 300,
             interact: true,
         },
-        Arm { egress: IpClass::Datacenter, ..Arm::notabot() },
+        Arm {
+            egress: IpClass::Datacenter,
+            ..Arm::notabot()
+        },
     ]
     .iter()
     .map(Arm::index)
@@ -205,7 +226,10 @@ mod tests {
 
     #[test]
     fn mobile_arm_reads_as_mobile_but_keeps_notabot_tells() {
-        let arm = Arm { ua: UaFamily::Mobile, ..Arm::notabot() };
+        let arm = Arm {
+            ua: UaFamily::Mobile,
+            ..Arm::notabot()
+        };
         let fp = arm.browser().fingerprint().clone();
         assert!(fp.user_agent.contains("Android"));
         assert!(!fp.webdriver_visible);

@@ -26,9 +26,9 @@
 
 use crate::arms::{canonical_probes, Arm};
 use crate::verdict::CloakVerdict;
-use cb_sim::rng::StdRng;
-use cb_sim::rng::Rng;
 use cb_json::{Deserialize, Serialize};
+use cb_sim::rng::Rng;
+use cb_sim::rng::StdRng;
 use std::collections::BTreeMap;
 
 /// Pull/win tallies for one arm.
@@ -81,7 +81,9 @@ impl Default for Policy {
 impl Policy {
     /// A fresh policy over the full arm space.
     pub fn new() -> Policy {
-        Policy { arms: vec![ArmStats::default(); Arm::space().len()] }
+        Policy {
+            arms: vec![ArmStats::default(); Arm::space().len()],
+        }
     }
 
     /// Total visits this policy has observed.
@@ -130,8 +132,9 @@ impl Policy {
 
         // Candidates: untried-in-this-race first; if the race exhausted
         // the space (budget > 32), everything is back on the table.
-        let mut cands: Vec<usize> =
-            (0..space.len()).filter(|i| !race.tried.contains(i)).collect();
+        let mut cands: Vec<usize> = (0..space.len())
+            .filter(|i| !race.tried.contains(i))
+            .collect();
         if cands.is_empty() {
             cands = (0..space.len()).collect();
         }
@@ -142,9 +145,9 @@ impl Policy {
                 .iter()
                 .copied()
                 .filter(|&i| {
-                    race.uncloaked_arms.iter().all(|&w| {
-                        space[i].ua != space[w].ua || space[i].egress != space[w].egress
-                    })
+                    race.uncloaked_arms
+                        .iter()
+                        .all(|&w| space[i].ua != space[w].ua || space[i].egress != space[w].egress)
                 })
                 .collect();
             if !rotated.is_empty() {
@@ -260,8 +263,11 @@ mod tests {
         let mut policy = Policy::new();
         let winner = canonical_probes()[1];
         for i in canonical_probes() {
-            let verdict =
-                if i == winner { CloakVerdict::Uncloaked } else { CloakVerdict::BenignDecoy };
+            let verdict = if i == winner {
+                CloakVerdict::Uncloaked
+            } else {
+                CloakVerdict::BenignDecoy
+            };
             policy.observe(i, verdict);
         }
         assert_eq!(policy.champion(), winner);
@@ -273,7 +279,10 @@ mod tests {
                 policy.select(&RaceState::default(), &mut r) == winner
             })
             .count();
-        assert!(exploits >= 60, "greedy path must dominate, got {exploits}/100");
+        assert!(
+            exploits >= 60,
+            "greedy path must dominate, got {exploits}/100"
+        );
     }
 
     #[test]
@@ -281,7 +290,9 @@ mod tests {
         let mut memory = PolicyMemory::default();
         let mut policy = Policy::new();
         policy.observe(3, CloakVerdict::Uncloaked);
-        memory.cells.insert(PolicyMemory::key("qr-mobile-gate", 8), policy);
+        memory
+            .cells
+            .insert(PolicyMemory::key("qr-mobile-gate", 8), policy);
         let bytes = cb_json::to_vec(&memory).unwrap();
         let back: PolicyMemory = cb_json::from_slice(&bytes).unwrap();
         assert_eq!(back, memory);

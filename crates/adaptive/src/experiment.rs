@@ -20,12 +20,12 @@
 use crate::arms::Arm;
 use crate::bandit::{Policy, PolicyMemory, RaceState};
 use crate::verdict::{classify, CloakVerdict};
+use cb_json::{Deserialize, Serialize};
 use cb_netsim::{FaultPlan, Internet};
 use cb_phishkit::{Brand, C2Server, CloakConfig, CounterCloak, PhishingSite, ServerCloak};
 use cb_sim::{SeedFork, SimTime};
 use cb_telemetry::{Determinism, MetricsRegistry, Trace};
 use crawlerbox::CrawlerBox;
-use cb_json::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -52,13 +52,20 @@ pub fn families() -> Vec<FamilySpec> {
     let base = CloakConfig::none();
     vec![
         // No cloaking at all: the control row where fixed NotABot ties.
-        FamilySpec { name: "open-door", waf: false, cloak: base.clone() },
+        FamilySpec {
+            name: "open-door",
+            waf: false,
+            cloak: base.clone(),
+        },
         // QR-code campaign: mobile User-Agents only.
         FamilySpec {
             name: "qr-mobile-gate",
             waf: false,
             cloak: CloakConfig {
-                server: ServerCloak { mobile_ua_only: true, ..ServerCloak::default() },
+                server: ServerCloak {
+                    mobile_ua_only: true,
+                    ..ServerCloak::default()
+                },
                 ..base.clone()
             },
         },
@@ -67,7 +74,10 @@ pub fn families() -> Vec<FamilySpec> {
             name: "patient-reveal",
             waf: false,
             cloak: CloakConfig {
-                counter: CounterCloak { reveal_delay_secs: 120, ..CounterCloak::default() },
+                counter: CounterCloak {
+                    reveal_delay_secs: 120,
+                    ..CounterCloak::default()
+                },
                 ..base.clone()
             },
         },
@@ -94,7 +104,10 @@ pub fn families() -> Vec<FamilySpec> {
                     turnstile: true,
                     ..cb_phishkit::ClientCloak::default()
                 },
-                counter: CounterCloak { profile_burn_after: 1, ..CounterCloak::default() },
+                counter: CounterCloak {
+                    profile_burn_after: 1,
+                    ..CounterCloak::default()
+                },
                 ..base.clone()
             },
         },
@@ -103,7 +116,10 @@ pub fn families() -> Vec<FamilySpec> {
             name: "egress-burn",
             waf: false,
             cloak: CloakConfig {
-                counter: CounterCloak { egress_burn_after: 1, ..CounterCloak::default() },
+                counter: CounterCloak {
+                    egress_burn_after: 1,
+                    ..CounterCloak::default()
+                },
                 ..base
             },
         },
@@ -209,7 +225,10 @@ pub struct AdaptiveRun {
 impl AdaptiveReport {
     /// Paired `(fixed, adaptive)` outcomes for each `(family, budget)`.
     pub fn pairs(&self) -> Vec<(&CellOutcome, &CellOutcome)> {
-        self.cells.chunks(2).map(|pair| (&pair[0], &pair[1])).collect()
+        self.cells
+            .chunks(2)
+            .map(|pair| (&pair[0], &pair[1]))
+            .collect()
     }
 
     /// Families where adaptive wins strictly more campaigns than fixed at
@@ -247,8 +266,7 @@ impl AdaptiveReport {
                 std::cmp::Ordering::Less => "fixed",
                 std::cmp::Ordering::Equal => "tie",
             };
-            let mean_visits =
-                f64::from(adaptive.visits) / f64::from(adaptive.campaigns.max(1));
+            let mean_visits = f64::from(adaptive.visits) / f64::from(adaptive.campaigns.max(1));
             let _ = writeln!(
                 s,
                 "{:<18} {:>6} {:>7} {:>9} {:>16.1} {:>9}",
@@ -260,7 +278,12 @@ impl AdaptiveReport {
                 winner,
             );
         }
-        let families = self.cells.iter().map(|c| &c.family).collect::<std::collections::BTreeSet<_>>().len();
+        let families = self
+            .cells
+            .iter()
+            .map(|c| &c.family)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
         for &budget in &self.budgets {
             let ahead = self.adaptive_ahead(budget);
             let _ = writeln!(
@@ -302,7 +325,10 @@ fn campaign_world(spec: &FamilySpec, fault_seed: u64, fault_rate: f64) -> Intern
 /// (empty for a cold start); the returned [`AdaptiveRun::memory`] holds
 /// the updated ones.
 pub fn run(cfg: &AdaptiveConfig, resume: &PolicyMemory) -> AdaptiveRun {
-    assert!(!cfg.budgets.is_empty(), "adaptive experiment needs at least one budget");
+    assert!(
+        !cfg.budgets.is_empty(),
+        "adaptive experiment needs at least one budget"
+    );
     let fams = families();
     let space = Arm::space();
     let metrics = Arc::new(MetricsRegistry::new());
@@ -346,8 +372,11 @@ pub fn run(cfg: &AdaptiveConfig, resume: &PolicyMemory) -> AdaptiveRun {
             let guard = cbx.trace_task(cell * 1000 + campaign as usize);
             let mut race = RaceState::default();
             for visit in 0..budget {
-                let arm_idx =
-                    if adaptive { policy.select(&race, &mut rng) } else { Arm::notabot().index() };
+                let arm_idx = if adaptive {
+                    policy.select(&race, &mut rng)
+                } else {
+                    Arm::notabot().index()
+                };
                 let arm = space[arm_idx];
                 cb_telemetry::with_active(|t| {
                     t.instant(
@@ -363,7 +392,10 @@ pub fn run(cfg: &AdaptiveConfig, resume: &PolicyMemory) -> AdaptiveRun {
                 let log = cbx.probe(&mut session, &arm.browser(), &url, "");
                 let verdict = classify(&log);
                 cb_telemetry::with_active(|t| {
-                    t.instant("adaptive.verdict", vec![("verdict", verdict.label().to_string())]);
+                    t.instant(
+                        "adaptive.verdict",
+                        vec![("verdict", verdict.label().to_string())],
+                    );
                 });
                 m_visits.incr();
                 metrics
@@ -387,11 +419,8 @@ pub fn run(cfg: &AdaptiveConfig, resume: &PolicyMemory) -> AdaptiveRun {
                 if verdict == CloakVerdict::Uncloaked {
                     out.uncloak_visits += 1;
                 }
-                out.arm_sequence.push(format!(
-                    "c{campaign}:{}={}",
-                    arm.label(),
-                    verdict.label()
-                ));
+                out.arm_sequence
+                    .push(format!("c{campaign}:{}={}", arm.label(), verdict.label()));
                 if race.uncloaks >= cfg.uncloaks_needed {
                     break;
                 }
@@ -466,12 +495,18 @@ mod tests {
 
     #[test]
     fn open_door_is_a_tie_and_burn_families_deny_the_fixed_crawler() {
-        let out = run(&AdaptiveConfig::new(5).with_budget(8), &PolicyMemory::default());
+        let out = run(
+            &AdaptiveConfig::new(5).with_budget(8),
+            &PolicyMemory::default(),
+        );
         for (fixed, adaptive) in out.report.pairs() {
             match fixed.family.as_str() {
                 "open-door" => {
                     assert_eq!(fixed.wins, fixed.campaigns, "open door: fixed wins all");
-                    assert_eq!(adaptive.wins, adaptive.campaigns, "open door: adaptive wins all");
+                    assert_eq!(
+                        adaptive.wins, adaptive.campaigns,
+                        "open door: adaptive wins all"
+                    );
                 }
                 "fingerprint-burn" | "egress-burn" => {
                     assert_eq!(
@@ -501,9 +536,7 @@ mod tests {
         // knowledge is available from visit one, so the adaptive side
         // holds its ground and skips the cold probe sweep.
         let resumed = run(&cfg, &first.memory);
-        for ((_, warm), (_, cold)) in
-            resumed.report.pairs().into_iter().zip(first.report.pairs())
-        {
+        for ((_, warm), (_, cold)) in resumed.report.pairs().into_iter().zip(first.report.pairs()) {
             assert!(
                 warm.wins >= cold.wins,
                 "{}: resuming must not lose ground",

@@ -1,9 +1,9 @@
 //! The cloaking-verdict taxonomy: what one supervised visit told the
 //! adaptive crawler about the campaign's posture towards this profile.
 
-use crawlerbox::VisitLog;
 use cb_browser::engine::VisitOutcome;
 use cb_json::{Deserialize, Serialize};
+use crawlerbox::VisitLog;
 
 /// What a visit revealed. This is the bandit's reward signal: only
 /// [`CloakVerdict::Uncloaked`] counts as a win, but the distinction
@@ -91,17 +91,29 @@ mod tests {
 
     #[test]
     fn login_form_wins_over_outcome() {
-        assert_eq!(classify(&log(VisitOutcome::Loaded, true)), CloakVerdict::Uncloaked);
+        assert_eq!(
+            classify(&log(VisitOutcome::Loaded, true)),
+            CloakVerdict::Uncloaked
+        );
     }
 
     #[test]
     fn decoy_and_challenge_and_block_are_distinguished() {
-        assert_eq!(classify(&log(VisitOutcome::Loaded, false)), CloakVerdict::BenignDecoy);
+        assert_eq!(
+            classify(&log(VisitOutcome::Loaded, false)),
+            CloakVerdict::BenignDecoy
+        );
         assert_eq!(
             classify(&log(VisitOutcome::InteractionRequired, false)),
             CloakVerdict::FingerprintChallenge
         );
-        assert_eq!(classify(&log(VisitOutcome::Unreachable, false)), CloakVerdict::BlockPage);
-        assert_eq!(classify(&log(VisitOutcome::Timeout, false)), CloakVerdict::BlockPage);
+        assert_eq!(
+            classify(&log(VisitOutcome::Unreachable, false)),
+            CloakVerdict::BlockPage
+        );
+        assert_eq!(
+            classify(&log(VisitOutcome::Timeout, false)),
+            CloakVerdict::BlockPage
+        );
     }
 }
