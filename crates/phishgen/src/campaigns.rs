@@ -7,10 +7,10 @@
 
 use crate::domains::LandingDomain;
 use crate::spec::CorpusSpec;
-use cb_phishkit::{Brand, ClientCloak, CloakConfig, ServerCloak};
-use cb_sim::rng::StdRng;
-use cb_sim::rng::Rng;
 use cb_json::{Deserialize, Serialize};
+use cb_phishkit::{Brand, ClientCloak, CloakConfig, ServerCloak};
+use cb_sim::rng::Rng;
+use cb_sim::rng::StdRng;
 
 /// Which shared victim-check script (if any) a campaign deploys — the two
 /// obfuscated scripts the paper found shared across 38 and 57 domains.
@@ -486,9 +486,21 @@ mod tests {
                 spec.otp_gate_messages,
                 Box::new(|c: &Campaign| c.cloak.client.otp_gate) as Box<dyn Fn(&Campaign) -> bool>,
             ),
-            ("math", spec.math_challenge_messages, Box::new(|c: &Campaign| c.cloak.client.math_challenge)),
-            ("devtools", spec.devtools_block_messages, Box::new(|c: &Campaign| c.cloak.client.block_devtools)),
-            ("fingerprint", spec.fingerprint_lib_messages, Box::new(|c: &Campaign| c.cloak.client.fingerprint_library)),
+            (
+                "math",
+                spec.math_challenge_messages,
+                Box::new(|c: &Campaign| c.cloak.client.math_challenge),
+            ),
+            (
+                "devtools",
+                spec.devtools_block_messages,
+                Box::new(|c: &Campaign| c.cloak.client.block_devtools),
+            ),
+            (
+                "fingerprint",
+                spec.fingerprint_lib_messages,
+                Box::new(|c: &Campaign| c.cloak.client.fingerprint_library),
+            ),
         ] {
             let msgs: usize = campaigns
                 .iter()
@@ -513,8 +525,16 @@ mod tests {
             .iter()
             .filter(|c| c.victim_check == Some(VictimCheckScript::B))
             .collect();
-        assert!((30..=40).contains(&a.len()), "script A domains: {}", a.len());
-        assert!((45..=60).contains(&b.len()), "script B domains: {}", b.len());
+        assert!(
+            (30..=40).contains(&a.len()),
+            "script A domains: {}",
+            a.len()
+        );
+        assert!(
+            (45..=60).contains(&b.len()),
+            "script B domains: {}",
+            b.len()
+        );
         assert!(a.iter().all(|c| c.c2_base == "https://c2-alpha.example"));
         assert!(b.iter().all(|c| c.c2_base == "https://c2-beta.example"));
         let a_msgs: usize = a.iter().map(|c| c.message_count).sum();

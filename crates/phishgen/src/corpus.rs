@@ -6,14 +6,14 @@ use crate::domains::generate_domains;
 use crate::messages::{Carrier, MessageDraft};
 use crate::spec::CorpusSpec;
 use crate::timeline;
+use cb_json::{Deserialize, Serialize};
 use cb_netsim::{HttpRequest, HttpResponse, Internet, NetContext};
 use cb_phishkit::brand::LegitSite;
 use cb_phishkit::{Brand, C2Server, PhishingSite};
-use cb_sim::{SimDuration, SimTime};
-use cb_sim::rng::StdRng;
-use cb_sim::rng::SliceRandom;
 use cb_sim::rng::Rng;
-use cb_json::{Deserialize, Serialize};
+use cb_sim::rng::SliceRandom;
+use cb_sim::rng::StdRng;
+use cb_sim::{SimDuration, SimTime};
 
 /// The §V class of a message (ground truth; the pipeline must re-derive it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -171,11 +171,7 @@ impl Corpus {
             .into_iter()
             .chain(Brand::commodity_services().iter().map(|(b, _)| *b))
         {
-            world.register_domain_at(
-                brand.legit_domain(),
-                "CORP-REG",
-                timeline::world_epoch(),
-            );
+            world.register_domain_at(brand.legit_domain(), "CORP-REG", timeline::world_epoch());
             world.issue_certificate_at(
                 brand.legit_domain(),
                 timeline::study_start() - SimDuration::days(30),
@@ -294,7 +290,12 @@ impl Corpus {
             let site = PhishingSite::new(c.brand, &c.c2_base, c.cloak.clone());
             world.host(&c.domain.name, site.clone());
             // Shodan-style banner: commodity kit hosting stacks.
-            let banners = ["nginx/1.24.0", "Apache/2.4.58 (Ubuntu)", "cloudflare", "LiteSpeed"];
+            let banners = [
+                "nginx/1.24.0",
+                "Apache/2.4.58 (Ubuntu)",
+                "cloudflare",
+                "LiteSpeed",
+            ];
             world.set_banner(&c.domain.name, banners[ci % banners.len()]);
             sites.push(site);
 
@@ -340,13 +341,12 @@ impl Corpus {
                 }
             };
             spread(665_126_135, max_ci, &world);
-            if let Some(five_ci) = (0..campaigns.len())
-                .find(|&i| i != max_ci && campaigns[i].message_count == 5)
+            if let Some(five_ci) =
+                (0..campaigns.len()).find(|&i| i != max_ci && campaigns[i].message_count == 5)
             {
                 spread(37_623_107, five_ci, &world);
             }
-            if let Some(single_ci) =
-                (0..campaigns.len()).find(|&i| campaigns[i].message_count == 1)
+            if let Some(single_ci) = (0..campaigns.len()).find(|&i| campaigns[i].message_count == 1)
             {
                 spread(15_362, single_ci, &world);
             }
@@ -406,7 +406,11 @@ impl Corpus {
         let mut interaction_urls = Vec::with_capacity(interaction_total);
         for i in 0..interaction_domains {
             let d = format!("doc-share-{i}.example");
-            world.register_domain_at(&d, "NameBay", timeline::study_start() - SimDuration::days(20));
+            world.register_domain_at(
+                &d,
+                "NameBay",
+                timeline::study_start() - SimDuration::days(20),
+            );
             world.host(&d, |_req: &HttpRequest, _ctx: &NetContext<'_>| {
                 HttpResponse::html(
                     r#"<html><body><h2>Shared document</h2>
@@ -713,9 +717,8 @@ impl MessageStream {
                     Carrier::BodyLink
                 };
                 self.active_emitted += 1;
-                let noise = matches!(carrier, Carrier::BodyLink)
-                    && self.noise_emitted < q.noise
-                    && {
+                let noise =
+                    matches!(carrier, Carrier::BodyLink) && self.noise_emitted < q.noise && {
                         self.noise_emitted += 1;
                         true
                     };
@@ -878,8 +881,7 @@ mod tests {
             .messages
             .iter()
             .find(|m| {
-                m.truth.class == MessageClass::ActivePhish
-                    && m.truth.carrier == Carrier::BodyLink
+                m.truth.class == MessageClass::ActivePhish && m.truth.carrier == Carrier::BodyLink
             })
             .expect("an active body-link message");
         let url = sample.truth.url.as_ref().unwrap();
@@ -898,7 +900,11 @@ mod tests {
         let resp = c
             .world
             .request(cb_netsim::HttpRequest::get(err.truth.url.as_ref().unwrap()));
-        assert!(resp.status == 0 || resp.status == 404, "status {}", resp.status);
+        assert!(
+            resp.status == 0 || resp.status == 404,
+            "status {}",
+            resp.status
+        );
     }
 
     #[test]
@@ -937,7 +943,10 @@ mod tests {
         let spec = CorpusSpec::paper().with_scale(0.02);
         let eager = Corpus::generate(&spec, 7);
         let (lazy, stream) = Corpus::stream(&spec, 7);
-        assert!(lazy.messages.is_empty(), "stream leaves messages unmaterialized");
+        assert!(
+            lazy.messages.is_empty(),
+            "stream leaves messages unmaterialized"
+        );
         assert_eq!(stream.len(), eager.messages.len());
         let mut emitted = 0usize;
         for (n, msg) in stream.enumerate() {
@@ -1015,8 +1024,18 @@ mod tests {
                     .body_text()
             };
             assert_eq!(check(&c), "yes", "{} unknown to {c2}", m.victim);
-            assert_eq!(check(&world), "yes", "{} unknown to the world's {c2}", m.victim);
-            assert_eq!(check(&undrafted), "no", "an undrafted stream registered {}", m.victim);
+            assert_eq!(
+                check(&world),
+                "yes",
+                "{} unknown to the world's {c2}",
+                m.victim
+            );
+            assert_eq!(
+                check(&undrafted),
+                "no",
+                "an undrafted stream registered {}",
+                m.victim
+            );
             checked += 1;
         }
         assert!(checked > 0, "no victim-check messages at this scale");

@@ -3,10 +3,10 @@
 //! compromised/abused-service outlier classes.
 
 use crate::spec::CorpusSpec;
-use cb_sim::{SimDuration, SimTime};
-use cb_sim::rng::StdRng;
-use cb_sim::rng::Rng;
 use cb_json::{Deserialize, Serialize};
+use cb_sim::rng::Rng;
+use cb_sim::rng::StdRng;
+use cb_sim::{SimDuration, SimTime};
 
 /// How a landing domain came to exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,15 +39,21 @@ pub struct LandingDomain {
 /// Neutral word pools for unremarkable domain names — most landing domains
 /// "do not use any of these tricks" and thereby dodge CT-log scanners.
 const NEUTRAL_WORDS: &[&str] = &[
-    "cloud", "portal", "secure", "online", "account", "service", "update", "notify", "sync",
-    "hub", "platform", "connect", "digital", "system", "access", "center", "zone", "apex",
-    "nimbus", "quartz", "stream", "vault", "matrix", "prime", "orbit", "pulse", "nova", "echo",
+    "cloud", "portal", "secure", "online", "account", "service", "update", "notify", "sync", "hub",
+    "platform", "connect", "digital", "system", "access", "center", "zone", "apex", "nimbus",
+    "quartz", "stream", "vault", "matrix", "prime", "orbit", "pulse", "nova", "echo",
 ];
 
 /// Deceptive-name generators (§V-A: combosquatting, target embedding,
 /// homoglyphs, keyword stuffing, typosquatting — and **zero** punycode).
 fn deceptive_name(rng: &mut StdRng, idx: usize, tld: &str) -> String {
-    let brands = ["amadora", "skybook", "farelogic", "payroute", "tripaggregate"];
+    let brands = [
+        "amadora",
+        "skybook",
+        "farelogic",
+        "payroute",
+        "tripaggregate",
+    ];
     let brand = brands[idx % brands.len()];
     let serial = idx / 5; // keeps repeated patterns unique
     match idx % 5 {
@@ -149,7 +155,8 @@ pub fn generate_domains(
     let abused_target = spec.scaled(spec.abused_service_domains);
     // The >90-day class includes the compromised/abused old domains; the
     // fresh-domain tail covers only the remainder.
-    let tail_a = (spec.tdelta_a_over_90d
+    let tail_a = (spec
+        .tdelta_a_over_90d
         .saturating_sub(spec.compromised_domains + spec.abused_service_domains))
         as f64
         / (spec.landing_domains - spec.compromised_domains - spec.abused_service_domains) as f64;
@@ -178,7 +185,11 @@ pub fn generate_domains(
             DomainOrigin::Fresh
         };
         let deceptive = origin == DomainOrigin::Fresh
-            && out.iter().filter(|d: &&LandingDomain| d.deceptive_name).count() < deceptive_target;
+            && out
+                .iter()
+                .filter(|d: &&LandingDomain| d.deceptive_name)
+                .count()
+                < deceptive_target;
         let name = match origin {
             DomainOrigin::AbusedService => format!(
                 "campaign-{i}.{}",
@@ -328,10 +339,18 @@ mod tests {
             .collect();
         let desc = Describe::of(&days);
         // median near 24 days (575 h)
-        assert!((15.0..=35.0).contains(&desc.median), "median {} d", desc.median);
+        assert!(
+            (15.0..=35.0).contains(&desc.median),
+            "median {} d",
+            desc.median
+        );
         // fat right tail
         assert!(desc.skewness > 1.5, "skewness {}", desc.skewness);
-        assert!(desc.kurtosis_excess > 3.0, "kurtosis {}", desc.kurtosis_excess);
+        assert!(
+            desc.kurtosis_excess > 3.0,
+            "kurtosis {}",
+            desc.kurtosis_excess
+        );
         // over-90-day share near 102/522 — compromised+abused domains are
         // all old, adding ~29 to the ~0.195·493 fresh tail
         let over90 = days.iter().filter(|&&d| d > 90.0).count();
@@ -348,7 +367,11 @@ mod tests {
             .collect();
         let desc = Describe::of(&days);
         // median near 7.7 days (185 h)
-        assert!((4.0..=14.0).contains(&desc.median), "median {} d", desc.median);
+        assert!(
+            (4.0..=14.0).contains(&desc.median),
+            "median {} d",
+            desc.median
+        );
         // far fewer certificates than registrations are old
         let over90 = days.iter().filter(|&&d| d > 90.0).count();
         assert!(over90 <= 20, "{over90} certs over 90d");
@@ -371,7 +394,12 @@ mod tests {
     fn ru_domains_use_ru_registrars() {
         for d in generate_full() {
             if DomainName::new(&d.name).tld() == ".ru" && d.origin == DomainOrigin::Fresh {
-                assert!(d.registrar.ends_with("-RU"), "{} via {}", d.name, d.registrar);
+                assert!(
+                    d.registrar.ends_with("-RU"),
+                    "{} via {}",
+                    d.name,
+                    d.registrar
+                );
             }
         }
     }

@@ -67,7 +67,11 @@ mod tests {
         // "about 14,000 are monthly reported" — 0.03% of delivered
         assert!((13_000..16_000).contains(&f.reported), "{}", f.reported);
         // "500 are reported and confirmed as malicious every month"
-        assert!((450..620).contains(&f.confirmed_malicious), "{}", f.confirmed_malicious);
+        assert!(
+            (450..620).contains(&f.confirmed_malicious),
+            "{}",
+            f.confirmed_malicious
+        );
         // "25 per working day on average"
         assert!((22.0..31.0).contains(&f.malicious_per_working_day()));
     }

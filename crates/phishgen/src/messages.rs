@@ -2,15 +2,15 @@
 //! must handle (§IV-B), built with the real substrates — actual QR symbols,
 //! actual PDF-lite documents, actual ZIP archives, nested EMLs.
 
-use cb_artifacts::{Bitmap, PdfDocument, Rgb, ZipArchive};
 use cb_artifacts::pdf::PdfPage;
 use cb_artifacts::qrimage;
+use cb_artifacts::{Bitmap, PdfDocument, Rgb, ZipArchive};
 use cb_email::MessageBuilder;
-use cb_qr::{encode_bytes, EcLevel};
-use cb_sim::SimTime;
-use cb_sim::rng::StdRng;
-use cb_sim::rng::Rng;
 use cb_json::{Deserialize, Serialize};
+use cb_qr::{encode_bytes, EcLevel};
+use cb_sim::rng::Rng;
+use cb_sim::rng::StdRng;
+use cb_sim::SimTime;
 
 /// How a message carries its URL (or nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,7 +46,10 @@ pub const ACCESS_CODE_PREFIX: &str = "access code:";
 pub fn date_header(t: SimTime) -> String {
     let (y, mo, d) = t.ymd();
     let (h, mi, s) = t.hms();
-    format!("{d:02} {} {y} {h:02}:{mi:02}:{s:02} +0000", cb_sim::Month(mo).abbrev())
+    format!(
+        "{d:02} {} {y} {h:02}:{mi:02}:{s:02} +0000",
+        cb_sim::Month(mo).abbrev()
+    )
 }
 
 fn base_builder(victim: &str, subject: &str, delivered: SimTime, seed: u64) -> MessageBuilder {
@@ -67,9 +70,26 @@ fn base_builder(victim: &str, subject: &str, delivered: SimTime, seed: u64) -> M
 /// series of line breaks and a long random text").
 pub fn noise_text(rng: &mut StdRng, words: usize) -> String {
     const POOL: &[&str] = &[
-        "quarterly", "synergy", "newsletter", "update", "metrics", "regional", "holiday",
-        "schedule", "committee", "wellness", "initiative", "survey", "benefits", "travel",
-        "catering", "maintenance", "parking", "reminder", "policy", "renewal",
+        "quarterly",
+        "synergy",
+        "newsletter",
+        "update",
+        "metrics",
+        "regional",
+        "holiday",
+        "schedule",
+        "committee",
+        "wellness",
+        "initiative",
+        "survey",
+        "benefits",
+        "travel",
+        "catering",
+        "maintenance",
+        "parking",
+        "reminder",
+        "policy",
+        "renewal",
     ];
     let mut out = String::from("\r\n\r\n\r\n\r\n\r\n\r\n\r\n\r\n\r\n\r\n");
     for i in 0..words {
@@ -167,7 +187,12 @@ impl MessageDraft {
     /// ZIPs and base64 bodies. Pure — the same draft always renders the
     /// same bytes.
     pub fn render(&self) -> String {
-        let MessageDraft { carrier, delivered, seed, .. } = *self;
+        let MessageDraft {
+            carrier,
+            delivered,
+            seed,
+            ..
+        } = *self;
         let victim = self.victim.as_str();
         let url_or_default = self.url.as_deref().unwrap_or("https://unused.example/");
         let mut subject = match carrier {
@@ -207,7 +232,9 @@ impl MessageDraft {
                 ));
             }
             Carrier::QrCode { faulty } => {
-                b.text_body(&format!("Scan the attached code with your phone to view the shared document.{footer}"));
+                b.text_body(&format!(
+                    "Scan the attached code with your phone to view the shared document.{footer}"
+                ));
                 let img = qr_image(url_or_default, faulty);
                 b.attach("qr-code.png", "image/png", &img.to_bytes());
             }
@@ -240,7 +267,9 @@ impl MessageDraft {
                 let mut inner = base_builder(victim, "FW: payment link", delivered, seed ^ 0x9999);
                 inner.text_body(&lure_text(url_or_default, victim));
                 let inner_raw = inner.build();
-                b.text_body(&format!("Forwarding the original request, please handle.{footer}"));
+                b.text_body(&format!(
+                    "Forwarding the original request, please handle.{footer}"
+                ));
                 b.attach("original.eml", "message/rfc822", inner_raw.as_bytes());
             }
             Carrier::HtmlAttachment => {
@@ -286,7 +315,17 @@ pub fn build_message(
     otp_note: Option<&str>,
     seed: u64,
 ) -> String {
-    MessageDraft::draw(rng, carrier, url, victim, delivered, noise_padded, otp_note, seed).render()
+    MessageDraft::draw(
+        rng,
+        carrier,
+        url,
+        victim,
+        delivered,
+        noise_padded,
+        otp_note,
+        seed,
+    )
+    .render()
 }
 
 #[cfg(test)]
@@ -421,7 +460,11 @@ mod tests {
             2,
         );
         let msg = MimeEntity::parse(&raw).unwrap();
-        let img_part = msg.leaves().into_iter().find(|l| l.filename().is_some()).unwrap();
+        let img_part = msg
+            .leaves()
+            .into_iter()
+            .find(|l| l.filename().is_some())
+            .unwrap();
         let img = Bitmap::from_bytes(img_part.body_bytes().unwrap()).unwrap();
         let payload = qrimage::decode_from_image(&img).unwrap();
         assert!(payload.starts_with(b"xxx "));
@@ -472,10 +515,12 @@ mod tests {
             .into_iter()
             .find(|l| l.content_type().mime() == "message/rfc822")
             .unwrap();
-        let inner =
-            MimeEntity::parse(std::str::from_utf8(eml_part.body_bytes().unwrap()).unwrap())
-                .unwrap();
-        assert!(inner.body_text().unwrap().contains("evil-n.example/nested12"));
+        let inner = MimeEntity::parse(std::str::from_utf8(eml_part.body_bytes().unwrap()).unwrap())
+            .unwrap();
+        assert!(inner
+            .body_text()
+            .unwrap()
+            .contains("evil-n.example/nested12"));
     }
 
     #[test]
@@ -544,7 +589,11 @@ mod tests {
             7,
         );
         let msg = MimeEntity::parse(&raw).unwrap();
-        let img_part = msg.leaves().into_iter().find(|l| l.filename().is_some()).unwrap();
+        let img_part = msg
+            .leaves()
+            .into_iter()
+            .find(|l| l.filename().is_some())
+            .unwrap();
         let img = Bitmap::from_bytes(img_part.body_bytes().unwrap()).unwrap();
         let text = cb_artifacts::ocr::recognize_any_scale(&img);
         assert!(

@@ -296,7 +296,12 @@ mod tests {
         let total: usize = s.tld_distribution.iter().map(|(_, n)| n).sum();
         assert_eq!(total, s.landing_domains);
         // .com share is 50.2%
-        let com = s.tld_distribution.iter().find(|(t, _)| t == ".com").unwrap().1;
+        let com = s
+            .tld_distribution
+            .iter()
+            .find(|(t, _)| t == ".com")
+            .unwrap()
+            .1;
         assert!((com as f64 / s.landing_domains as f64 - 0.502).abs() < 0.002);
     }
 

@@ -2,9 +2,9 @@
 //! instants.
 
 use crate::spec::CorpusSpec;
-use cb_sim::{SimTime, SimDuration};
-use cb_sim::rng::StdRng;
 use cb_sim::rng::Rng;
+use cb_sim::rng::StdRng;
+use cb_sim::{SimDuration, SimTime};
 
 /// `(year, month)` for each index of the 2024 window (Jan–Oct).
 pub fn months_2024() -> [(i64, u32); 10] {
@@ -127,7 +127,10 @@ mod tests {
             assert!((7..19).contains(&h));
             total += 1;
         }
-        assert!(weekend * 10 < total, "weekend fraction too high: {weekend}/{total}");
+        assert!(
+            weekend * 10 < total,
+            "weekend fraction too high: {weekend}/{total}"
+        );
     }
 
     #[test]
