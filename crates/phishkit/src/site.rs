@@ -114,7 +114,10 @@ impl PhishingSite {
     }
 
     fn benign(&self, why: &str) -> HttpResponse {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).benign_served += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .benign_served += 1;
         HttpResponse::html(&format!(
             r#"<html><head><title>Welcome</title></head>
 <body><h2>Site under maintenance</h2>
@@ -125,7 +128,10 @@ impl PhishingSite {
     }
 
     fn gate(&self, kind: &str, prompt: &str) -> HttpResponse {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).gates_served += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .gates_served += 1;
         HttpResponse::html(&format!(
             r#"<html><body>
 <h2>Verification required</h2>
@@ -137,7 +143,10 @@ impl PhishingSite {
     }
 
     fn phish_page(&self) -> HttpResponse {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).phish_served += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .phish_served += 1;
         let c = &self.cloak.client;
         let mut blocks = Vec::new();
         if c.turnstile {
@@ -236,7 +245,10 @@ impl SiteHandler for PhishingSite {
         // costs one count no matter how it got here.
         let counter = &self.cloak.counter;
         if counter.reveal_delay_secs > 0 && req.url.query_param("revealed") != Some("1") {
-            self.stats.lock().unwrap_or_else(PoisonError::into_inner).benign_served += 1;
+            self.stats
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .benign_served += 1;
             let target = if req.url.query.is_empty() {
                 format!("{}?revealed=1", req.url.path)
             } else {
@@ -263,7 +275,10 @@ impl SiteHandler for PhishingSite {
             mem.egress_seen[slot] = prior + 1;
             drop(mem);
             if prior >= counter.egress_burn_after {
-                self.stats.lock().unwrap_or_else(PoisonError::into_inner).counter_blocked += 1;
+                self.stats
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .counter_blocked += 1;
                 return self.benign("egress class burned");
             }
         }
@@ -282,7 +297,10 @@ impl SiteHandler for PhishingSite {
                 mem.profile_seen.insert(sig, prior + 1);
                 drop(mem);
                 if prior >= counter.profile_burn_after {
-                    self.stats.lock().unwrap_or_else(PoisonError::into_inner).counter_blocked += 1;
+                    self.stats
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .counter_blocked += 1;
                     return self.benign("fingerprint blocklisted");
                 }
             }
@@ -297,13 +315,10 @@ impl SiteHandler for PhishingSite {
             if self.waf && !AnonWaf::default().evaluate(report).is_human() {
                 return self.benign("waf block");
             }
-            if self.cloak.client.turnstile
-                && !Turnstile::default().evaluate(report).is_human()
-            {
+            if self.cloak.client.turnstile && !Turnstile::default().evaluate(report).is_human() {
                 return self.benign("turnstile failed");
             }
-            if self.cloak.client.recaptcha_v3
-                && !ReCaptchaV3::default().evaluate(report).is_human()
+            if self.cloak.client.recaptcha_v3 && !ReCaptchaV3::default().evaluate(report).is_human()
             {
                 return self.benign("recaptcha v3 low score");
             }
@@ -360,9 +375,12 @@ mod tests {
     fn turnstile_blocks_naive_crawlers_but_not_notabot() {
         let net = world();
         let site = deploy(&net, CloakConfig::typical_2024());
-        let naive =
-            Browser::new(CrawlerProfile::PuppeteerStealth).visit(&net, "https://evil-site.example/");
-        assert!(!naive.shows_login_form(), "stealth-plugin crawler must see benign page");
+        let naive = Browser::new(CrawlerProfile::PuppeteerStealth)
+            .visit(&net, "https://evil-site.example/");
+        assert!(
+            !naive.shows_login_form(),
+            "stealth-plugin crawler must see benign page"
+        );
         let nab = Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
         assert!(nab.shows_login_form(), "NotABot defeats Turnstile");
         assert_eq!(site.stats().benign_served, 1);
@@ -372,8 +390,8 @@ mod tests {
     #[test]
     fn waf_protection_blocks_interception_artifacts() {
         let net = world();
-        let site = PhishingSite::new(Brand::Amadora, "https://c2.example", CloakConfig::none())
-            .with_waf();
+        let site =
+            PhishingSite::new(Brand::Amadora, "https://c2.example", CloakConfig::none()).with_waf();
         net.host("evil-site.example", site);
         let pup = Browser::new(CrawlerProfile::PuppeteerStealth)
             .visit(&net, "https://evil-site.example/");
@@ -394,7 +412,8 @@ mod tests {
             counter: CounterCloak::default(),
         };
         deploy(&net, cloak);
-        let before = Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
+        let before =
+            Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
         assert!(!before.shows_login_form(), "inactive: benign page");
         net.advance(SimDuration::days(2));
         let after = Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
@@ -413,7 +432,8 @@ mod tests {
             counter: CounterCloak::default(),
         };
         deploy(&net, cloak);
-        let desktop = Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
+        let desktop =
+            Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
         assert!(!desktop.shows_login_form());
         // a phone request
         let mut req = HttpRequest::get("https://evil-site.example/");
@@ -439,10 +459,18 @@ mod tests {
         };
         deploy(&net, cloak);
         let b = Browser::new(CrawlerProfile::NotABot);
-        assert!(b.visit(&net, "https://evil-site.example/dhfYWfH1").shows_login_form());
-        assert!(!b.visit(&net, "https://evil-site.example/").shows_login_form());
-        assert!(!b.visit(&net, "https://evil-site.example/wrongtok").shows_login_form());
-        assert!(!b.visit(&net, "https://evil-site.example/burned99").shows_login_form());
+        assert!(b
+            .visit(&net, "https://evil-site.example/dhfYWfH1")
+            .shows_login_form());
+        assert!(!b
+            .visit(&net, "https://evil-site.example/")
+            .shows_login_form());
+        assert!(!b
+            .visit(&net, "https://evil-site.example/wrongtok")
+            .shows_login_form());
+        assert!(!b
+            .visit(&net, "https://evil-site.example/burned99")
+            .shows_login_form());
     }
 
     #[test]
@@ -461,7 +489,8 @@ mod tests {
         let dc = Browser::new(CrawlerProfile::NotABotDatacenterIp)
             .visit(&net, "https://evil-site.example/");
         assert!(!dc.shows_login_form());
-        let mobile = Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
+        let mobile =
+            Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
         assert!(mobile.shows_login_form());
     }
 
@@ -552,10 +581,15 @@ mod tests {
         };
         let site = deploy(&net, cloak);
         let b = Browser::new(CrawlerProfile::NotABot);
-        assert!(b.visit(&net, "https://evil-site.example/").shows_login_form());
-        assert!(b.visit(&net, "https://evil-site.example/").shows_login_form());
+        assert!(b
+            .visit(&net, "https://evil-site.example/")
+            .shows_login_form());
+        assert!(b
+            .visit(&net, "https://evil-site.example/")
+            .shows_login_form());
         assert!(
-            !b.visit(&net, "https://evil-site.example/").shows_login_form(),
+            !b.visit(&net, "https://evil-site.example/")
+                .shows_login_form(),
             "third request from the mobile class reads as a scanner farm"
         );
         assert_eq!(site.stats().counter_blocked, 1);
@@ -566,7 +600,9 @@ mod tests {
                 ..CrawlerProfile::NotABot.fingerprint()
             },
         );
-        assert!(rotated.visit(&net, "https://evil-site.example/").shows_login_form());
+        assert!(rotated
+            .visit(&net, "https://evil-site.example/")
+            .shows_login_form());
     }
 
     #[test]
@@ -581,9 +617,12 @@ mod tests {
         };
         let site = deploy(&net, cloak);
         let b = Browser::new(CrawlerProfile::NotABot);
-        assert!(b.visit(&net, "https://evil-site.example/").shows_login_form());
+        assert!(b
+            .visit(&net, "https://evil-site.example/")
+            .shows_login_form());
         assert!(
-            !b.visit(&net, "https://evil-site.example/").shows_login_form(),
+            !b.visit(&net, "https://evil-site.example/")
+                .shows_login_form(),
             "the same measured environment returning is blocklisted"
         );
         assert_eq!(site.stats().counter_blocked, 1);
@@ -596,7 +635,9 @@ mod tests {
                 ..CrawlerProfile::NotABot.fingerprint()
             },
         );
-        assert!(mutated.visit(&net, "https://evil-site.example/").shows_login_form());
+        assert!(mutated
+            .visit(&net, "https://evil-site.example/")
+            .shows_login_form());
     }
 
     #[test]
@@ -614,7 +655,11 @@ mod tests {
         let hasty = Browser::new(CrawlerProfile::NotABot).visit(&net, "https://evil-site.example/");
         assert!(!hasty.shows_login_form());
         assert!(
-            hasty.document.unwrap().visible_text().contains("Preparing your document"),
+            hasty
+                .document
+                .unwrap()
+                .visible_text()
+                .contains("Preparing your document"),
             "impatient crawler is stuck on the holding page"
         );
         // A patient arm waits the reveal out.
@@ -642,7 +687,10 @@ mod tests {
         deploy(&net, cloak);
         let b = Browser::new(CrawlerProfile::NotABot);
         let v = b.visit(&net, "https://evil-site.example/?otp=491827");
-        assert!(v.shows_login_form(), "otp param survives the reveal redirect");
+        assert!(
+            v.shows_login_form(),
+            "otp param survives the reveal redirect"
+        );
         assert!(v.final_url().query.contains("otp=491827"));
         assert!(v.final_url().query.contains("revealed=1"));
     }
