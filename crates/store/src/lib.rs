@@ -38,7 +38,8 @@
 //! [`Store::append_batch`] fans the pre-built frames out to their shards
 //! in parallel ([`Store::append`] is a one-record batch). The store never
 //! runs a barrier on its own: [`Store::sync`] is its only barrier and ack
-//! point, and the caller owns the cadence — the sink group-commits every
+//! point, and the caller owns the cadence — the sink, the one group commit
+//! for `repro` and crawlboxd alike, group-commits every
 //! [`StoreOptions::commit_batch`] records, and a record is acked only once
 //! a sync covers it.
 //!
@@ -61,10 +62,11 @@
 //! let cbx = CrawlerBox::new(&corpus.world)
 //!     .with_known_hashes(store.known_hashes()) // delta scan on reopen
 //!     .with_artifact_capture(true);            // feed the blob store
-//! let mut sink = StoreSink::new(store);
+//! let store = std::sync::Mutex::new(store);    // readable between flushes
+//! let mut sink = StoreSink::new(&store);
 //! cbx.scan_stream_encoded(stream, &StoreEncoder, &mut sink);
-//! let (store, ()) = sink.finish().unwrap();
-//! println!("{} records durable", store.len());
+//! sink.finish().unwrap();
+//! println!("{} records durable", store.lock().unwrap().len());
 //! ```
 
 pub mod blob;

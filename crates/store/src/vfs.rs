@@ -452,9 +452,14 @@ fn parent_dir(path: &Path) -> PathBuf {
 /// The deterministic fault-injecting [`Vfs`]. Wraps [`RealVfs`] and keeps a
 /// shadow model of durability (synced lengths, dir-pending renames) so a
 /// simulated crash can be *applied* to the real directory afterwards.
+///
+/// Every path-dependent draw keys on the path relative to the directory
+/// under test, so a plan replays the same faults and the same crash state
+/// whatever that directory is called.
 #[derive(Debug)]
 pub struct FaultVfs {
     real: RealVfs,
+    root: PathBuf,
     plan: IoFaultPlan,
     state: Mutex<FaultState>,
 }
@@ -468,13 +473,20 @@ fn crash_error() -> io::Error {
 }
 
 impl FaultVfs {
-    /// A fault VFS over the real file system with `plan`.
-    pub fn new(plan: IoFaultPlan) -> Arc<FaultVfs> {
+    /// A fault VFS over the real file system with `plan`, for the
+    /// directory tree under `root`.
+    pub fn new(root: &Path, plan: IoFaultPlan) -> Arc<FaultVfs> {
         Arc::new(FaultVfs {
             real: RealVfs,
+            root: root.to_path_buf(),
             plan,
             state: Mutex::new(FaultState::default()),
         })
+    }
+
+    /// `path` as the draws key it: relative to the root.
+    fn key<'p>(&self, path: &'p Path) -> std::path::Display<'p> {
+        path.strip_prefix(&self.root).unwrap_or(path).display()
     }
 
     /// Mutating operations observed so far (the crash-point space: a sweep
@@ -532,7 +544,7 @@ impl FaultVfs {
             if len > synced {
                 let span = len - synced;
                 let keep =
-                    synced + fork.seed(&format!("crash:{}:{len}", path.display())) % (span + 1);
+                    synced + fork.seed(&format!("crash:{}:{len}", self.key(path))) % (span + 1);
                 let file = OpenOptions::new().write(true).open(path)?;
                 file.set_len(keep)?;
                 file.sync_data()?;
@@ -560,7 +572,7 @@ impl FaultVfs {
         }
         if self.plan.rate > 0.0 && !self.plan.kinds.is_empty() {
             let fork = SeedFork::new(self.plan.seed);
-            let key = format!("{}:{}:{offset}", op.label(), path.display());
+            let key = format!("{}:{}:{offset}", op.label(), self.key(path));
             let faulty = (fork.seed(&key) % 10_000) as f64 / 10_000.0 < self.plan.rate;
             if faulty {
                 let kind = self.plan.kinds
@@ -576,7 +588,7 @@ impl FaultVfs {
     /// Deterministic partial length for a torn write of `len` bytes.
     fn torn_len(&self, path: &Path, offset: u64, len: usize) -> usize {
         let fork = SeedFork::new(self.plan.seed);
-        (fork.seed(&format!("torn:{}:{offset}", path.display())) % (len as u64 + 1)) as usize
+        (fork.seed(&format!("torn:{}:{offset}", self.key(path))) % (len as u64 + 1)) as usize
     }
 
     fn track_existing(&self, path: &Path) {
@@ -922,7 +934,7 @@ mod tests {
     #[test]
     fn counting_plan_is_transparent_and_counts_ops() {
         let dir = scratch("count");
-        let vfs = FaultVfs::new(IoFaultPlan::counting(1));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::counting(1));
         let p = dir.join("a");
         let mut f = vfs.create_new(&p).unwrap();
         f.write_all(b"hello").unwrap();
@@ -938,7 +950,7 @@ mod tests {
     #[test]
     fn crash_point_tears_the_inflight_write_and_halts() {
         let dir = scratch("crash");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(7, 3));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::crash_at(7, 3));
         let p = dir.join("log");
         let mut f = vfs.create_new(&p).unwrap();
         vfs.sync_dir(&dir).unwrap(); // op 1: the entry is durable
@@ -964,7 +976,7 @@ mod tests {
     #[test]
     fn synced_data_survives_apply_crash() {
         let dir = scratch("synced");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(3, 4));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::crash_at(3, 4));
         let p = dir.join("log");
         let mut f = vfs.create_new(&p).unwrap();
         vfs.sync_dir(&dir).unwrap(); // op 1: the entry is durable
@@ -984,7 +996,7 @@ mod tests {
     #[test]
     fn unsynced_rename_rolls_back_on_crash() {
         let dir = scratch("rename");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(5, 4));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::crash_at(5, 4));
         std::fs::write(dir.join("CURRENT"), b"old").unwrap();
         let tmp = dir.join("CURRENT.tmp");
         vfs.write(&tmp, b"new").unwrap(); // op 1
@@ -1008,7 +1020,7 @@ mod tests {
     #[test]
     fn unsynced_creates_disappear_on_crash() {
         let dir = scratch("create");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(5, 3));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::crash_at(5, 3));
         let gen = dir.join("gen-1");
         vfs.create_dir_all(&gen.join("nested")).unwrap();
         let mut seg = vfs.create_new(&gen.join("seg")).unwrap();
@@ -1030,7 +1042,7 @@ mod tests {
     #[test]
     fn dir_synced_creates_survive_crash() {
         let dir = scratch("create-durable");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(5, 5));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::crash_at(5, 5));
         let gen = dir.join("gen-1");
         vfs.create_dir_all(&gen).unwrap();
         let mut seg = vfs.create_new(&gen.join("seg")).unwrap();
@@ -1052,7 +1064,7 @@ mod tests {
     #[test]
     fn dir_synced_rename_survives_crash() {
         let dir = scratch("rename-durable");
-        let vfs = FaultVfs::new(IoFaultPlan::crash_at(5, 5));
+        let vfs = FaultVfs::new(&dir, IoFaultPlan::crash_at(5, 5));
         std::fs::write(dir.join("CURRENT"), b"old").unwrap();
         let tmp = dir.join("CURRENT.tmp");
         vfs.write(&tmp, b"new").unwrap(); // 1
@@ -1070,7 +1082,7 @@ mod tests {
         let dir = scratch("transient");
         let outcomes: Vec<Vec<bool>> = (0..2)
             .map(|_| {
-                let vfs = FaultVfs::new(IoFaultPlan::transient(42, 0.5));
+                let vfs = FaultVfs::new(&dir, IoFaultPlan::transient(42, 0.5));
                 (0..40)
                     .map(|i| vfs.write(&dir.join(format!("f{i}")), b"payload").is_ok())
                     .collect()

@@ -11,10 +11,10 @@
 //! [`crawlerbox_suite::daemon`], and exits 0 after `POST /shutdown`
 //! drains every shard queue and flushes every pending commit batch.
 //!
-//! `--commit-batch N` (default 1) is the number of records a shard worker
-//! hands the store per `append_batch` call while it drains a burst of
-//! queued tasks. It does not set how often the store fsyncs: the barrier
-//! runs once per drained burst, whatever N is.
+//! `--commit-batch N` (default 256, the burst cap) is the most records a
+//! shard worker's group commit covers with one durable barrier, as in
+//! `repro --store`: a burst of queued tasks longer than N takes more than
+//! one barrier, and a task is `durable` once its barrier returns.
 
 use crawlerbox_suite::daemon::{run, DaemonConfig};
 use std::path::PathBuf;

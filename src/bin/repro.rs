@@ -63,6 +63,8 @@ use cb_stats::{Moments, P2Quantile};
 use cb_store::{Store, StoreEncoder, StoreSink};
 use crawlerbox::analysis::{analyze, fault_sweep, AnalysisReport};
 use crawlerbox::{ClassMixSink, CrawlerBox, ExportMode, RecordSink, ScanRecord, TruthLedger};
+use crawlerbox_suite::daemon::BURST_CAP;
+use std::sync::Mutex;
 
 /// Every experiment `section` knows how to render. Validated at parse time
 /// so a typo fails with a usage message instead of an exit-0 shrug.
@@ -402,7 +404,7 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
         // once. The default is crawlboxd's burst cap.
         let opts = cb_store::StoreOptions {
             shards: args.store_shards,
-            commit_batch: args.commit_batch.unwrap_or(256),
+            commit_batch: args.commit_batch.unwrap_or(BURST_CAP),
             ..Default::default()
         };
         match Store::open_with(std::path::Path::new(dir), opts) {
@@ -454,17 +456,17 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
             // Records are serialized and framed on the scan workers,
             // batched by the sink, and fanned out to their shards in
             // parallel by `append_batch`.
-            let mut persisting = StoreSink::with_inner(store, sink);
+            let store = Mutex::new(store);
+            let mut persisting = StoreSink::with_inner(&store, sink);
             let delivered = cbx.scan_stream_encoded(stream, &StoreEncoder, &mut persisting);
             let dropped = persisting.dropped() as u64;
-            let (store, inner) = match persisting.finish() {
-                Ok(done) => done,
+            sink = match persisting.finish() {
+                Ok(inner) => inner,
                 Err(e) => usage_exit(&format!(
                     "store write failed ({dropped} record(s) dropped after poisoning): {e}"
                 )),
             };
-            sink = inner;
-            let stats = store.stats();
+            let stats = store.into_inner().expect("store lock").stats();
             eprintln!(
                 "store: {} record(s) in {} segment(s) across {} shard(s) ({} log bytes), {} blob(s), {} dedup hit(s)",
                 stats.records, stats.segments, stats.shards, stats.log_bytes, stats.blobs,

@@ -19,8 +19,10 @@
 //! | `POST /shutdown`    | drain queues, flush every pending batch, exit  |
 //!
 //! **Ack vs durable.** `POST /ingest` answers `202 Accepted` the moment
-//! tasks are queued; each task reaches `durable` only after the burst
-//! that carried it passes the store's fsync barrier ([`Store::sync`]). The
+//! tasks are queued; each task reaches `durable` only after the group
+//! commit that carried it passes the store's fsync barrier
+//! ([`Store::sync`]): at most `--commit-batch` records per barrier, and
+//! never more than one drained burst. The
 //! black-box suite SIGKILLs the daemon mid-ingest and asserts exactly
 //! this split: every task seen `durable` is present after recovery, and
 //! nothing stronger is promised for `202`.
@@ -31,17 +33,18 @@
 //! contend across shards and a quarantined partition degrades `/health`
 //! instead of taking the daemon down. Workers scan bursts through
 //! [`CrawlerBox::scan_stream_encoded`] with worker-side frame encoding
-//! and group-commit batching — the same ingest pipeline `repro --stream
-//! --store` runs, behind a socket.
+//! into a [`StoreSink`], the one group commit — the same ingest pipeline
+//! `repro --stream --store` runs, behind a socket. The sink's first
+//! encode or store error fails the rest of its burst.
 
 use cb_httpd::{serve, Handler, Limits, Response, ServerConfig};
 use cb_phishgen::messages::Carrier;
 use cb_phishgen::{Corpus, CorpusSpec, GroundTruth, MessageClass, ReportedMessage};
 use cb_sim::SimTime;
-use cb_store::{Store, StoreEncoder, StoreOptions, StoreWatch};
+use cb_store::{Store, StoreEncoder, StoreOptions, StoreSink, StoreWatch};
 use cb_telemetry::{Determinism, ExportMode, MetricsRegistry, MetricsSnapshot};
 use crawlerbox::tasks::{route_shard, TaskRegistry, TaskState};
-use crawlerbox::{message_content_hash, CrawlerBox, EncodedSink};
+use crawlerbox::{message_content_hash, CrawlerBox, RecordSink, ScanRecord};
 use cb_json::json;
 use std::io;
 use std::net::TcpListener;
@@ -64,10 +67,10 @@ pub struct DaemonConfig {
     pub shards: usize,
     /// Root directory; partitions live at `<root>/part-NN`.
     pub store_root: PathBuf,
-    /// Records per [`Store::append_batch`] call while a shard worker drains
-    /// a burst. It does not set the fsync cadence: the store never syncs
-    /// on its own, and the worker calls [`Store::sync`] once per drained
-    /// burst (up to 256 queued tasks) whatever this value is.
+    /// At most this many records per durable barrier: each shard worker
+    /// commits through a [`StoreSink`], which appends and syncs every
+    /// `commit_batch` records and once more at the end of each drained
+    /// burst. The default, [`BURST_CAP`], is one barrier per burst.
     pub commit_batch: usize,
     /// World seed (must match the corpus the messages came from for the
     /// crawls to resolve).
@@ -92,7 +95,7 @@ impl Default for DaemonConfig {
             port: 0,
             shards: 2,
             store_root: PathBuf::from("crawlboxd-store"),
-            commit_batch: 1,
+            commit_batch: BURST_CAP,
             seed: 2024,
             scale: 0.01,
             workers: 2,
@@ -246,9 +249,14 @@ pub fn run(config: DaemonConfig) -> io::Result<()> {
     Ok(())
 }
 
+/// The most queued tasks a shard worker drains into one burst, and the
+/// default records per durable barrier: at the default, one barrier
+/// covers a whole burst.
+pub const BURST_CAP: usize = 256;
+
 /// One shard worker: burst-drain the queue, scan with worker-side frame
-/// encoding, group-commit into this worker's partition, ack durability
-/// after each barrier.
+/// encoding, and group-commit into this worker's partition through a
+/// [`StoreSink`], which acks each task durable as its barrier returns.
 fn worker_loop(
     rx: Receiver<IngestItem>,
     store: Arc<Mutex<Store>>,
@@ -260,11 +268,10 @@ fn worker_loop(
         .with_metrics(state.registry.clone())
         .with_artifact_capture(true);
     cbx.parallelism = config.workers.max(1);
-    let commit_batch = store.lock().expect("store lock").commit_batch();
 
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        while batch.len() < 256 {
+        while batch.len() < BURST_CAP {
             match rx.try_recv() {
                 Ok(item) => batch.push(item),
                 Err(_) => break,
@@ -278,104 +285,40 @@ fn worker_loop(
             burst.push(item.task);
             messages.push(item.message);
         }
-        let mut sink = DaemonSink {
-            store: &store,
-            tasks: &state.tasks,
-            commit_batch,
-            buf: Vec::new(),
-            buf_tasks: Vec::new(),
-            appended_tasks: Vec::new(),
-        };
+        let mut sink = StoreSink::with_inner(&store, MarkDurable(&state.tasks));
         // A panicking encoder loses its record; the engine still delivers
         // the rest of the burst, then re-raises the panic here.
         let scanned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cbx.scan_stream_encoded(messages, &StoreEncoder, &mut sink)
         }));
-        // Burst done: run the durable barrier and ack everything the
-        // batches covered. A task is `durable` from here on — and only
-        // from here on.
-        sink.barrier();
-        if scanned.is_err() {
-            // The tasks the sink never saw are still scanning: fail them
-            // rather than leave them pending forever.
-            for task in burst {
-                if state.tasks.get(task).is_some_and(|t| t.state == TaskState::Scanning) {
-                    state.tasks.fail(task, "encode: panicked");
-                }
+        // `finish` commits the tail. A task the sink never acked is still
+        // scanning: fail it rather than leave it pending forever.
+        let reason = match (sink.finish(), scanned) {
+            (Err(e), _) => e.to_string(),
+            (Ok(_), Err(_)) => "encode: panicked".to_string(),
+            (Ok(_), Ok(_)) => continue,
+        };
+        for task in burst {
+            if state
+                .tasks
+                .get(task)
+                .is_some_and(|t| t.state == TaskState::Scanning)
+            {
+                state.tasks.fail(task, reason.clone());
             }
         }
     }
 }
 
-/// The worker's commit sink: buffers worker-encoded frames into
-/// commit-sized [`Store::append_batch`] calls and tracks which tasks each
-/// batch carries, so the barrier can flip exactly those to `durable` (or
-/// `failed`, with the I/O error as the reason). Message ids are task ids,
-/// which is how records map back to tasks.
-struct DaemonSink<'a> {
-    store: &'a Mutex<Store>,
-    tasks: &'a TaskRegistry,
-    commit_batch: usize,
-    buf: Vec<cb_store::EncodedRecord>,
-    buf_tasks: Vec<u64>,
-    appended_tasks: Vec<u64>,
-}
+/// The inner sink of a shard worker's [`StoreSink`]: it sees a record only
+/// once the barrier covering it has returned, so it marks that record's
+/// task `durable`. Message ids are task ids.
+struct MarkDurable<'a>(&'a TaskRegistry);
 
-impl DaemonSink<'_> {
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.buf);
-        let batch_tasks = std::mem::take(&mut self.buf_tasks);
-        match self.store.lock().expect("store lock").append_batch(batch) {
-            Ok(()) => self.appended_tasks.extend(batch_tasks),
-            Err(e) => {
-                for task in batch_tasks {
-                    self.tasks.fail(task, format!("append: {e}"));
-                }
-            }
-        }
-    }
-
-    /// Flush the tail batch and run the durable barrier; acked tasks
-    /// become `durable`.
-    fn barrier(&mut self) {
-        self.flush();
-        let synced = self.store.lock().expect("store lock").sync();
-        let appended = std::mem::take(&mut self.appended_tasks);
-        match synced {
-            Ok(()) => {
-                for task in appended {
-                    self.tasks.set_state(task, TaskState::Durable);
-                }
-            }
-            Err(e) => {
-                for task in appended {
-                    self.tasks.fail(task, format!("sync: {e}"));
-                }
-            }
-        }
-    }
-}
-
-impl EncodedSink<io::Result<cb_store::EncodedRecord>> for DaemonSink<'_> {
-    fn accept_encoded(
-        &mut self,
-        record: crawlerbox::ScanRecord,
-        encoded: io::Result<cb_store::EncodedRecord>,
-    ) {
-        let task = record.message_id as u64;
-        match encoded {
-            Ok(enc) => {
-                self.buf.push(enc);
-                self.buf_tasks.push(task);
-                if self.buf.len() >= self.commit_batch {
-                    self.flush();
-                }
-            }
-            Err(e) => self.tasks.fail(task, format!("encode: {e}")),
-        }
+impl RecordSink for MarkDurable<'_> {
+    fn accept(&mut self, record: ScanRecord) {
+        self.0
+            .set_state(record.message_id as u64, TaskState::Durable);
     }
 }
 
@@ -544,12 +487,14 @@ struct IngestBatch {
     messages: Vec<String>,
 }
 
-/// Decode the ingest payload: a JSON [`IngestBatch`] when the content type
-/// says JSON, one raw RFC-822 message otherwise.
+/// Decode the ingest payload: a JSON [`IngestBatch`] when the media type
+/// (the Content-Type before any `;` parameter, case-insensitive) is
+/// `application/json`, one raw RFC-822 message otherwise.
 fn parse_ingest_body(req: &cb_httpd::Request) -> Result<Vec<String>, &'static str> {
-    let is_json = req
-        .header("content-type")
-        .is_some_and(|ct| ct.to_ascii_lowercase().contains("json"));
+    let is_json = req.header("content-type").is_some_and(|ct| {
+        let media_type = ct.split(';').next().unwrap_or_default();
+        media_type.trim().eq_ignore_ascii_case("application/json")
+    });
     if is_json {
         let batch: IngestBatch = cb_json::from_slice(&req.body)
             .map_err(|_| "expected {\"messages\": [\"raw\", ...]}")?;

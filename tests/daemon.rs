@@ -6,7 +6,11 @@
 //! The centrepiece is the ack-vs-durable contract: a task reported
 //! `durable` by `GET /tasks/{id}` must survive SIGKILL + restart at every
 //! commit-batch × shard combination, and a clean `POST /shutdown` must
-//! flush every pending commit batch before the process exits 0.
+//! flush every pending commit batch before the process exits 0. Each
+//! shard worker group-commits through `cb_store::StoreSink`, so
+//! `--commit-batch N` is at most N records per durable barrier, as in
+//! `repro --store`: batch 1 acks every record at its own barrier, batch
+//! 16 acks up to 16 at once.
 
 use cb_phishgen::{Corpus, CorpusSpec, ReportedMessage};
 use std::collections::BTreeSet;
@@ -231,10 +235,17 @@ fn health_metrics_and_route_errors() {
     // Media types are case-insensitive: a JSON batch sent as
     // `Application/JSON` is two messages, not one raw message of JSON text.
     let batch = r#"{"messages":["Subject: one\r\n\r\nfirst","Subject: two\r\n\r\nsecond"]}"#;
-    let ct = Some("Application/JSON");
-    let (status, body) = d.request("POST", "/ingest", ct, batch.as_bytes());
+    for ct in ["Application/JSON", "Application/JSON; charset=utf-8"] {
+        let (status, body) = d.request("POST", "/ingest", Some(ct), batch.as_bytes());
+        assert_eq!(status, 202, "{ct}: {body}");
+        assert_eq!(ingested_tasks(&body).len(), 2, "{ct}: {body}");
+    }
+    // Only the media type decides: `json` in a parameter does not make a
+    // raw message a batch.
+    let ct = Some("text/plain; x=json");
+    let (status, body) = d.request("POST", "/ingest", ct, b"Subject: raw\r\n\r\n{json}");
     assert_eq!(status, 202, "{body}");
-    assert_eq!(ingested_tasks(&body).len(), 2, "{body}");
+    assert_eq!(ingested_tasks(&body).len(), 1, "{body}");
 
     d.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -510,6 +521,47 @@ fn kill_and_restart_preserves_durable_acks() {
         d.shutdown_and_wait();
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// `--commit-batch N` bounds the records per durable barrier: one
+/// 40-message batch at N = 16 is committed in barriers of at most 16
+/// records, never one barrier per drained burst.
+#[test]
+fn commit_batch_bounds_records_per_barrier() {
+    let (_corpus, subset) = corpus_subset(2024, 40);
+    assert_eq!(subset.len(), 40);
+    let dir = scratch("commit-batch");
+    let d = Daemon::spawn(&dir, &["--shards", "1", "--commit-batch", "16"]);
+    let payload = cb_json::json!({
+        "messages": subset.iter().map(|m| m.raw.clone()).collect::<Vec<String>>(),
+    });
+    let (status, body) = d.post_json("/ingest", &payload.to_string());
+    assert_eq!(status, 202, "{body}");
+    let tasks = ingested_tasks(&body);
+    assert_eq!(tasks.len(), 40);
+    for task in &tasks {
+        d.await_durable(task["id"].as_u64().unwrap());
+    }
+
+    let (status, text) = d.get("/metrics?mode=canonical");
+    assert_eq!(status, 200);
+    let value = |series: &str| -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {series} in {text}"))
+    };
+    let barriers = value("cb_store_commit_batch_records_count{partition=\"0\"}");
+    let at_most_16 = value("cb_store_commit_batch_records_bucket{partition=\"0\",le=\"16\"}");
+    assert!(
+        barriers >= 3,
+        "40 records in barriers of at most 16: {barriers}"
+    );
+    assert_eq!(
+        at_most_16, barriers,
+        "a barrier covered more than 16 records: {text}"
+    );
+    d.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// For a fixed seed and request sequence the canonical Prometheus

@@ -15,6 +15,7 @@ use cb_store::{
 use crawlerbox::{ArtifactKind, CapturedArtifact, CrawlerBox, EncodedSink, ScanRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Mutex;
 
 mod common;
 
@@ -137,11 +138,13 @@ fn store_round_trip_is_byte_identical_across_configs() {
             .with_artifact_capture(true)
             .with_stream_capacity(4);
         cbx.parallelism = workers;
-        let mut sink = StoreSink::new(Store::open(&dir).unwrap());
+        let store = Mutex::new(Store::open(&dir).unwrap());
+        let mut sink = StoreSink::new(&store);
         let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
         assert_eq!(delivered, subset.len(), "{workers} worker(s)");
         assert_eq!(sink.appended(), subset.len());
-        let (mut store, ()) = sink.finish().unwrap();
+        sink.finish().unwrap();
+        let mut store = store.into_inner().unwrap();
         assert_eq!(store.shard_count(), shards);
         assert_eq!(
             store.read_payloads().unwrap(),
@@ -219,14 +222,15 @@ fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
                     .with_artifact_capture(true)
                     .with_stream_capacity(4);
                 cbx.parallelism = workers;
-                let store = Store::open_with(&dir, opts.clone()).unwrap();
-                let opened_fsyncs = store.stats().fsyncs;
-                let mut sink = StoreSink::new(store);
+                let store = Mutex::new(Store::open_with(&dir, opts.clone()).unwrap());
+                let opened_fsyncs = store.lock().unwrap().stats().fsyncs;
+                let mut sink = StoreSink::new(&store);
                 let delivered =
                     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
                 assert_eq!(delivered, subset.len(), "{shards} {workers} {batch}");
                 assert_eq!(sink.dropped(), 0);
-                let (store, ()) = sink.finish().unwrap();
+                sink.finish().unwrap();
+                let store = store.into_inner().unwrap();
                 let stats = store.stats();
                 assert_eq!(stats.appended, subset.len() as u64);
                 assert_eq!(stats.acked, subset.len() as u64, "finish acks everything");
@@ -301,11 +305,13 @@ fn store_draws_undrawn_screenshots_byte_identically() {
         let cbx = cbx.with_artifact_capture(true);
         let warm = cbx.stats();
         let dir = scratch(&format!("draw-{workers}"));
-        let mut sink = StoreSink::new(Store::open(&dir).unwrap());
+        let store = Mutex::new(Store::open(&dir).unwrap());
+        let mut sink = StoreSink::new(&store);
         let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
         assert_eq!(delivered, subset.len(), "{workers} worker(s)");
         assert_eq!(sink.dropped(), 0);
-        let (mut store, ()) = sink.finish().unwrap();
+        sink.finish().unwrap();
+        let mut store = store.into_inner().unwrap();
         let stats = cbx.stats();
         assert_eq!(stats.page_misses, warm.page_misses, "{stats}");
         assert!(
@@ -352,7 +358,7 @@ fn soak_rounds_through_one_box_and_store_keep_every_message_and_caches_flat() {
         commit_batch: 256,
         ..StoreOptions::default()
     };
-    let mut store = Store::open_with(&dir, opts).unwrap();
+    let store = Mutex::new(Store::open_with(&dir, opts).unwrap());
     let mut cbx = CrawlerBox::new(&corpus.world)
         .with_artifact_capture(true)
         .with_stream_capacity(32);
@@ -370,12 +376,21 @@ fn soak_rounds_through_one_box_and_store_keep_every_message_and_caches_flat() {
                 m
             })
             .collect();
-        let mut sink = StoreSink::new(store);
+        let mut sink = StoreSink::new(&store);
         cbx.scan_stream_encoded(wave, &StoreEncoder, &mut sink);
-        let (finished, ()) = sink.finish().unwrap();
-        store = finished;
-        assert_eq!(store.len(), sent, "round {round}: every message durable, none deduped");
-        assert_eq!(store.stats().pending, 0, "round {round}: finish acks everything");
+        sink.finish().unwrap();
+        let held = store.lock().unwrap();
+        assert_eq!(
+            held.len(),
+            sent,
+            "round {round}: every message durable, none deduped"
+        );
+        assert_eq!(
+            held.stats().pending,
+            0,
+            "round {round}: finish acks everything"
+        );
+        drop(held);
         let stats = cbx.stats();
         let misses = (stats.page_misses, stats.screenshot_misses, stats.artifact_misses);
         match first_round_misses {
@@ -416,35 +431,37 @@ fn group_commit_acks_records_only_at_batch_barriers() {
         let encoded = encode_record(&mut r);
         sink.accept_encoded(r, encoded);
     };
-    let mut sink = StoreSink::new(Store::open_with(&dir, opts).unwrap());
+    let store = Mutex::new(Store::open_with(&dir, opts).unwrap());
+    let mut sink = StoreSink::new(&store);
     for id in 0..3usize {
         feed(&mut sink, id, MessageClass::NoResource);
     }
     assert_eq!(
-        sink.store().acked_appends(),
+        store.lock().unwrap().acked_appends(),
         0,
         "below the batch size nothing commits"
     );
     assert_eq!(
-        sink.store().pending_appends(),
+        store.lock().unwrap().pending_appends(),
         0,
         "nothing is appended before the flush"
     );
 
     feed(&mut sink, 3, MessageClass::ErrorPage);
     assert_eq!(
-        sink.store().acked_appends(),
+        store.lock().unwrap().acked_appends(),
         4,
         "the 4th record flushes the batch"
     );
-    assert_eq!(sink.store().pending_appends(), 0);
-    assert_eq!(sink.store().stats().commit_batches, 1);
+    assert_eq!(store.lock().unwrap().pending_appends(), 0);
+    assert_eq!(store.lock().unwrap().stats().commit_batches, 1);
     assert_eq!(sink.appended(), 4);
 
     // `finish` flushes and acks a partial tail.
     feed(&mut sink, 4, MessageClass::Download);
-    assert_eq!(sink.store().acked_appends(), 4);
-    let (mut store, ()) = sink.finish().unwrap();
+    assert_eq!(store.lock().unwrap().acked_appends(), 4);
+    sink.finish().unwrap();
+    let mut store = store.into_inner().unwrap();
     assert_eq!((store.pending_appends(), store.acked_appends()), (0, 5));
     assert_eq!(store.stats().commit_batches, 2);
 
@@ -593,9 +610,9 @@ fn poisoned_sink_surfaces_drop_count_and_error_counter() {
     bytes[at] ^= 0xFF;
     std::fs::write(&seg0, &bytes).unwrap();
 
-    let store = Store::open(&dir).unwrap();
-    assert!(store.is_degraded());
-    let mut sink = StoreSink::new(store);
+    let store = Mutex::new(Store::open(&dir).unwrap());
+    assert!(store.lock().unwrap().is_degraded());
+    let mut sink = StoreSink::new(&store);
     // First record routes to the quarantined shard: append fails, the
     // sink poisons. The next two are dropped without touching the store.
     for id in 0..3usize {
@@ -610,7 +627,11 @@ fn poisoned_sink_surfaces_drop_count_and_error_counter() {
     assert_eq!(sink.appended(), 0);
     assert_eq!(sink.dropped(), 3);
     assert!(sink.error().is_some());
-    assert_eq!(sink.store().stats().append_errors, 1, "one failed append, not three");
+    assert_eq!(
+        store.lock().unwrap().stats().append_errors,
+        1,
+        "one failed append, not three"
+    );
     assert!(sink.finish().is_err(), "finish surfaces the poisoning error");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -626,9 +647,11 @@ fn torn_tail_is_truncated_and_incremental_rescan_fills_the_gap() {
     let cbx = CrawlerBox::new(&corpus.world)
         .with_artifact_capture(true)
         .with_stream_capacity(4);
-    let mut sink = StoreSink::new(Store::open_with(&dir, one_shard()).unwrap());
+    let store = Mutex::new(Store::open_with(&dir, one_shard()).unwrap());
+    let mut sink = StoreSink::new(&store);
     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
-    let (store, ()) = sink.finish().unwrap();
+    sink.finish().unwrap();
+    let store = store.into_inner().unwrap();
     let total = store.len();
     assert_eq!(total, subset.len());
     drop(store);
@@ -664,11 +687,13 @@ fn torn_tail_is_truncated_and_incremental_rescan_fills_the_gap() {
         .with_artifact_capture(true)
         .with_known_hashes(known)
         .with_stream_capacity(4);
-    let mut sink = StoreSink::new(store);
+    let store = Mutex::new(store);
+    let mut sink = StoreSink::new(&store);
     let delivered = cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
     assert_eq!(delivered, 1, "only the lost record is rescanned");
     assert_eq!(cbx.stats().skipped_known, (total - 1) as u64);
-    let (mut store, ()) = sink.finish().unwrap();
+    sink.finish().unwrap();
+    let mut store = store.into_inner().unwrap();
     assert_eq!(store.len(), total);
     let mut ids: Vec<usize> = store.read_all().unwrap().iter().map(|r| r.message_id).collect();
     ids.sort_unstable();
@@ -1038,9 +1063,10 @@ fn campaign_clustering_runs_from_a_reopened_store() {
     let cbx = CrawlerBox::new(&corpus.world)
         .with_artifact_capture(true)
         .with_stream_capacity(8);
-    let mut sink = StoreSink::new(Store::open(&dir).unwrap());
+    let store = Mutex::new(Store::open(&dir).unwrap());
+    let mut sink = StoreSink::new(&store);
     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
-    let (store, ()) = sink.finish().unwrap();
+    sink.finish().unwrap();
     drop(store);
 
     let store = Store::open(&dir).unwrap();
@@ -1094,9 +1120,10 @@ fn crawl_log_cli_store_queries_run_clean() {
     let cbx = CrawlerBox::new(&corpus.world)
         .with_artifact_capture(true)
         .with_stream_capacity(4);
-    let mut sink = StoreSink::new(Store::open(&dir).unwrap());
+    let store = Mutex::new(Store::open(&dir).unwrap());
+    let mut sink = StoreSink::new(&store);
     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
-    let (store, ()) = sink.finish().unwrap();
+    sink.finish().unwrap();
     drop(store);
 
     let bin = env!("CARGO_BIN_EXE_crawl-log");
@@ -1174,9 +1201,11 @@ fn crawl_log_cli_store_subcommand_goldens() {
     let (corpus, subset) = corpus_subset(11, 2);
     let dir = scratch("cli-goldens");
     let cbx = CrawlerBox::new(&corpus.world);
-    let mut sink = StoreSink::new(Store::open(&dir).unwrap());
+    let store = Mutex::new(Store::open(&dir).unwrap());
+    let mut sink = StoreSink::new(&store);
     cbx.scan_stream_encoded(subset.iter().cloned(), &StoreEncoder, &mut sink);
-    drop(sink.finish().unwrap());
+    sink.finish().unwrap();
+    drop(store);
     let dir_arg = dir.to_str().unwrap().to_string();
 
     let assert_usage = |args: &[&str], what: &str| {

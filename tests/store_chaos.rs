@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cb-chaos-{tag}-{}", std::process::id()));
@@ -160,7 +160,7 @@ fn crash_point_sweep_loses_no_acked_records() {
 
             // Probe run: count the mutating ops of the full run.
             let probe_dir = scratch(&format!("probe-{tag}"));
-            let probe = FaultVfs::new(IoFaultPlan::counting(seed));
+            let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(seed));
             let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
             let mut store =
                 Store::open_with_vfs(&probe_dir, sweep_opts(shards, batch), probe_vfs).unwrap();
@@ -173,7 +173,7 @@ fn crash_point_sweep_loses_no_acked_records() {
             let mut orphan_crash_points = 0usize;
             for crash_at in 1..=ops {
                 let dir = scratch(&format!("sweep-{tag}-{crash_at}"));
-                let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, crash_at));
+                let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, crash_at));
                 let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
                 let mut acked: Vec<u128> = Vec::new();
                 match Store::open_with_vfs(&dir, sweep_opts(shards, batch), vfs) {
@@ -250,6 +250,77 @@ fn crash_point_sweep_loses_no_acked_records() {
     }
 }
 
+/// Every file under `dir`, keyed by its path relative to `dir`, with its
+/// length. A crash may have rolled back `dir` itself: then there are none.
+fn file_lengths(dir: &Path) -> BTreeMap<PathBuf, u64> {
+    let mut out = BTreeMap::new();
+    let mut pending: Vec<PathBuf> = dir
+        .is_dir()
+        .then(|| dir.to_path_buf())
+        .into_iter()
+        .collect();
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let len = std::fs::metadata(&path).unwrap().len();
+                out.insert(path.strip_prefix(dir).unwrap().to_path_buf(), len);
+            }
+        }
+    }
+    out
+}
+
+/// A crash plan replays from its seed alone: the same plan, crashing the
+/// same run in two directories with different names, leaves the same
+/// files at the same lengths, at every crash point of the sweep.
+#[test]
+fn crash_state_does_not_depend_on_the_directory_name() {
+    let seed = env_u64("CB_CHAOS_SEED", 1);
+    let records = chaos_records();
+    let (shards, batch) = (4, 1);
+    let probe_dir = scratch("names-probe");
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(seed));
+    let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
+    let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(shards, batch), probe_vfs).unwrap();
+    ingest_acked(&mut store, &records, batch);
+    drop(store);
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+
+    let mut states_with_bytes = 0usize;
+    for crash_at in 1..=probe.ops() {
+        let states: Vec<BTreeMap<PathBuf, u64>> = ["names-a", "names-other"]
+            .iter()
+            .map(|name| {
+                let dir = scratch(&format!("{name}-{crash_at}"));
+                let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, crash_at));
+                let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
+                if let Ok(mut store) = Store::open_with_vfs(&dir, sweep_opts(shards, batch), vfs) {
+                    ingest_acked(&mut store, &records, batch);
+                }
+                assert!(fault.crashed(), "crash point {crash_at} was never reached");
+                fault.apply_crash().unwrap();
+                let lengths = file_lengths(&dir);
+                let _ = std::fs::remove_dir_all(&dir);
+                lengths
+            })
+            .collect();
+        assert_eq!(
+            states[0], states[1],
+            "crash {crash_at}: the post-crash state depends on the directory name"
+        );
+        if states[0].values().any(|&len| len > 0) {
+            states_with_bytes += 1;
+        }
+    }
+    assert!(
+        states_with_bytes > 0,
+        "no crash point left any bytes on disk"
+    );
+}
+
 /// Group-commit ack semantics under crashes, pinned at batch boundaries:
 /// with batches of 3, every batch append whose barrier completed is an
 /// acked *batch*, and a crash anywhere in the run must
@@ -269,7 +340,7 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
 
     // Probe the op count of the full chunked run.
     let probe_dir = scratch("batchwin-probe");
-    let probe = FaultVfs::new(IoFaultPlan::counting(seed));
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(seed));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(1, batch), probe_vfs).unwrap();
     assert_eq!(ingest_acked(&mut store, &records, batch).len(), records.len());
@@ -280,7 +351,7 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
     let mut partial_batch_recoveries = 0usize;
     for crash_at in 1..=ops {
         let dir = scratch(&format!("batchwin-{crash_at}"));
-        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, crash_at));
+        let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, crash_at));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut acked: Vec<u128> = Vec::new();
         match Store::open_with_vfs(&dir, sweep_opts(1, batch), vfs) {
@@ -342,7 +413,7 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
     // ops are: pack fsync, pack-index fsync, root sync-dir (the new pack's
     // entry), segment fsync, generation sync-dir.
     let probe_dir = scratch("window-probe");
-    let probe = FaultVfs::new(IoFaultPlan::counting(0));
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(0));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(1, 1), probe_vfs).unwrap();
     store.append(record).unwrap();
@@ -356,7 +427,7 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
     let mut saw_orphan = false;
     for seed in 0..16u64 {
         let dir = scratch(&format!("window-{seed}"));
-        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, segment_fsync_op));
+        let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, segment_fsync_op));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, sweep_opts(1, 1), vfs).unwrap();
         store.append(record).unwrap();
@@ -406,7 +477,7 @@ fn transient_io_faults_fail_appends_without_corrupting_the_log() {
         kinds: vec![IoFaultKind::DiskFull, IoFaultKind::FsyncFail],
         crash_at: None,
     };
-    let fault = FaultVfs::new(plan);
+    let fault = FaultVfs::new(&dir, plan);
     let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
     let mut acked = Vec::new();
     match Store::open_with_vfs(&dir, sweep_opts(2, 1), vfs) {
@@ -475,7 +546,7 @@ fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
     orphans.sort_unstable();
     let mut old_set: Vec<u128> = new_set.iter().chain(&orphans).copied().collect();
     old_set.sort_unstable();
-    let probe = FaultVfs::new(IoFaultPlan::counting(seed));
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(seed));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(2, 1), probe_vfs).unwrap();
     let before_gc = probe.ops();
@@ -489,7 +560,7 @@ fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
     for crash_at in before_gc + 1..=ops {
         let dir = scratch(&format!("gc-{crash_at}"));
         store_with_orphans(&dir);
-        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, crash_at));
+        let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, crash_at));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, sweep_opts(2, 1), vfs).unwrap();
         let _ = store.gc_orphan_blobs();
@@ -556,7 +627,7 @@ fn crash_point_sweep_through_compaction_keeps_old_or_new_log() {
     let seed = env_u64("CB_CHAOS_SEED", 1);
     let probe_dir = scratch("compact-probe");
     store_with_duplicates(&probe_dir);
-    let probe = FaultVfs::new(IoFaultPlan::counting(seed));
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(seed));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(1, 1), probe_vfs).unwrap();
     assert!(
@@ -580,7 +651,7 @@ fn crash_point_sweep_through_compaction_keeps_old_or_new_log() {
     for crash_at in before + 1..=ops {
         let dir = scratch(&format!("compact-{crash_at}"));
         store_with_duplicates(&dir);
-        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, crash_at));
+        let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, crash_at));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, sweep_opts(1, 1), vfs).unwrap();
         let _ = store.compact();
@@ -817,7 +888,7 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
         ..sweep_opts(1, 2)
     };
     let probe_dir = scratch("pastend-probe");
-    let probe = FaultVfs::new(IoFaultPlan::counting(0));
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(0));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap();
     store.append_batch(encode(first)).unwrap();
@@ -832,7 +903,7 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
     let mut seen = false;
     for seed in 0..512u64 {
         let dir = scratch(&format!("pastend-{seed}"));
-        let fault = FaultVfs::new(IoFaultPlan::crash_at(seed, pack_fsync_op));
+        let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(seed, pack_fsync_op));
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
         let mut store = Store::open_with_vfs(&dir, opts(), vfs).unwrap();
         store.append_batch(encode(first)).unwrap();
@@ -877,9 +948,9 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
 
 /// A crash at the second flush's pack fsync poisons a `StoreSink`: the
 /// failed barrier surfaces as the sink's error, the batch it carried and
-/// every later record are counted dropped, and `finish` fails. After the
-/// power cut the store reopens without quarantine and holds every record
-/// the first flush acked.
+/// every later record are counted dropped, and `finish` fails. The inner
+/// sink holds exactly the records the first flush acked. After the power
+/// cut the store reopens without quarantine and holds every one of them.
 #[test]
 fn failed_flush_barrier_poisons_the_sink() {
     let records = chaos_records();
@@ -890,36 +961,43 @@ fn failed_flush_barrier_poisons_the_sink() {
         segment_target_bytes: 1 << 20,
         ..sweep_opts(1, 2)
     };
-    let feed = |sink: &mut StoreSink, record: &ScanRecord| {
+    let feed = |sink: &mut StoreSink<Vec<ScanRecord>>, record: &ScanRecord| {
         let mut record = record.clone();
         let encoded = encode_record(&mut record);
         sink.accept_encoded(record, encoded);
     };
     let probe_dir = scratch("flushfail-probe");
-    let probe = FaultVfs::new(IoFaultPlan::counting(0));
+    let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(0));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
-    let mut sink = StoreSink::new(Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap());
+    let store = Mutex::new(Store::open_with_vfs(&probe_dir, opts(), probe_vfs).unwrap());
+    let mut sink = StoreSink::with_inner(&store, Vec::new());
     for r in &records[..4] {
         feed(&mut sink, r);
     }
     assert_eq!(
-        sink.store().acked_appends(),
+        store.lock().unwrap().acked_appends(),
         4,
         "two flushes ack four records"
     );
     let pack_fsync_op = probe.ops() - 2;
     drop(sink);
+    drop(store);
     std::fs::remove_dir_all(&probe_dir).unwrap();
 
     let dir = scratch("flushfail");
-    let fault = FaultVfs::new(IoFaultPlan::crash_at(0, pack_fsync_op));
+    let fault = FaultVfs::new(&dir, IoFaultPlan::crash_at(0, pack_fsync_op));
     let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fault));
-    let mut sink = StoreSink::new(Store::open_with_vfs(&dir, opts(), vfs).unwrap());
+    let store = Mutex::new(Store::open_with_vfs(&dir, opts(), vfs).unwrap());
+    let mut sink = StoreSink::with_inner(&store, Vec::new());
     for r in &records[..2] {
         feed(&mut sink, r);
     }
     assert!(sink.error().is_none() && !fault.crashed());
-    assert_eq!(sink.store().acked_appends(), 2, "the first flush acks");
+    assert_eq!(
+        store.lock().unwrap().acked_appends(),
+        2,
+        "the first flush acks"
+    );
     for r in &records[2..4] {
         feed(&mut sink, r);
     }
@@ -929,7 +1007,7 @@ fn failed_flush_barrier_poisons_the_sink() {
     );
     assert!(sink.error().is_some(), "a failed barrier poisons the sink");
     assert_eq!(
-        sink.store().acked_appends(),
+        store.lock().unwrap().acked_appends(),
         2,
         "a failed barrier acks nothing"
     );
@@ -943,12 +1021,19 @@ fn failed_flush_barrier_poisons_the_sink() {
         "later records are dropped"
     );
     assert_eq!(sink.appended(), 2);
+    let forwarded: Vec<usize> = sink.inner().iter().map(|r| r.message_id).collect();
     assert_eq!(
-        sink.store().stats().append_errors,
+        forwarded,
+        [records[0].message_id, records[1].message_id],
+        "the inner sink holds exactly the records the first flush acked"
+    );
+    assert_eq!(
+        store.lock().unwrap().stats().append_errors,
         0,
         "a failed barrier is the sink's error, not a failed append"
     );
     assert!(sink.finish().is_err(), "finish surfaces the failed barrier");
+    drop(store);
     fault.apply_crash().unwrap();
 
     let mut store = Store::open_with(&dir, opts()).unwrap();
