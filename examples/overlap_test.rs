@@ -7,7 +7,9 @@ fn main() {
         let mut overlap_msgs = 0usize;
         let mut overlap = 0usize;
         for c in &corpus.campaigns {
-            if c.cloak.client.victim_db_check && (c.cloak.client.otp_gate || c.cloak.client.math_challenge) {
+            if c.cloak.client.victim_db_check
+                && (c.cloak.client.otp_gate || c.cloak.client.math_challenge)
+            {
                 overlap += 1;
                 overlap_msgs += c.message_count;
             }
@@ -18,9 +20,14 @@ fn main() {
             for m in &corpus.messages {
                 if let Some(ci) = m.truth.campaign {
                     let c = &corpus.campaigns[ci];
-                    if c.cloak.client.victim_db_check && (c.cloak.client.otp_gate || c.cloak.client.math_challenge) {
+                    if c.cloak.client.victim_db_check
+                        && (c.cloak.client.otp_gate || c.cloak.client.math_challenge)
+                    {
                         let rec = cbx.scan(m);
-                        println!("  msg {} truth {:?} derived {:?}", m.id, m.truth.class, rec.class);
+                        println!(
+                            "  msg {} truth {:?} derived {:?}",
+                            m.id, m.truth.class, rec.class
+                        );
                         break;
                     }
                 }

@@ -29,10 +29,7 @@ fn main() {
         "REGRU-RU",
         SimTime::from_ymd(2024, 1, 2),
     );
-    net.issue_certificate_at(
-        "cloud-portal-login.example",
-        SimTime::from_ymd(2024, 1, 15),
-    );
+    net.issue_certificate_at("cloud-portal-login.example", SimTime::from_ymd(2024, 1, 15));
     net.advance(SimDuration::days(23));
     let site = PhishingSite::new(brand, "https://cloud-portal-login.example", {
         let mut c = CloakConfig::typical_2024();
@@ -107,6 +104,9 @@ fn main() {
         site.stats().benign_served
     );
     assert_eq!(record.class, cb_phishgen::MessageClass::ActivePhish);
-    assert!(record.spear_match().is_some(), "lookalike must be classified");
+    assert!(
+        record.spear_match().is_some(),
+        "lookalike must be classified"
+    );
     println!("\nquickstart OK: the cloaked lookalike was crawled and classified.");
 }

@@ -70,11 +70,14 @@ fn main() {
     // analyzed correctly by CrawlerBox, which uses the robust extraction.
     let net = Internet::new(SimTime::from_ymd(2024, 4, 1));
     net.register_domain("evil-site.example", "REGRU-RU");
-    net.host("evil-site.example", PhishingSite::new(
-        Brand::PayRoute,
-        "https://evil-site.example",
-        CloakConfig::none(),
-    ));
+    net.host(
+        "evil-site.example",
+        PhishingSite::new(
+            Brand::PayRoute,
+            "https://evil-site.example",
+            CloakConfig::none(),
+        ),
+    );
     let mut rng = cb_sim::SeedFork::new(1).rng("example");
     let raw = cb_phishgen::messages::build_message(
         &mut rng,

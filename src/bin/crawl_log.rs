@@ -210,7 +210,9 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
     match cmd.as_str() {
         "stats" => {
             if let Some(extra) = iter.next() {
-                usage_exit(&format!("store stats takes no further arguments, got {extra}"));
+                usage_exit(&format!(
+                    "store stats takes no further arguments, got {extra}"
+                ));
             }
             let store = open_store_or_exit(&dir);
             let stats = store.stats();
@@ -254,10 +256,7 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
                     }
                     match bounds.get(i) {
                         Some(hi) => println!("  <= {hi:>5}  {n}"),
-                        None => println!(
-                            "   > {:>5}  {n}",
-                            bounds.last().copied().unwrap_or(0)
-                        ),
+                        None => println!("   > {:>5}  {n}", bounds.last().copied().unwrap_or(0)),
                     }
                 }
             }
@@ -291,7 +290,9 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
         }
         "verify" => {
             if let Some(extra) = iter.next() {
-                usage_exit(&format!("store verify takes no further arguments, got {extra}"));
+                usage_exit(&format!(
+                    "store verify takes no further arguments, got {extra}"
+                ));
             }
             let mut store = open_store_or_exit(&dir);
             let report = match store.verify() {
@@ -339,7 +340,11 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
                     "shard {}: salvaged {} record(s){}",
                     r.shard,
                     r.salvaged,
-                    if r.was_quarantined { ", returned to service" } else { "" }
+                    if r.was_quarantined {
+                        ", returned to service"
+                    } else {
+                        ""
+                    }
                 );
             }
             if store.is_degraded() {
@@ -358,7 +363,9 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
                 match a.as_str() {
                     "--class" => {
                         class = Some(parse_class(
-                            &iter.next().unwrap_or_else(|| usage_exit("--class needs a value")),
+                            &iter
+                                .next()
+                                .unwrap_or_else(|| usage_exit("--class needs a value")),
                         ))
                     }
                     "--domain" => {
@@ -396,7 +403,10 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
                         .map(|d| m.domains.iter().any(|have| have.contains(d.as_str())))
                         .unwrap_or(true)
                 })
-                .filter(|(_, m)| cert.map(|fp| m.cert_fingerprints.contains(&fp)).unwrap_or(true))
+                .filter(|(_, m)| {
+                    cert.map(|fp| m.cert_fingerprints.contains(&fp))
+                        .unwrap_or(true)
+                })
                 .filter(|(_, m)| phash.map(|p| m.phashes.contains(&p)).unwrap_or(true))
                 .collect();
             println!("{} matching record(s):", matches.len());
@@ -462,11 +472,19 @@ fn store_main(mut iter: impl Iterator<Item = String>) {
                     c.id,
                     c.len(),
                     c.domains.len(),
-                    c.domains.iter().take(4).cloned().collect::<Vec<_>>().join(", "),
+                    c.domains
+                        .iter()
+                        .take(4)
+                        .cloned()
+                        .collect::<Vec<_>>()
+                        .join(", "),
                 );
                 println!("    evidence: {}", evidence.join(", "));
-                let classes: Vec<String> =
-                    c.classes.iter().map(|(cl, n)| format!("{cl:?} x{n}")).collect();
+                let classes: Vec<String> = c
+                    .classes
+                    .iter()
+                    .map(|(cl, n)| format!("{cl:?} x{n}"))
+                    .collect();
                 println!("    classes:  {}", classes.join(", "));
             }
         }
@@ -507,7 +525,9 @@ fn main() {
         match a.as_str() {
             "--class" => {
                 class = Some(parse_class(
-                    &iter.next().unwrap_or_else(|| usage_exit("--class needs a value")),
+                    &iter
+                        .next()
+                        .unwrap_or_else(|| usage_exit("--class needs a value")),
                 ))
             }
             "--domain" => domain = iter.next(),

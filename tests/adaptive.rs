@@ -123,16 +123,26 @@ fn policy_memory_survives_a_store_reopen_and_resumes_the_race() {
     let mut cfg = AdaptiveConfig::new(23).with_budget(8);
     cfg.campaigns_per_family = 2;
     let cold = cb_adaptive::experiment::run(&cfg, &PolicyMemory::default());
-    assert!(!cold.memory.cells.is_empty(), "the adaptive side must learn policies");
+    assert!(
+        !cold.memory.cells.is_empty(),
+        "the adaptive side must learn policies"
+    );
 
     {
         let store = Store::open(&dir).expect("open store");
         cold.memory.save(&store).expect("persist policy memory");
     }
     let reopened = Store::open(&dir).expect("reopen store");
-    assert_eq!(reopened.len(), 0, "policy state must not masquerade as crawl records");
+    assert_eq!(
+        reopened.len(),
+        0,
+        "policy state must not masquerade as crawl records"
+    );
     let resume = PolicyMemory::load(&reopened);
-    assert_eq!(resume, cold.memory, "memory must round-trip through the reopened store");
+    assert_eq!(
+        resume, cold.memory,
+        "memory must round-trip through the reopened store"
+    );
 
     let warm = cb_adaptive::experiment::run(&cfg, &resume);
     for ((_, w), (_, c)) in warm.report.pairs().into_iter().zip(cold.report.pairs()) {
@@ -207,9 +217,16 @@ fn repro_adaptive_rejects_corpus_flags() {
 /// table and the per-budget summary on stdout.
 #[test]
 fn repro_adaptive_prints_the_table() {
-    let (code, stdout, stderr) = run_cli(repro().args(["adaptive", "--budget", "2", "--seed", "3"]));
+    let (code, stdout, stderr) =
+        run_cli(repro().args(["adaptive", "--budget", "2", "--seed", "3"]));
     assert_eq!(code, 0, "stderr: {stderr}");
-    assert!(stdout.contains("== Adaptive vs fixed NotABot =="), "stdout: {stdout}");
+    assert!(
+        stdout.contains("== Adaptive vs fixed NotABot =="),
+        "stdout: {stdout}"
+    );
     assert!(stdout.contains("open-door"), "stdout: {stdout}");
-    assert!(stdout.contains("budget  2: adaptive strictly ahead on"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("budget  2: adaptive strictly ahead on"),
+        "stdout: {stdout}"
+    );
 }

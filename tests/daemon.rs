@@ -80,7 +80,9 @@ impl Daemon {
         body: &[u8],
     ) -> (u16, String) {
         let mut stream = TcpStream::connect(&self.addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
         let mut head = format!(
             "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n",
             body.len()
@@ -99,7 +101,10 @@ impl Daemon {
             .and_then(|r| r.get(..3))
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("bad response: {text:?}"));
-        let body = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+        let body = text
+            .split_once("\r\n\r\n")
+            .map(|(_, b)| b.to_string())
+            .unwrap_or_default();
         (status, body)
     }
 
@@ -156,7 +161,9 @@ impl Drop for Daemon {
 /// arrived (or the peer closed / 5s passed). Returns everything read.
 fn raw_exchange(addr: &str, wire: &[u8], want: usize) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
     stream.write_all(wire).expect("write");
     let mut out = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -204,15 +211,30 @@ fn health_metrics_and_route_errors() {
 
     let (status, text) = d.get("/metrics");
     assert_eq!(status, 200);
-    assert!(text.contains("# TYPE cb_daemon_http_requests counter"), "{text}");
-    assert!(text.contains("cb_store_append_records{partition=\"0\"} 0"), "{text}");
-    assert!(text.contains("cb_store_append_records{partition=\"1\"} 0"), "{text}");
+    assert!(
+        text.contains("# TYPE cb_daemon_http_requests counter"),
+        "{text}"
+    );
+    assert!(
+        text.contains("cb_store_append_records{partition=\"0\"} 0"),
+        "{text}"
+    );
+    assert!(
+        text.contains("cb_store_append_records{partition=\"1\"} 0"),
+        "{text}"
+    );
 
     // Canonical mode exists and excludes advisory instruments.
     let (status, canonical) = d.get("/metrics?mode=canonical");
     assert_eq!(status, 200);
-    assert!(!canonical.contains("cb_daemon_http_requests"), "{canonical}");
-    assert!(canonical.contains("cb_daemon_ingest_messages"), "{canonical}");
+    assert!(
+        !canonical.contains("cb_daemon_http_requests"),
+        "{canonical}"
+    );
+    assert!(
+        canonical.contains("cb_daemon_ingest_messages"),
+        "{canonical}"
+    );
     let (status, _) = d.get("/metrics?mode=wat");
     assert_eq!(status, 400);
 
@@ -279,8 +301,15 @@ fn raw_ingest_reaches_durable_and_dedups_resubmission() {
 
     let (_, body) = d.get("/health");
     let health: cb_json::Value = cb_json::from_str(&body).unwrap();
-    assert_eq!(health["partitions"][0]["appended"].as_u64().unwrap(), 1, "{health}");
-    assert!(health["partitions"][0]["acked"].as_u64().unwrap() >= 1, "{health}");
+    assert_eq!(
+        health["partitions"][0]["appended"].as_u64().unwrap(),
+        1,
+        "{health}"
+    );
+    assert!(
+        health["partitions"][0]["acked"].as_u64().unwrap() >= 1,
+        "{health}"
+    );
 
     d.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -323,8 +352,15 @@ fn json_batch_ingest_clusters_campaigns() {
     let parsed: cb_json::Value = cb_json::from_str(&body).unwrap();
     let campaigns = parsed["campaigns"].as_array().unwrap();
     assert!(!campaigns.is_empty(), "{parsed}");
-    let clustered: u64 = campaigns.iter().map(|c| c["messages"].as_u64().unwrap()).sum();
-    assert_eq!(clustered as usize, batch.len(), "every record in exactly one campaign");
+    let clustered: u64 = campaigns
+        .iter()
+        .map(|c| c["messages"].as_u64().unwrap())
+        .sum();
+    assert_eq!(
+        clustered as usize,
+        batch.len(),
+        "every record in exactly one campaign"
+    );
 
     d.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -358,7 +394,10 @@ fn concurrent_bursts_survive_clean_shutdown() {
                 hashes
             }));
         }
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
     assert_eq!(accepted.len(), 24, "distinct content hashes");
 
@@ -379,7 +418,10 @@ fn concurrent_bursts_survive_clean_shutdown() {
         for hash in &accepted {
             let h = u128::from_str_radix(hash, 16).unwrap();
             if crawlerbox::tasks::route_shard(h, shards) == w {
-                assert!(store.contains_hash(h), "accepted {hash} missing after clean shutdown");
+                assert!(
+                    store.contains_hash(h),
+                    "accepted {hash} missing after clean shutdown"
+                );
             }
         }
     }
@@ -399,14 +441,20 @@ fn keepalive_pipelining_and_torn_requests() {
     assert!(text.contains("Connection: keep-alive"), "{text}");
 
     // Explicit close is honored.
-    let text = raw_exchange(&d.addr, b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n", 1);
+    let text = raw_exchange(
+        &d.addr,
+        b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n",
+        1,
+    );
     assert!(text.contains("Connection: close"), "{text}");
 
     // A torn request (half a head, then FIN) is dropped silently and
     // takes nothing down.
     {
         let mut stream = TcpStream::connect(&d.addr).unwrap();
-        stream.write_all(b"POST /ingest HTTP/1.1\r\nContent-Le").unwrap();
+        stream
+            .write_all(b"POST /ingest HTTP/1.1\r\nContent-Le")
+            .unwrap();
     }
     assert_eq!(d.get("/health").0, 200, "daemon survives torn requests");
 
@@ -419,12 +467,22 @@ fn protocol_abuse_maps_to_4xx_never_down() {
     let dir = scratch("abuse");
     let d = Daemon::spawn(
         &dir,
-        &["--shards", "1", "--max-body", "4096", "--read-timeout-ms", "300"],
+        &[
+            "--shards",
+            "1",
+            "--max-body",
+            "4096",
+            "--read-timeout-ms",
+            "300",
+        ],
     );
 
     // Oversized request-line → 414.
     let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(9000));
-    assert!(raw_exchange(&d.addr, long.as_bytes(), 1).contains("414"), "long URI");
+    assert!(
+        raw_exchange(&d.addr, long.as_bytes(), 1).contains("414"),
+        "long URI"
+    );
 
     // Oversized header block → 431.
     let mut heads = String::from("GET /health HTTP/1.1\r\n");
@@ -432,11 +490,17 @@ fn protocol_abuse_maps_to_4xx_never_down() {
         heads.push_str(&format!("X-Pad-{i}: {}\r\n", "v".repeat(48)));
     }
     heads.push_str("\r\n");
-    assert!(raw_exchange(&d.addr, heads.as_bytes(), 1).contains("431"), "huge heads");
+    assert!(
+        raw_exchange(&d.addr, heads.as_bytes(), 1).contains("431"),
+        "huge heads"
+    );
 
     // Body over the configured cap → 413, before any body is read.
     let big = b"POST /ingest HTTP/1.1\r\nContent-Length: 8000\r\n\r\n";
-    assert!(raw_exchange(&d.addr, big, 1).contains("413"), "oversized body");
+    assert!(
+        raw_exchange(&d.addr, big, 1).contains("413"),
+        "oversized body"
+    );
 
     // Smuggling-shaped framing → 400.
     let smuggle =
@@ -449,11 +513,18 @@ fn protocol_abuse_maps_to_4xx_never_down() {
 
     // Slowloris: a never-finished head times out with 408.
     let mut stream = TcpStream::connect(&d.addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    stream.write_all(b"GET /health HTTP/1.1\r\nHost: t").unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"GET /health HTTP/1.1\r\nHost: t")
+        .unwrap();
     let mut out = Vec::new();
     let _ = stream.read_to_end(&mut out);
-    assert!(String::from_utf8_lossy(&out).contains("408"), "slowloris: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out).contains("408"),
+        "slowloris: {out:?}"
+    );
 
     // After all of that the daemon still answers.
     assert_eq!(d.get("/health").0, 200);
@@ -469,8 +540,12 @@ fn kill_and_restart_preserves_durable_acks() {
     let (_corpus, subset) = corpus_subset(2024, 12);
     for (commit_batch, shards) in [(1usize, 1usize), (1, 4), (16, 1), (16, 4)] {
         let dir = scratch(&format!("kill-b{commit_batch}-s{shards}"));
-        let flags =
-            [String::from("--shards"), shards.to_string(), "--commit-batch".into(), commit_batch.to_string()];
+        let flags = [
+            String::from("--shards"),
+            shards.to_string(),
+            "--commit-batch".into(),
+            commit_batch.to_string(),
+        ];
         let flags: Vec<&str> = flags.iter().map(String::as_str).collect();
         let d = Daemon::spawn(&dir, &flags);
 
@@ -490,7 +565,11 @@ fn kill_and_restart_preserves_durable_acks() {
         let mut durable: BTreeSet<String> = BTreeSet::new();
         let deadline = Instant::now() + Duration::from_secs(180);
         while durable.len() < ids.len() / 2 {
-            assert!(Instant::now() < deadline, "only {} durable acks", durable.len());
+            assert!(
+                Instant::now() < deadline,
+                "only {} durable acks",
+                durable.len()
+            );
             for (id, hash) in &ids {
                 let (_, body) = d.get(&format!("/tasks/{id}"));
                 let task: cb_json::Value = cb_json::from_str(&body).unwrap();

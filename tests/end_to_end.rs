@@ -22,21 +22,38 @@ fn headline_shapes_hold_at_ten_percent_scale() {
     // Class mix tracks §V within a few points.
     let mix = &report.class_mix;
     assert_eq!(mix.total, corpus.messages.len());
-    assert!((mix.percent(mix.no_resource) - 49.6).abs() < 4.0, "no-resource {:.1}%", mix.percent(mix.no_resource));
-    assert!((mix.percent(mix.active_phish) - 29.9).abs() < 4.0, "active {:.1}%", mix.percent(mix.active_phish));
+    assert!(
+        (mix.percent(mix.no_resource) - 49.6).abs() < 4.0,
+        "no-resource {:.1}%",
+        mix.percent(mix.no_resource)
+    );
+    assert!(
+        (mix.percent(mix.active_phish) - 29.9).abs() < 4.0,
+        "active {:.1}%",
+        mix.percent(mix.active_phish)
+    );
     assert!((mix.percent(mix.error_pages) - 15.9).abs() < 4.0);
 
     // Spear share ≈ 73.3%.
     let spear_share = report.spear.spear as f64 / report.spear.active.max(1) as f64;
-    assert!((spear_share - 0.733).abs() < 0.08, "spear share {spear_share}");
+    assert!(
+        (spear_share - 0.733).abs() < 0.08,
+        "spear share {spear_share}"
+    );
 
     // Hotlinking ≈ 29.8% of spear.
     let hotlink_share = report.spear.hotlinking as f64 / report.spear.spear.max(1) as f64;
-    assert!((hotlink_share - 0.298).abs() < 0.10, "hotlink share {hotlink_share}");
+    assert!(
+        (hotlink_share - 0.298).abs() < 0.10,
+        "hotlink share {hotlink_share}"
+    );
 
     // Lexical ≈ 15.7%, zero punycode.
     let lex_share = report.lexical.deceptive as f64 / report.lexical.total.max(1) as f64;
-    assert!((lex_share - 0.157).abs() < 0.06, "lexical share {lex_share}");
+    assert!(
+        (lex_share - 0.157).abs() < 0.06,
+        "lexical share {lex_share}"
+    );
     assert_eq!(report.lexical.punycode, 0);
 
     // Volume shape: median 1 message/domain, low-volume singles.
@@ -54,7 +71,10 @@ fn headline_shapes_hold_at_ten_percent_scale() {
     assert!(gated as f64 / total as f64 > 0.5, "gating {gated}/{total}");
 
     // Table I invariants.
-    assert_eq!(report.table1.rows.iter().filter(|r| r.passes_all()).count(), 3);
+    assert_eq!(
+        report.table1.rows.iter().filter(|r| r.passes_all()).count(),
+        3
+    );
 
     // Monthly series: 10 months, downward.
     assert_eq!(report.figure2.series.len(), 10);
@@ -76,9 +96,7 @@ fn crawlerbox_agrees_with_ground_truth_classes() {
     let records = cbx.scan_all(&corpus.messages);
     let mut confusion = std::collections::BTreeMap::new();
     for (r, m) in records.iter().zip(&corpus.messages) {
-        *confusion
-            .entry((m.truth.class, r.class))
-            .or_insert(0usize) += 1;
+        *confusion.entry((m.truth.class, r.class)).or_insert(0usize) += 1;
     }
     let agree: usize = confusion
         .iter()
@@ -99,8 +117,8 @@ fn weak_crawler_sees_far_fewer_phish_pages() {
     let spec = CorpusSpec::paper().with_scale(0.04);
     let corpus = Corpus::generate(&spec, 11);
     let strong = CrawlerBox::new(&corpus.world);
-    let weak = CrawlerBox::new(&corpus.world)
-        .with_profile(cb_browser::CrawlerProfile::PuppeteerStealth);
+    let weak =
+        CrawlerBox::new(&corpus.world).with_profile(cb_browser::CrawlerProfile::PuppeteerStealth);
     let strong_records = strong.scan_all(&corpus.messages);
     let weak_records = weak.scan_all(&corpus.messages);
     let phish = |records: &[crawlerbox::ScanRecord]| {
@@ -177,8 +195,8 @@ fn fallback_crawlers_recover_what_a_weak_primary_misses() {
     // Turnstile-gated kits; with NotABot as fallback it recovers them.
     let spec = CorpusSpec::paper().with_scale(0.03);
     let corpus = Corpus::generate(&spec, 19);
-    let weak_only = CrawlerBox::new(&corpus.world)
-        .with_profile(cb_browser::CrawlerProfile::PuppeteerStealth);
+    let weak_only =
+        CrawlerBox::new(&corpus.world).with_profile(cb_browser::CrawlerProfile::PuppeteerStealth);
     let weak_with_fallback = CrawlerBox::new(&corpus.world)
         .with_profile(cb_browser::CrawlerProfile::PuppeteerStealth)
         .with_fallbacks(&[cb_browser::CrawlerProfile::NotABot]);
@@ -195,7 +213,10 @@ fn fallback_crawlers_recover_what_a_weak_primary_misses() {
         .iter()
         .filter(|m| m.truth.class == MessageClass::ActivePhish)
         .count();
-    assert!(alone < diversified, "fallback must add coverage ({alone} vs {diversified})");
+    assert!(
+        alone < diversified,
+        "fallback must add coverage ({alone} vs {diversified})"
+    );
     assert!(
         diversified as f64 >= truth as f64 * 0.9,
         "diversified pipeline recovers most phish ({diversified}/{truth})"

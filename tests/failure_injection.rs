@@ -39,7 +39,10 @@ fn malformed_mime_inputs_never_panic() {
         "Content-Type: multipart/mixed\r\n\r\nno boundary".to_string(),
         "Subject: truncated base64\r\nContent-Transfer-Encoding: base64\r\n\r\nZm9v!!!".to_string(),
         "A: \u{0}\u{1}\u{2}\r\n\r\nbinary header values".to_string(),
-        format!("Subject: header bomb\r\n{}\r\n\r\nx", "X-Pad: y\r\n".repeat(5000)),
+        format!(
+            "Subject: header bomb\r\n{}\r\n\r\nx",
+            "X-Pad: y\r\n".repeat(5000)
+        ),
     ] {
         let record = scan(&net, raw);
         assert_eq!(record.class, MessageClass::NoResource);
@@ -91,7 +94,8 @@ fn zip_bomb_nesting_terminates() {
         bytes = z.to_bytes();
     }
     let mut b = MessageBuilder::new();
-    b.subject("matryoshka").attach("bomb.zip", "application/zip", &bytes);
+    b.subject("matryoshka")
+        .attach("bomb.zip", "application/zip", &bytes);
     let record = scan(&net, b.build());
     // bounded recursion: the deeply nested URL is not surfaced, no hang
     assert!(record.extracted.is_empty());
@@ -102,9 +106,7 @@ fn page_with_infinite_script_loop_is_bounded() {
     let net = Internet::new(SimTime::from_ymd(2024, 3, 1));
     net.register_domain("spinner.example", "REG");
     net.host("spinner.example", |_: &HttpRequest, _: &NetContext<'_>| {
-        HttpResponse::html(
-            r#"<script>while (true) { debugger; }</script><p>after</p>"#,
-        )
+        HttpResponse::html(r#"<script>while (true) { debugger; }</script><p>after</p>"#)
     });
     let mut b = MessageBuilder::new();
     b.subject("spin").text_body("https://spinner.example/");
@@ -126,7 +128,8 @@ fn server_returning_garbage_headers_is_survivable() {
         }
     });
     let mut b = MessageBuilder::new();
-    b.subject("redirect to garbage").text_body("https://weird.example/");
+    b.subject("redirect to garbage")
+        .text_body("https://weird.example/");
     let record = scan(&net, b.build());
     assert_eq!(record.visits.len(), 1);
     assert_ne!(record.class, MessageClass::ActivePhish);
@@ -140,7 +143,8 @@ fn redirect_chain_across_dead_domains_is_error_class() {
         HttpResponse::redirect("https://dead-end.example/next")
     });
     let mut b = MessageBuilder::new();
-    b.subject("into the void").text_body("https://alive.example/start");
+    b.subject("into the void")
+        .text_body("https://alive.example/start");
     let record = scan(&net, b.build());
     assert_eq!(record.class, MessageClass::ErrorPage);
 }
@@ -277,9 +281,7 @@ fn gate_page_lying_about_its_kind_is_not_solved() {
     let net = Internet::new(SimTime::from_ymd(2024, 3, 1));
     net.register_domain("liar.example", "REG");
     net.host("liar.example", |_: &HttpRequest, _: &NetContext<'_>| {
-        HttpResponse::html(
-            r#"<p>What is 17 + 25?</p><div data-requires-interaction="math"></div>"#,
-        )
+        HttpResponse::html(r#"<p>What is 17 + 25?</p><div data-requires-interaction="math"></div>"#)
     });
     let mut b = MessageBuilder::new();
     b.subject("gate").text_body("https://liar.example/");
@@ -294,9 +296,12 @@ fn fixed_review_findings_hold_end_to_end() {
     // Regression sweep for the code-review findings, at the pipeline surface.
     let net = Internet::new(SimTime::from_ymd(2024, 3, 1));
     net.register_domain("early-http.example", "REG");
-    net.host("early-http.example", |_: &HttpRequest, _: &NetContext<'_>| {
-        HttpResponse::html("<form action=/c><input type=password name=p></form>")
-    });
+    net.host(
+        "early-http.example",
+        |_: &HttpRequest, _: &NetContext<'_>| {
+            HttpResponse::html("<form action=/c><input type=password name=p></form>")
+        },
+    );
 
     // (a) an http:// phish followed by an https:// footer link is extracted
     let mut b = MessageBuilder::new();
@@ -324,10 +329,13 @@ fn fixed_review_findings_hold_end_to_end() {
     assert_eq!(record2.class, MessageClass::ActivePhish);
 
     // (c) faulty QR inside a nested EML keeps its provenance
-    let symbol = cb_qr::encode_bytes(b"xxx https://early-http.example/qq", cb_qr::EcLevel::M).unwrap();
+    let symbol =
+        cb_qr::encode_bytes(b"xxx https://early-http.example/qq", cb_qr::EcLevel::M).unwrap();
     let img = cb_artifacts::qrimage::render(symbol.matrix(), 2);
     let mut inner = MessageBuilder::new();
-    inner.subject("inner").attach("qr.png", "image/png", &img.to_bytes());
+    inner
+        .subject("inner")
+        .attach("qr.png", "image/png", &img.to_bytes());
     let mut outer = MessageBuilder::new();
     outer
         .subject("fwd")

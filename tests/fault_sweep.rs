@@ -33,7 +33,8 @@ fn supervised_scan_reproduces_baseline_classes_under_faults() {
 
     for (b, s) in baseline.iter().zip(&supervised) {
         assert_eq!(
-            b.class, s.class,
+            b.class,
+            s.class,
             "message {} diverged under supervision: {:?}",
             b.message_id,
             s.visits.iter().map(|v| &v.attempts).collect::<Vec<_>>()

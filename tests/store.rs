@@ -40,7 +40,10 @@ fn corpus_subset(seed: u64, n: usize) -> (Corpus, Vec<ReportedMessage>) {
 /// One-shard options: tests that reason about "the last record in the
 /// log" or exact segment paths pin the layout to a single shard.
 fn one_shard() -> StoreOptions {
-    StoreOptions { shards: 1, ..StoreOptions::default() }
+    StoreOptions {
+        shards: 1,
+        ..StoreOptions::default()
+    }
 }
 
 /// Raw bytes of every segment file across every shard's active
@@ -191,7 +194,11 @@ fn store_round_trip_is_byte_identical_across_configs() {
 #[test]
 fn encoded_ingest_is_byte_identical_to_oracle_across_batches() {
     let (corpus, subset) = corpus_subset(13, usize::MAX);
-    assert!(subset.len() >= 52, "the 1% corpus: {} records", subset.len());
+    assert!(
+        subset.len() >= 52,
+        "the 1% corpus: {} records",
+        subset.len()
+    );
     let (reference, _) =
         common::fresh_box_scan(&corpus.world, &subset, |b| b.with_artifact_capture(true));
     for shards in [1usize, 4, 8] {
@@ -392,10 +399,17 @@ fn soak_rounds_through_one_box_and_store_keep_every_message_and_caches_flat() {
         );
         drop(held);
         let stats = cbx.stats();
-        let misses = (stats.page_misses, stats.screenshot_misses, stats.artifact_misses);
+        let misses = (
+            stats.page_misses,
+            stats.screenshot_misses,
+            stats.artifact_misses,
+        );
         match first_round_misses {
             None => {
-                assert!(misses.0 > 0 && misses.1 > 0, "round 0 fills the caches: {misses:?}");
+                assert!(
+                    misses.0 > 0 && misses.1 > 0,
+                    "round 0 fills the caches: {misses:?}"
+                );
                 first_round_misses = Some(misses);
             }
             Some(first) => assert_eq!(
@@ -545,7 +559,10 @@ fn batch_one_and_batch_256_logs_identical_after_compaction() {
                 keys.push((sid, seq));
             }
         }
-        assert_eq!(store.fetch_payloads(&keys).unwrap(), store.read_payloads().unwrap());
+        assert_eq!(
+            store.fetch_payloads(&keys).unwrap(),
+            store.read_payloads().unwrap()
+        );
         assert!(store.verify().unwrap().is_clean());
         drop(store);
         dirs.push(dir);
@@ -567,7 +584,13 @@ fn sync_after_read_only_window_performs_zero_fsyncs() {
     let dir = scratch("cleansync");
     let mut store = Store::open_with(&dir, one_shard()).unwrap();
     for id in 0..4usize {
-        store.append(&synthetic_record(id, id as u128 + 1, MessageClass::NoResource)).unwrap();
+        store
+            .append(&synthetic_record(
+                id,
+                id as u128 + 1,
+                MessageClass::NoResource,
+            ))
+            .unwrap();
     }
     store.sync().unwrap();
     let after_write = store.stats().fsyncs;
@@ -579,10 +602,16 @@ fn sync_after_read_only_window_performs_zero_fsyncs() {
     assert!(store.contains_hash(1));
     store.sync().unwrap();
     store.sync().unwrap();
-    assert_eq!(store.stats().fsyncs, after_write, "clean shards cost zero fsyncs");
+    assert_eq!(
+        store.stats().fsyncs,
+        after_write,
+        "clean shards cost zero fsyncs"
+    );
 
     // The next append re-dirties the shard; sync fsyncs again.
-    store.append(&synthetic_record(9, 99, MessageClass::Download)).unwrap();
+    store
+        .append(&synthetic_record(9, 99, MessageClass::Download))
+        .unwrap();
     store.sync().unwrap();
     assert!(store.stats().fsyncs > after_write);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -595,16 +624,25 @@ fn sync_after_read_only_window_performs_zero_fsyncs() {
 fn poisoned_sink_surfaces_drop_count_and_error_counter() {
     let dir = scratch("poison");
     let shards = 4usize;
-    let opts = StoreOptions { segment_target_bytes: 1, shards, ..StoreOptions::default() };
+    let opts = StoreOptions {
+        segment_target_bytes: 1,
+        shards,
+        ..StoreOptions::default()
+    };
     let mut store = Store::open_with(&dir, opts).unwrap();
     for id in 0..2usize {
         let h = hash_in_shard(1, shards, id as u128 + 10);
-        store.append(&synthetic_record(id, h, MessageClass::NoResource)).unwrap();
+        store
+            .append(&synthetic_record(id, h, MessageClass::NoResource))
+            .unwrap();
     }
     store.sync().unwrap();
     drop(store);
     // Corrupt an interior segment of shard 1 so it reopens quarantined.
-    let seg0 = dir.join("shard-01").join("segments-00000").join("seg-00000.cbl");
+    let seg0 = dir
+        .join("shard-01")
+        .join("segments-00000")
+        .join("seg-00000.cbl");
     let mut bytes = std::fs::read(&seg0).unwrap();
     let at = bytes.len() - 2;
     bytes[at] ^= 0xFF;
@@ -632,7 +670,10 @@ fn poisoned_sink_surfaces_drop_count_and_error_counter() {
         1,
         "one failed append, not three"
     );
-    assert!(sink.finish().is_err(), "finish surfaces the poisoning error");
+    assert!(
+        sink.finish().is_err(),
+        "finish surfaces the poisoning error"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -665,16 +706,32 @@ fn torn_tail_is_truncated_and_incremental_rescan_fills_the_gap() {
     names.sort();
     let last_segment = seg_dir.join(names.last().unwrap());
     let len = std::fs::metadata(&last_segment).unwrap().len();
-    let file = std::fs::OpenOptions::new().write(true).open(&last_segment).unwrap();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&last_segment)
+        .unwrap();
     file.set_len(len - 7).unwrap();
     drop(file);
 
     let mut store = Store::open(&dir).unwrap();
-    assert_eq!(store.shard_count(), 1, "manifest shard count survives reopen");
-    let torn = store.recovery().torn.first().cloned().expect("torn tail must be reported");
+    assert_eq!(
+        store.shard_count(),
+        1,
+        "manifest shard count survives reopen"
+    );
+    let torn = store
+        .recovery()
+        .torn
+        .first()
+        .cloned()
+        .expect("torn tail must be reported");
     assert_eq!(torn.segment, last_segment);
     assert!(torn.dropped_bytes > 0);
-    assert_eq!(store.len(), total - 1, "exactly the mid-append record is lost");
+    assert_eq!(
+        store.len(),
+        total - 1,
+        "exactly the mid-append record is lost"
+    );
     assert!(
         store.verify().unwrap().is_clean(),
         "truncation leaves a CRC-clean log"
@@ -695,9 +752,18 @@ fn torn_tail_is_truncated_and_incremental_rescan_fills_the_gap() {
     sink.finish().unwrap();
     let mut store = store.into_inner().unwrap();
     assert_eq!(store.len(), total);
-    let mut ids: Vec<usize> = store.read_all().unwrap().iter().map(|r| r.message_id).collect();
+    let mut ids: Vec<usize> = store
+        .read_all()
+        .unwrap()
+        .iter()
+        .map(|r| r.message_id)
+        .collect();
     ids.sort_unstable();
-    assert_eq!(ids, (0..subset.len()).collect::<Vec<_>>(), "log is complete again");
+    assert_eq!(
+        ids,
+        (0..subset.len()).collect::<Vec<_>>(),
+        "log is complete again"
+    );
     assert!(store.verify().unwrap().is_clean());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -723,7 +789,10 @@ fn blob_store_dedups_reads_back_and_gcs_orphans() {
     // 3 unique message blobs + 1 shared screenshot blob.
     assert_eq!(store.blobs().len(), 4);
     assert_eq!(store.stats().blob_dedup_hits, 2);
-    assert_eq!(store.blob(shared_hash).unwrap().as_deref(), Some(shared.as_slice()));
+    assert_eq!(
+        store.blob(shared_hash).unwrap().as_deref(),
+        Some(shared.as_slice())
+    );
     assert_eq!(store.blob(0xdead_beef).unwrap(), None);
     assert!(store.verify().unwrap().is_clean());
     store.sync().unwrap();
@@ -746,18 +815,32 @@ fn blob_store_dedups_reads_back_and_gcs_orphans() {
     assert_eq!(removed, vec![orphan_hash]);
     assert_eq!(store.blobs().len(), 4);
     assert_eq!(store.blobs().generation(), 1, "GC rewrote the pack");
-    assert!(store.blob(shared_hash).unwrap().is_some(), "live blob survives GC");
+    assert!(
+        store.blob(shared_hash).unwrap().is_some(),
+        "live blob survives GC"
+    );
     assert_eq!(store.blob(orphan_hash).unwrap(), None);
     assert!(store.verify().unwrap().is_clean());
-    assert_eq!(store.gc_orphan_blobs().unwrap(), Vec::<u128>::new(), "GC is idempotent");
-    assert_eq!(store.blobs().generation(), 1, "nothing to collect, nothing rewritten");
+    assert_eq!(
+        store.gc_orphan_blobs().unwrap(),
+        Vec::<u128>::new(),
+        "GC is idempotent"
+    );
+    assert_eq!(
+        store.blobs().generation(),
+        1,
+        "nothing to collect, nothing rewritten"
+    );
     drop(store);
 
     // The rewritten generation is what the next open serves; the old
     // generation's files are gone.
     let mut store = Store::open(&dir).unwrap();
     assert_eq!(store.blobs().len(), 4);
-    assert_eq!(store.blob(shared_hash).unwrap().as_deref(), Some(shared.as_slice()));
+    assert_eq!(
+        store.blob(shared_hash).unwrap().as_deref(),
+        Some(shared.as_slice())
+    );
     assert!(store.verify().unwrap().is_clean());
     assert!(!dir.join(pack_file_name(0)).exists());
     assert!(!dir.join(index_file_name(0)).exists());
@@ -771,10 +854,16 @@ fn blob_store_dedups_reads_back_and_gcs_orphans() {
 fn compaction_keeps_newest_record_per_content_hash() {
     let dir = scratch("compact");
     let mut store = Store::open_with(&dir, one_shard()).unwrap();
-    store.append(&synthetic_record(0, 1, MessageClass::NoResource)).unwrap();
-    store.append(&synthetic_record(1, 2, MessageClass::ErrorPage)).unwrap();
+    store
+        .append(&synthetic_record(0, 1, MessageClass::NoResource))
+        .unwrap();
+    store
+        .append(&synthetic_record(1, 2, MessageClass::ErrorPage))
+        .unwrap();
     // Same content hash as seq 0: a re-record that supersedes it.
-    store.append(&synthetic_record(2, 1, MessageClass::ActivePhish)).unwrap();
+    store
+        .append(&synthetic_record(2, 1, MessageClass::ActivePhish))
+        .unwrap();
 
     let report = store.compact().unwrap();
     assert_eq!((report.kept, report.dropped), (2, 1));
@@ -786,13 +875,18 @@ fn compaction_keeps_newest_record_per_content_hash() {
 
     // The generation swap is visible on disk and survives reopen.
     let shard = dir.join("shard-00");
-    assert!(!shard.join("segments-00000").exists(), "old generation removed");
+    assert!(
+        !shard.join("segments-00000").exists(),
+        "old generation removed"
+    );
     assert!(shard.join("segments-00001").is_dir());
     drop(store);
     let mut store = Store::open(&dir).unwrap();
     assert_eq!(store.len(), 2);
     assert!(store.contains_hash(1) && store.contains_hash(2));
-    store.append(&synthetic_record(3, 9, MessageClass::Download)).unwrap();
+    store
+        .append(&synthetic_record(3, 9, MessageClass::Download))
+        .unwrap();
     store.flush().unwrap();
     assert_eq!(store.len(), 3);
     assert!(store.verify().unwrap().is_clean());
@@ -818,14 +912,25 @@ fn interior_corruption_quarantines_one_shard_and_repair_restores_it() {
     let mut store = Store::open_with(&dir, opts).unwrap();
     for id in 0..3usize {
         let h = hash_in_shard(1, shards, id as u128 + 10);
-        store.append(&synthetic_record(id, h, MessageClass::NoResource)).unwrap();
+        store
+            .append(&synthetic_record(id, h, MessageClass::NoResource))
+            .unwrap();
     }
     let healthy_hash = hash_in_shard(3, shards, 77);
-    store.append(&synthetic_record(9, healthy_hash, MessageClass::ActivePhish)).unwrap();
+    store
+        .append(&synthetic_record(
+            9,
+            healthy_hash,
+            MessageClass::ActivePhish,
+        ))
+        .unwrap();
     store.sync().unwrap();
     drop(store);
 
-    let seg0 = dir.join("shard-01").join("segments-00000").join("seg-00000.cbl");
+    let seg0 = dir
+        .join("shard-01")
+        .join("segments-00000")
+        .join("seg-00000.cbl");
     let mut bytes = std::fs::read(&seg0).unwrap();
     let at = bytes.len() - 2;
     bytes[at] ^= 0xFF;
@@ -838,7 +943,11 @@ fn interior_corruption_quarantines_one_shard_and_repair_restores_it() {
     assert_eq!(store.recovery().quarantined[0].0, 1);
     assert_eq!(store.len(), 1, "healthy shards keep serving");
     assert!(store.contains_hash(healthy_hash));
-    assert_eq!(store.campaigns().len(), 1, "clustering runs on healthy shards");
+    assert_eq!(
+        store.campaigns().len(),
+        1,
+        "clustering runs on healthy shards"
+    );
     let stats = store.stats();
     assert!(stats.is_degraded());
     assert_eq!((stats.shards, stats.quarantined), (shards, 1));
@@ -846,19 +955,39 @@ fn interior_corruption_quarantines_one_shard_and_repair_restores_it() {
     // Appends routed to the quarantined shard fail loudly with the repair
     // hint; appends to healthy shards still work.
     let err = store
-        .append(&synthetic_record(20, hash_in_shard(1, shards, 500), MessageClass::Download))
+        .append(&synthetic_record(
+            20,
+            hash_in_shard(1, shards, 500),
+            MessageClass::Download,
+        ))
         .unwrap_err();
     assert!(err.to_string().contains("repair"), "{err}");
     store
-        .append(&synthetic_record(21, hash_in_shard(0, shards, 501), MessageClass::Download))
+        .append(&synthetic_record(
+            21,
+            hash_in_shard(0, shards, 501),
+            MessageClass::Download,
+        ))
         .unwrap();
-    assert!(store.gc_orphan_blobs().is_err(), "GC must refuse while degraded");
-    assert!(store.compact().is_err(), "compaction must refuse while degraded");
+    assert!(
+        store.gc_orphan_blobs().is_err(),
+        "GC must refuse while degraded"
+    );
+    assert!(
+        store.compact().is_err(),
+        "compaction must refuse while degraded"
+    );
 
     // Verify reports the corruption as a fault rather than an error.
     let report = store.verify().unwrap();
     assert!(!report.is_clean());
-    assert!(report.faults.iter().any(|f| f.reason.contains("quarantined")), "{report:?}");
+    assert!(
+        report
+            .faults
+            .iter()
+            .any(|f| f.reason.contains("quarantined")),
+        "{report:?}"
+    );
 
     // Repair salvages the two clean records of shard 1 (the third is in
     // the corrupted segment's suffix... each segment holds one record, so
@@ -1028,7 +1157,10 @@ fn v1_layout_is_refused_by_name() {
     let err = Store::open(&dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("format v1"), "{err}");
-    assert!(!dir.join("STORE").exists(), "a refused store is left as it was");
+    assert!(
+        !dir.join("STORE").exists(),
+        "a refused store is left as it was"
+    );
     assert!(!dir.join(pack_file_name(0)).exists());
     assert!(dir.join("CURRENT").exists());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -1048,7 +1180,10 @@ fn v2_layout_is_refused_by_name() {
     let err = Store::open(&dir).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("format v2"), "{err}");
-    assert!(!dir.join(pack_file_name(0)).exists(), "a refused store is left as it was");
+    assert!(
+        !dir.join(pack_file_name(0)).exists(),
+        "a refused store is left as it was"
+    );
     assert!(!dir.join("shard-00").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -1072,7 +1207,11 @@ fn campaign_clustering_runs_from_a_reopened_store() {
     let store = Store::open(&dir).unwrap();
     let campaigns = store.campaigns();
     let clustered: usize = campaigns.iter().map(|c| c.len()).sum();
-    assert_eq!(clustered, store.len(), "every record is in exactly one campaign");
+    assert_eq!(
+        clustered,
+        store.len(),
+        "every record is in exactly one campaign"
+    );
     for (i, c) in campaigns.iter().enumerate() {
         assert_eq!(c.id, i, "campaign ids are dense and ordered");
         assert!(!c.is_empty());
@@ -1129,8 +1268,15 @@ fn crawl_log_cli_store_queries_run_clean() {
     let bin = env!("CARGO_BIN_EXE_crawl-log");
     let dir_arg = dir.to_str().unwrap();
 
-    let out = Command::new(bin).args(["store", dir_arg, "stats"]).output().unwrap();
-    assert!(out.status.success(), "stats failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = Command::new(bin)
+        .args(["store", dir_arg, "stats"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stats failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("8 records"), "{stdout}");
     assert!(stdout.contains("status: healthy"), "{stdout}");
@@ -1139,24 +1285,42 @@ fn crawl_log_cli_store_queries_run_clean() {
     assert!(stdout.contains("ingest (this session):"), "{stdout}");
     // A freshly opened CLI store has appended nothing, so the
     // session-scoped commit histogram is honest about being empty.
-    assert!(stdout.contains("commit batches: none this session"), "{stdout}");
+    assert!(
+        stdout.contains("commit batches: none this session"),
+        "{stdout}"
+    );
 
-    let out = Command::new(bin).args(["store", dir_arg, "verify"]).output().unwrap();
-    assert!(out.status.success(), "verify failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = Command::new(bin)
+        .args(["store", dir_arg, "verify"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "verify failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("store is clean"));
 
     let out = Command::new(bin)
         .args(["store", dir_arg, "campaigns", "--min-size", "1"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "campaigns failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "campaigns failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("campaign(s)"));
 
     let out = Command::new(bin)
         .args(["store", dir_arg, "query", "--limit", "3"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "query failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "query failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("matching record(s)"));
 
     // Out-of-range shard ids are a usage error, not an empty result.
@@ -1170,18 +1334,33 @@ fn crawl_log_cli_store_queries_run_clean() {
         .args(["store", dir_arg, "repair", "--shard", "99"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2), "repair of unknown shard must exit 2");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "repair of unknown shard must exit 2"
+    );
 
     // Repairing a healthy store is a clean no-op.
-    let out = Command::new(bin).args(["store", dir_arg, "repair"]).output().unwrap();
-    assert!(out.status.success(), "repair failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = Command::new(bin)
+        .args(["store", dir_arg, "repair"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "repair failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("nothing to repair"));
 
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["classmix", "--store", dir_arg])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2), "--store without --stream must be rejected");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--store without --stream must be rejected"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("--stream"));
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -1212,8 +1391,14 @@ fn crawl_log_cli_store_subcommand_goldens() {
         let out = Command::new(bin).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{what}: {args:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage:"), "{what}: {args:?} stderr: {stderr}");
-        assert!(stderr.contains("error:"), "{what}: {args:?} stderr: {stderr}");
+        assert!(
+            stderr.contains("usage:"),
+            "{what}: {args:?} stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("error:"),
+            "{what}: {args:?} stderr: {stderr}"
+        );
     };
 
     for sub in subcommands {

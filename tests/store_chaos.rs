@@ -124,7 +124,10 @@ fn chaos_records() -> Vec<ScanRecord> {
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// The tentpole acceptance test: crash at every mutating I/O operation of
@@ -152,7 +155,11 @@ fn crash_point_sweep_loses_no_acked_records() {
             let mut golden_store =
                 Store::open_with(&golden_dir, sweep_opts(shards, batch)).unwrap();
             let golden_acked = ingest_acked(&mut golden_store, &records, batch);
-            assert_eq!(golden_acked.len(), records.len(), "uncrashed run acks everything");
+            assert_eq!(
+                golden_acked.len(),
+                records.len(),
+                "uncrashed run acks everything"
+            );
             let golden = golden_store.read_payloads().unwrap();
             let golden_blobs = golden_store.blobs().hashes();
             drop(golden_store);
@@ -343,7 +350,10 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
     let probe = FaultVfs::new(&probe_dir, IoFaultPlan::counting(seed));
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(1, batch), probe_vfs).unwrap();
-    assert_eq!(ingest_acked(&mut store, &records, batch).len(), records.len());
+    assert_eq!(
+        ingest_acked(&mut store, &records, batch).len(),
+        records.len()
+    );
     drop(store);
     std::fs::remove_dir_all(&probe_dir).unwrap();
     let ops = probe.ops();
@@ -358,10 +368,17 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
             Err(_) => {}
             Ok(mut store) => acked = ingest_acked(&mut store, &records, batch),
         }
-        assert!(fault.crashed(), "crash point {crash_at}/{ops} was never reached");
+        assert!(
+            fault.crashed(),
+            "crash point {crash_at}/{ops} was never reached"
+        );
         // The helper acks whole batches only: each ack is a completed
         // barrier over one 3-record batch.
-        assert_eq!(acked.len() % batch, 0, "crash {crash_at}: torn ack watermark");
+        assert_eq!(
+            acked.len() % batch,
+            0,
+            "crash {crash_at}: torn ack watermark"
+        );
         fault.apply_crash().unwrap();
 
         let mut store = Store::open_with(&dir, sweep_opts(1, batch)).unwrap();
@@ -371,8 +388,7 @@ fn group_commit_crash_points_ack_batches_all_or_nothing() {
         // One shard ⇒ the recovered log is an exact prefix of the append
         // order: no record survives ahead of a lost one.
         assert!(
-            recovered.len() <= expected.len()
-                && recovered == expected[..recovered.len()],
+            recovered.len() <= expected.len() && recovered == expected[..recovered.len()],
             "crash {crash_at}: recovered log is not a prefix ({} records)",
             recovered.len()
         );
@@ -437,12 +453,18 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
 
         let mut store = Store::open_with(&dir, sweep_opts(1, 1)).unwrap();
         assert!(store.recovery().quarantined.is_empty(), "seed {seed}");
-        assert!(store.verify().unwrap().is_clean(), "seed {seed}: dangling evidence");
+        assert!(
+            store.verify().unwrap().is_clean(),
+            "seed {seed}: dangling evidence"
+        );
         if store.is_empty() {
             // Frame torn away; the blob write before it must remain as a
             // GC-able orphan (the blob pack was fsynced first).
             let removed = store.gc_orphan_blobs().unwrap();
-            assert!(!removed.is_empty(), "seed {seed}: durable blob should be orphaned");
+            assert!(
+                !removed.is_empty(),
+                "seed {seed}: durable blob should be orphaned"
+            );
             assert!(store.blobs().is_empty());
             saw_orphan = true;
         } else {
@@ -457,7 +479,10 @@ fn crash_between_blob_write_and_frame_append_leaves_orphan_not_dangling() {
             break;
         }
     }
-    assert!(saw_orphan, "no seed in 0..16 tore the frame — the window is not exercised");
+    assert!(
+        saw_orphan,
+        "no seed in 0..16 tore the frame — the window is not exercised"
+    );
 }
 
 /// Transient faults (disk-full, fsync failure) surface as append errors
@@ -492,9 +517,15 @@ fn transient_io_faults_fail_appends_without_corrupting_the_log() {
     }
 
     let mut store = Store::open_with(&dir, sweep_opts(2, 1)).unwrap();
-    assert!(store.recovery().quarantined.is_empty(), "transient faults must not quarantine");
+    assert!(
+        store.recovery().quarantined.is_empty(),
+        "transient faults must not quarantine"
+    );
     for h in &acked {
-        assert!(store.contains_hash(*h), "acked record {h:032x} lost to a transient fault");
+        assert!(
+            store.contains_hash(*h),
+            "acked record {h:032x} lost to a transient fault"
+        );
     }
     assert!(store.verify().unwrap().is_clean());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -550,11 +581,18 @@ fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
     let probe_vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&probe));
     let mut store = Store::open_with_vfs(&probe_dir, sweep_opts(2, 1), probe_vfs).unwrap();
     let before_gc = probe.ops();
-    assert_eq!(store.gc_orphan_blobs().unwrap(), orphans, "GC returns the orphans, sorted");
+    assert_eq!(
+        store.gc_orphan_blobs().unwrap(),
+        orphans,
+        "GC returns the orphans, sorted"
+    );
     drop(store);
     std::fs::remove_dir_all(&probe_dir).unwrap();
     let ops = probe.ops();
-    assert!(ops > before_gc + 6, "the rewrite must be a multi-op sequence");
+    assert!(
+        ops > before_gc + 6,
+        "the rewrite must be a multi-op sequence"
+    );
 
     let (mut kept_old, mut got_new) = (0usize, 0usize);
     for crash_at in before_gc + 1..=ops {
@@ -565,12 +603,22 @@ fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
         let mut store = Store::open_with_vfs(&dir, sweep_opts(2, 1), vfs).unwrap();
         let _ = store.gc_orphan_blobs();
         drop(store);
-        assert!(fault.crashed(), "crash point {crash_at}/{ops} was never reached");
+        assert!(
+            fault.crashed(),
+            "crash point {crash_at}/{ops} was never reached"
+        );
         fault.apply_crash().unwrap();
 
         let mut store = Store::open_with(&dir, sweep_opts(2, 1)).unwrap();
-        assert!(store.recovery().quarantined.is_empty(), "gc crash {crash_at}");
-        assert_eq!(store.len(), chaos_records().len(), "gc crash {crash_at}: record lost");
+        assert!(
+            store.recovery().quarantined.is_empty(),
+            "gc crash {crash_at}"
+        );
+        assert_eq!(
+            store.len(),
+            chaos_records().len(),
+            "gc crash {crash_at}: record lost"
+        );
         let set = store.blobs().hashes();
         if set == old_set {
             kept_old += 1;
@@ -591,12 +639,22 @@ fn crash_point_sweep_through_orphan_gc_keeps_old_or_new_blob_set() {
         assert_eq!(store.blobs().hashes(), new_set, "gc crash {crash_at}");
         drop(store);
         let mut store = Store::open_with(&dir, sweep_opts(2, 1)).unwrap();
-        assert_eq!(store.blobs().hashes(), new_set, "gc crash {crash_at}: after reopen");
-        assert!(store.verify().unwrap().is_clean(), "gc crash {crash_at}: after reopen");
+        assert_eq!(
+            store.blobs().hashes(),
+            new_set,
+            "gc crash {crash_at}: after reopen"
+        );
+        assert!(
+            store.verify().unwrap().is_clean(),
+            "gc crash {crash_at}: after reopen"
+        );
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert!(kept_old > 0 && got_new > 0, "old {kept_old}, new {got_new}: both outcomes must be swept");
+    assert!(
+        kept_old > 0 && got_new > 0,
+        "old {kept_old}, new {got_new}: both outcomes must be swept"
+    );
     eprintln!(
         "gc sweep seed={seed}: {} crash points, {kept_old} kept the old pack, {got_new} the new",
         ops - before_gc
@@ -734,9 +792,15 @@ impl VfsFile for PackWriteFaultFile {
         match self.kind {
             IoFaultKind::ShortWrite => {
                 self.inner.write_all(&bytes[..bytes.len() / 2])?;
-                Err(io::Error::new(io::ErrorKind::WriteZero, "injected short write"))
+                Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "injected short write",
+                ))
             }
-            _ => Err(io::Error::new(io::ErrorKind::StorageFull, "injected disk full")),
+            _ => Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                "injected disk full",
+            )),
         }
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -842,7 +906,10 @@ fn transient_pack_append_fault_fails_only_that_batch() {
             }
         }
         assert_eq!(failed, vec![1], "{kind:?}: only the faulted batch fails");
-        assert!(store.verify().unwrap().is_clean(), "{kind:?}: no torn bytes left in the pack");
+        assert!(
+            store.verify().unwrap().is_clean(),
+            "{kind:?}: no torn bytes left in the pack"
+        );
         let retry = encode_record(&mut records[1].clone()).unwrap();
         store.append_batch(vec![retry]).unwrap();
         store.sync().unwrap();
@@ -915,7 +982,9 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
 
         // Inspect what the crash left: a whole index entry whose frame
         // extends past the pack's end.
-        let pack_len = std::fs::metadata(dir.join(pack_file_name(0))).unwrap().len();
+        let pack_len = std::fs::metadata(dir.join(pack_file_name(0)))
+            .unwrap()
+            .len();
         let index = std::fs::read(dir.join(index_file_name(0))).unwrap();
         let past_end = index.chunks_exact(INDEX_ENTRY_LEN).any(|e| {
             let offset = u64::from_le_bytes(e[16..24].try_into().unwrap());
@@ -924,10 +993,15 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
         });
 
         let mut store = Store::open_with(&dir, opts()).unwrap();
-        assert!(store.recovery().quarantined.is_empty(), "seed {seed}: crash quarantined");
+        assert!(
+            store.recovery().quarantined.is_empty(),
+            "seed {seed}: crash quarantined"
+        );
         assert!(store.verify().unwrap().is_clean(), "seed {seed}");
         assert!(
-            std::fs::metadata(dir.join(index_file_name(0))).unwrap().len()
+            std::fs::metadata(dir.join(index_file_name(0)))
+                .unwrap()
+                .len()
                 <= store.blobs().len() as u64 * INDEX_ENTRY_LEN as u64,
             "seed {seed}: rejected index entries are truncated away"
         );
@@ -943,7 +1017,10 @@ fn index_entry_past_pack_end_is_dropped_and_its_frame_torn() {
             break;
         }
     }
-    assert!(seen, "no seed in 0..512 left an index entry past the pack's end");
+    assert!(
+        seen,
+        "no seed in 0..512 left an index entry past the pack's end"
+    );
 }
 
 /// A crash at the second flush's pack fsync poisons a `StoreSink`: the

@@ -236,10 +236,14 @@ fn world_only_corpus_scans_byte_identically_to_generate() {
         let reference = scan_json(&full.world, &full.messages);
 
         let world = Corpus::world(&spec, seed);
-        assert!(world.messages.is_empty(), "seed {seed}: the world renders no messages");
+        assert!(
+            world.messages.is_empty(),
+            "seed {seed}: the world renders no messages"
+        );
         let records = scan_json(&world.world, &full.messages);
-        let differing: Vec<usize> =
-            (0..reference.len()).filter(|&i| records[i] != reference[i]).collect();
+        let differing: Vec<usize> = (0..reference.len())
+            .filter(|&i| records[i] != reference[i])
+            .collect();
         assert!(
             differing.is_empty(),
             "seed {seed}: {} of {} records differ, first {:?}",
@@ -250,7 +254,14 @@ fn world_only_corpus_scans_byte_identically_to_generate() {
 
         let (undrafted, _stream) = Corpus::stream(&spec, seed);
         let control = scan_json(&undrafted.world, &full.messages);
-        let differing = control.iter().zip(&reference).filter(|(c, r)| c != r).count();
-        assert!(differing > 0, "seed {seed}: an undrafted world scanned identically");
+        let differing = control
+            .iter()
+            .zip(&reference)
+            .filter(|(c, r)| c != r)
+            .count();
+        assert!(
+            differing > 0,
+            "seed {seed}: an undrafted world scanned identically"
+        );
     }
 }

@@ -43,10 +43,9 @@ fn qr_inside_pdf_page_screenshot_is_not_supported_but_pdf_text_is() {
     let parsed = MimeEntity::parse(&raw).unwrap();
     let found = extract_resources(&parsed);
     assert!(
-        found
-            .iter()
-            .any(|r| r.url.contains("pdfpage.example/ocr1")
-                && r.source == ExtractionSource::PdfText),
+        found.iter().any(
+            |r| r.url.contains("pdfpage.example/ocr1") && r.source == ExtractionSource::PdfText
+        ),
         "{found:?}"
     );
 }
@@ -167,9 +166,9 @@ fn image_noise_does_not_create_phantom_urls() {
 // ---------------------------------------------------------------------------
 
 use cb_email::reference as email_oracle;
-use cb_web::html;
 use cb_sim::prop::{check, one_of, vec};
 use cb_sim::prop_assert_eq;
+use cb_web::html;
 
 /// Structural MIME fragments: boundaries, folded headers, encodings, and
 /// the separators whose misplacement stresses part splitting.
@@ -201,10 +200,37 @@ const MIME_ATOMS: &[&str] = &[
 /// HTML soup fragments for the tokenizer: tags, attribute quoting styles,
 /// rawtext elements, comments, entities and truncation points.
 const HTML_ATOMS: &[&str] = &[
-    "<div>", "</div>", "<p ", "<a href=", "\"u\"", "'v'", "bare", ">", "/>", "=",
-    "</p>", "<script>", "</script>", "<style>", "</style>", "<!--", "-->", "<!",
-    "<br>", "text", " ", "&amp;", "&#65;", "<", "</", "<img src=x>", "\t",
-    "<B CLASS=upper>", "</B>", "<sPaN a=1 a=2>", "</span >",
+    "<div>",
+    "</div>",
+    "<p ",
+    "<a href=",
+    "\"u\"",
+    "'v'",
+    "bare",
+    ">",
+    "/>",
+    "=",
+    "</p>",
+    "<script>",
+    "</script>",
+    "<style>",
+    "</style>",
+    "<!--",
+    "-->",
+    "<!",
+    "<br>",
+    "text",
+    " ",
+    "&amp;",
+    "&#65;",
+    "<",
+    "</",
+    "<img src=x>",
+    "\t",
+    "<B CLASS=upper>",
+    "</B>",
+    "<sPaN a=1 a=2>",
+    "</span >",
 ];
 
 /// Overwrite roughly `rate` of the single-byte positions of `text` with
@@ -231,71 +257,109 @@ fn inject_faults(text: &str, rate: f64, seed: u64) -> String {
 #[test]
 fn span_mime_parser_matches_oracle_under_faults() {
     let inputs = (vec(one_of(MIME_ATOMS), 0..12), 0.0..0.30f64, 0..=u64::MAX);
-    check("span_mime_parser_matches_oracle_under_faults", 64, inputs, |(atoms, rate, seed)| {
-        let raw = inject_faults(&atoms.concat(), rate, seed);
-        prop_assert_eq!(
-            cb_email::MimeEntity::parse(&raw),
-            email_oracle::parse_message(&raw),
-            "raw {:?}", raw
-        );
-        Ok(())
-    });
+    check(
+        "span_mime_parser_matches_oracle_under_faults",
+        64,
+        inputs,
+        |(atoms, rate, seed)| {
+            let raw = inject_faults(&atoms.concat(), rate, seed);
+            prop_assert_eq!(
+                cb_email::MimeEntity::parse(&raw),
+                email_oracle::parse_message(&raw),
+                "raw {:?}",
+                raw
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn lut_tokenizer_matches_oracle_under_faults() {
     let inputs = (vec(one_of(HTML_ATOMS), 0..16), 0.0..0.30f64, 0..=u64::MAX);
-    check("lut_tokenizer_matches_oracle_under_faults", 64, inputs, |(atoms, rate, seed)| {
-        let input = inject_faults(&atoms.concat(), rate, seed);
-        prop_assert_eq!(
-            html::parse_fragment(&input),
-            html::reference::parse_fragment(&input),
-            "input {:?}", input
-        );
-        Ok(())
-    });
+    check(
+        "lut_tokenizer_matches_oracle_under_faults",
+        64,
+        inputs,
+        |(atoms, rate, seed)| {
+            let input = inject_faults(&atoms.concat(), rate, seed);
+            prop_assert_eq!(
+                html::parse_fragment(&input),
+                html::reference::parse_fragment(&input),
+                "input {:?}",
+                input
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn word_packed_masks_match_bool_reference() {
-    let inputs = (1usize..40, 1usize..24, 0..=u8::MAX, 0..=u64::MAX, 0usize..400);
-    check("word_packed_masks_match_bool_reference", 64, inputs, |(w, h, threshold, seed, noise)| {
-        let img = Bitmap::new(w, h, Rgb::WHITE).add_noise(seed, noise);
-        let reference = img.with_ink_mask(threshold, |m| m.to_vec());
-        img.with_ink_words(threshold, |ink| {
-            prop_assert_eq!(ink.width(), w);
-            prop_assert_eq!(ink.height(), h);
-            for y in 0..h {
-                for x in 0..w {
-                    prop_assert_eq!(
-                        ink.get(x, y), reference[y * w + x],
-                        "pixel ({}, {}) under threshold {}", x, y, threshold
-                    );
+    let inputs = (
+        1usize..40,
+        1usize..24,
+        0..=u8::MAX,
+        0..=u64::MAX,
+        0usize..400,
+    );
+    check(
+        "word_packed_masks_match_bool_reference",
+        64,
+        inputs,
+        |(w, h, threshold, seed, noise)| {
+            let img = Bitmap::new(w, h, Rgb::WHITE).add_noise(seed, noise);
+            let reference = img.with_ink_mask(threshold, |m| m.to_vec());
+            img.with_ink_words(threshold, |ink| {
+                prop_assert_eq!(ink.width(), w);
+                prop_assert_eq!(ink.height(), h);
+                for y in 0..h {
+                    for x in 0..w {
+                        prop_assert_eq!(
+                            ink.get(x, y),
+                            reference[y * w + x],
+                            "pixel ({}, {}) under threshold {}",
+                            x,
+                            y,
+                            threshold
+                        );
+                    }
                 }
-            }
-            prop_assert_eq!(ink.count_ink(), reference.iter().filter(|&&b| b).count());
-            Ok(())
-        })
-    });
+                prop_assert_eq!(ink.count_ink(), reference.iter().filter(|&&b| b).count());
+                Ok(())
+            })
+        },
+    );
 }
 
 #[test]
 fn word_packed_hamming_matches_bool_xor() {
-    let inputs = (1usize..40, 1usize..24, 0..=u8::MAX, 0..=u64::MAX, 0..=u64::MAX);
-    check("word_packed_hamming_matches_bool_xor", 64, inputs, |(w, h, threshold, seed_a, seed_b)| {
-        // Well-separated noise seeds: add_noise derives its stream from
-        // `seed | 1`, so adjacent seeds would collide.
-        let a = Bitmap::new(w, h, Rgb::WHITE).add_noise(seed_a.wrapping_mul(2), 300);
-        let b = Bitmap::new(w, h, Rgb::WHITE).add_noise(seed_b.wrapping_mul(2) ^ 0x5bd1, 300);
-        let bools_a = a.with_ink_mask(threshold, |m| m.to_vec());
-        let bools_b = b.with_ink_mask(threshold, |m| m.to_vec());
-        let expected = bools_a.iter().zip(&bools_b).filter(|(x, y)| x != y).count();
-        let got = a.with_ink_words(threshold, |ma| {
-            b.with_ink_words(threshold, |mb| ma.hamming(mb))
-        });
-        prop_assert_eq!(got, expected);
-        Ok(())
-    });
+    let inputs = (
+        1usize..40,
+        1usize..24,
+        0..=u8::MAX,
+        0..=u64::MAX,
+        0..=u64::MAX,
+    );
+    check(
+        "word_packed_hamming_matches_bool_xor",
+        64,
+        inputs,
+        |(w, h, threshold, seed_a, seed_b)| {
+            // Well-separated noise seeds: add_noise derives its stream from
+            // `seed | 1`, so adjacent seeds would collide.
+            let a = Bitmap::new(w, h, Rgb::WHITE).add_noise(seed_a.wrapping_mul(2), 300);
+            let b = Bitmap::new(w, h, Rgb::WHITE).add_noise(seed_b.wrapping_mul(2) ^ 0x5bd1, 300);
+            let bools_a = a.with_ink_mask(threshold, |m| m.to_vec());
+            let bools_b = b.with_ink_mask(threshold, |m| m.to_vec());
+            let expected = bools_a.iter().zip(&bools_b).filter(|(x, y)| x != y).count();
+            let got = a.with_ink_words(threshold, |ma| {
+                b.with_ink_words(threshold, |mb| ma.hamming(mb))
+            });
+            prop_assert_eq!(got, expected);
+            Ok(())
+        },
+    );
 }
 
 // Named regressions promoted from the fuzz corpus: the MIME boundary edges
@@ -313,7 +377,10 @@ fn mime_equivalence_empty_boundary() {
         "body\r\n",
         "----\r\n",
     );
-    assert_eq!(cb_email::MimeEntity::parse(raw), email_oracle::parse_message(raw));
+    assert_eq!(
+        cb_email::MimeEntity::parse(raw),
+        email_oracle::parse_message(raw)
+    );
 }
 
 #[test]
@@ -330,8 +397,14 @@ fn mime_equivalence_crlf_vs_lf() {
         "--bb--\r\n",
     );
     let lf = crlf.replace("\r\n", "\n");
-    assert_eq!(cb_email::MimeEntity::parse(crlf), email_oracle::parse_message(crlf));
-    assert_eq!(cb_email::MimeEntity::parse(&lf), email_oracle::parse_message(&lf));
+    assert_eq!(
+        cb_email::MimeEntity::parse(crlf),
+        email_oracle::parse_message(crlf)
+    );
+    assert_eq!(
+        cb_email::MimeEntity::parse(&lf),
+        email_oracle::parse_message(&lf)
+    );
 }
 
 #[test]

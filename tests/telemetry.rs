@@ -84,7 +84,10 @@ fn canonical_exports_are_byte_identical_across_worker_counts() {
     let seed = seed_from_env();
     for fault_rate in [0.0, FAULT_RATE] {
         let (ref_trace, ref_metrics) = canonical_fresh_box_run(seed, fault_rate);
-        assert!(!ref_trace.is_empty(), "fresh-box reference recorded an empty trace");
+        assert!(
+            !ref_trace.is_empty(),
+            "fresh-box reference recorded an empty trace"
+        );
         for workers in [1, 4] {
             let (trace, metrics) = canonical_run(seed, fault_rate, workers);
             assert_eq!(
@@ -121,16 +124,14 @@ fn assert_golden(name: &str, current: &str) {
         eprintln!("blessed golden file {}", path.display());
         return;
     }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| {
-            panic!(
-                "cannot read golden file {}: {e}; generate it with CB_BLESS=1 and commit it",
-                path.display()
-            )
-        });
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read golden file {}: {e}; generate it with CB_BLESS=1 and commit it",
+            path.display()
+        )
+    });
     assert_eq!(
-        current,
-        golden,
+        current, golden,
         "{name} drifted from the committed golden bytes; if the change is \
          intentional, regenerate with CB_BLESS=1 and commit the diff"
     );
@@ -189,7 +190,10 @@ fn faulted_run_trace_contains_retry_and_backoff_spans() {
         .find(|l| l.contains("net.faults_observed"))
         .expect("metrics export carries net.faults_observed");
     assert!(
-        !faults_line.trim_end().trim_end_matches(',').ends_with(": 0"),
+        !faults_line
+            .trim_end()
+            .trim_end_matches(',')
+            .ends_with(": 0"),
         "fault counter should be nonzero: {faults_line}"
     );
 }
@@ -211,8 +215,14 @@ fn full_export_carries_advisory_worker_and_cache_fields() {
         "full export must tag scans with their worker"
     );
     let canonical = trace.to_jsonl(ExportMode::Canonical);
-    assert!(!canonical.contains("\"adv\""), "canonical export leaked advisory fields");
-    assert!(!canonical.contains(r#"["worker""#), "canonical export leaked worker ids");
+    assert!(
+        !canonical.contains("\"adv\""),
+        "canonical export leaked advisory fields"
+    );
+    assert!(
+        !canonical.contains(r#"["worker""#),
+        "canonical export leaked worker ids"
+    );
 
     let metrics_full = cbx.export_metrics(ExportMode::Full);
     assert!(metrics_full.contains("\"stream.in_flight\""));
@@ -299,15 +309,24 @@ fn run(cmd: &mut Command) -> (i32, String, String) {
 fn repro_rejects_unknown_flags_with_usage() {
     let (code, _, stderr) = run(repro().arg("--frobnicate"));
     assert_eq!(code, 2);
-    assert!(stderr.contains("unknown flag --frobnicate"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown flag --frobnicate"),
+        "stderr: {stderr}"
+    );
     assert!(stderr.contains("usage: repro"), "stderr: {stderr}");
 }
 
 #[test]
 fn repro_rejects_unknown_experiments_at_parse_time() {
     let (code, stdout, stderr) = run(repro().arg("tabel1"));
-    assert_eq!(code, 2, "typoed experiment must not exit 0 (stdout: {stdout})");
-    assert!(stderr.contains("unknown experiment tabel1"), "stderr: {stderr}");
+    assert_eq!(
+        code, 2,
+        "typoed experiment must not exit 0 (stdout: {stdout})"
+    );
+    assert!(
+        stderr.contains("unknown experiment tabel1"),
+        "stderr: {stderr}"
+    );
     assert!(stderr.contains("usage: repro"), "stderr: {stderr}");
 }
 
