@@ -22,7 +22,7 @@ use cb_telemetry::{
     Tracer,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock, TryLockError};
 
 /// The content identity of a reported message: the 128-bit FNV hash of its
 /// raw wire bytes. This is the key the persistent store dedups on and the
@@ -244,6 +244,52 @@ const BYTES_WINDOW_BOUNDS: &[i64] = &[1024, 4096, 16384, 65536, 262144, 1048576]
 /// A worker's encoding of one record, or the panic its encoder raised.
 type Encoded<E> = std::thread::Result<<E as RecordEncoder>::Encoded>;
 
+/// One scanned message on its way to delivery: its raw byte count (for the
+/// residency gauges), its record and the record's encoding.
+type Scanned<E> = (u64, ScanRecord, Encoded<E>);
+
+/// What one attempt at admission to the scan engine found.
+enum Admission<T> {
+    /// A token and the next message, numbered in message order.
+    Message(T),
+    /// The input has run dry, or the token sender is gone because the
+    /// caller is unwinding.
+    Dry,
+    /// Nothing could be admitted without waiting: another worker holds the
+    /// input lock, or every token is out.
+    Busy,
+}
+
+/// Take a token and then the next message from the engine's shared input.
+/// With `wait` (a helper) this blocks on the lock and on a token; without
+/// it (the calling thread) it never blocks and answers
+/// [`Busy`](Admission::Busy) instead.
+fn admit<I: Iterator>(input: &Mutex<(mpsc::Receiver<()>, I)>, wait: bool) -> Admission<I::Item> {
+    let mut guard = if wait {
+        input.lock().unwrap_or_else(PoisonError::into_inner)
+    } else {
+        match input.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return Admission::Busy,
+        }
+    };
+    let (tokens, messages) = &mut *guard;
+    let token = if wait {
+        tokens.recv().ok()
+    } else {
+        match tokens.try_recv() {
+            Ok(()) => Some(()),
+            Err(mpsc::TryRecvError::Empty) => return Admission::Busy,
+            Err(mpsc::TryRecvError::Disconnected) => None,
+        }
+    };
+    match token.and_then(|()| messages.next()) {
+        Some(message) => Admission::Message(message),
+        None => Admission::Dry,
+    }
+}
+
 /// Pre-fetched registry handles for the pipeline's hot paths (an atomic op
 /// each, no registry lookup). This supersedes the old ad-hoc `Counters`
 /// atomics: every instrument now lives in the [`MetricsRegistry`] under a
@@ -267,7 +313,7 @@ struct PipelineMetrics {
     /// Raw message bytes resident in the streaming window.
     bytes_retained: GaugeHandle,
     /// Streaming reorder-buffer depth (peak only; the level lives in the
-    /// collector's `BTreeMap`).
+    /// engine's `BTreeMap` on the calling thread).
     reorder: GaugeHandle,
     visit_latency: HistogramHandle,
     backoff_waited: HistogramHandle,
@@ -317,8 +363,9 @@ pub struct CrawlerBox<'a> {
     fallbacks: Vec<Browser>,
     classifier: SpearClassifier,
     policy: ScanPolicy,
-    /// Worker threads for [`scan_all`](Self::scan_all) and the streaming
-    /// scans. Records are bit-identical at every worker count.
+    /// Scanning threads for [`scan_all`](Self::scan_all) and the streaming
+    /// scans, the calling thread included: the engine spawns at most
+    /// `parallelism − 1`. Records are bit-identical at every worker count.
     pub parallelism: usize,
     /// Content-keyed artifact-decode cache, shared across the box's whole
     /// lifetime (values depend only on artifact bytes).
@@ -725,9 +772,9 @@ impl<'a> CrawlerBox<'a> {
     /// message order on the calling thread.
     ///
     /// This is how CPU-heavy sink preparation (canonical serialization,
-    /// content checksums, frame building) moves off the delivery thread:
-    /// the collector only routes bytes the workers already encoded. The
-    /// plain [`RecordSink`] path is this pipeline with
+    /// content checksums, frame building) moves out of delivery: the sink
+    /// only routes bytes the workers already encoded. The plain
+    /// [`RecordSink`] path is this pipeline with
     /// [`NoopEncoder`](crate::sink::NoopEncoder), so both entry points
     /// share one delivery engine.
     pub fn scan_stream_encoded<I, E, S>(&self, messages: I, encoder: &E, sink: &mut S) -> usize
@@ -752,34 +799,47 @@ impl<'a> CrawlerBox<'a> {
         delivered
     }
 
-    /// The one scan engine: scoped worker threads → bounded output channel
-    /// → reorder buffer → `deliver`, which runs on the calling thread in
-    /// message order.
+    /// The one scan engine. The calling thread is worker 0: it admits,
+    /// scans and encodes messages itself, and it also runs the reorder
+    /// buffer and `deliver`, in message order. `workers − 1` scoped helper
+    /// threads scan beside it and hand their records over a bounded output
+    /// channel. No more workers run than the iterator can yield, so a
+    /// one-message burst, like any call at `parallelism` 1, runs entirely
+    /// on the calling thread and spawns nothing.
     ///
     /// Admission is bounded by a window of `stream_capacity + workers`
-    /// tokens. A worker takes a token, then the next message; the collector
+    /// tokens. A worker takes a token, then the next message; the caller
     /// returns one token per in-order delivery, so a slow scan holds back
     /// admission instead of letting the reorder buffer grow. The token
     /// receiver and the message iterator share one mutex, so messages are
-    /// admitted in order without a producer thread. No more workers are
-    /// spawned than the iterator can yield.
+    /// admitted in order without a producer thread.
     ///
-    /// Deadlock freedom: the output channel holds the whole window, so a
-    /// worker never blocks on a send. A worker waits for a token only while
-    /// every token is held by an admitted message that is being scanned or
-    /// sits in the reorder buffer. Scans always finish (`scan_caught`
-    /// catches their panics) and admission is in message order, so the
-    /// record at the head of the order arrives, is delivered and frees a
-    /// token. Once the iterator is exhausted, each worker spends one token
-    /// on learning so; there are fewer workers than tokens, so every
-    /// worker exits, the output channel closes and the collector returns.
+    /// Deadlock freedom. The output channel holds the whole window, so a
+    /// helper never blocks on a send. Three cases cover every wait:
     ///
-    /// Panics: an encoder panic is caught on the worker and handed off in
-    /// the record's place, so its index still frees its token; that record
-    /// is not delivered, every other one is, and the first such panic is
-    /// resumed on the caller once the scope has joined. A panic in
-    /// `deliver` drops the token sender as it unwinds, so workers waiting
-    /// for admission wake up and exit instead of waiting forever.
+    /// * The caller never waits on a token or the input lock: it takes both
+    ///   with `try_lock` and `try_recv`. When it can admit nothing, it has
+    ///   delivered everything in order and blocks on the output channel
+    ///   alone. The head of the order is then neither parked nor on the
+    ///   caller. If it was admitted, a helper is scanning it, and scans
+    ///   always finish (`scan_caught` catches panics). If not, no admitted
+    ///   message holds a token, so the helper holding the lock does not
+    ///   wait for one: it admits the head, or finds the input dry and
+    ///   exits. A helper waits for a token only while every token is held,
+    ///   which puts the head on a helper; it arrives, is delivered and
+    ///   frees a token.
+    /// * Helpers still spend one token each to learn that the input has run
+    ///   dry, and the caller spends one too. There are fewer workers than
+    ///   tokens, so every helper exits and the output channel closes; by
+    ///   then every record has been delivered.
+    /// * A panicking `deliver` still drops the token sender, which the
+    ///   caller owns, so helpers waiting for admission wake up and exit
+    ///   instead of waiting forever.
+    ///
+    /// Panics: an encoder panic is caught on its worker and parked in the
+    /// record's place, so its index still frees its token; that record is
+    /// not delivered, every other one is, and the first such panic is
+    /// resumed on the caller once the scope has joined.
     fn run_engine<M, I, E>(
         &self,
         messages: I,
@@ -800,36 +860,29 @@ impl<'a> CrawlerBox<'a> {
         for _ in 0..window {
             token_tx.send(()).expect("fresh token channel has room");
         }
-        let (out_tx, out_rx) = mpsc::sync_channel::<(usize, u64, ScanRecord, Encoded<E>)>(window);
+        let (out_tx, out_rx) = mpsc::sync_channel::<(usize, Scanned<E>)>(window);
         let input = Mutex::new((token_rx, messages.enumerate()));
+        let scan = |message: M| -> Scanned<E> {
+            let bytes = message.borrow().raw.len() as u64;
+            self.m.messages.incr();
+            self.note_admitted(bytes);
+            let mut record = self.scan_caught(message.borrow());
+            let encoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                encoder.encode(&mut record)
+            }));
+            (bytes, record, encoded)
+        };
         let mut encode_panic = None;
 
         std::thread::scope(|scope| {
-            // Owned by the collector, so an unwinding `deliver` drops it.
-            let token_tx = token_tx;
-            for w in 0..workers {
-                let (input, out_tx) = (&input, out_tx.clone());
+            // Owned by the caller, so an unwinding `deliver` drops them.
+            let (token_tx, out_rx) = (token_tx, out_rx);
+            for w in 1..workers {
+                let (input, out_tx, scan) = (&input, out_tx.clone(), &scan);
                 scope.spawn(move || {
                     cb_telemetry::set_worker(Some(w));
-                    loop {
-                        let admitted = {
-                            let mut guard = input.lock().unwrap_or_else(PoisonError::into_inner);
-                            let (tokens, messages) = &mut *guard;
-                            tokens.recv().ok().and_then(|()| messages.next())
-                        };
-                        let Some((idx, message)) = admitted else {
-                            break;
-                        };
-                        let bytes = message.borrow().raw.len() as u64;
-                        self.m.messages.incr();
-                        self.note_admitted(bytes);
-                        let mut record = self.scan_caught(message.borrow());
-                        let encoded =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                encoder.encode(&mut record)
-                            }));
-                        drop(message);
-                        if out_tx.send((idx, bytes, record, encoded)).is_err() {
+                    while let Admission::Message((idx, message)) = admit(input, true) {
+                        if out_tx.send((idx, scan(message))).is_err() {
                             break;
                         }
                     }
@@ -838,14 +891,14 @@ impl<'a> CrawlerBox<'a> {
             }
             drop(out_tx);
 
-            // Collector: park out-of-order records, deliver in message
-            // order, return one admission token per delivery. Ends when
-            // every worker has dropped its `out_tx`.
-            let mut reorder: BTreeMap<usize, (u64, ScanRecord, Encoded<E>)> = BTreeMap::new();
+            // Worker 0: deliver in message order, returning one admission
+            // token per delivery; then take a helper's finished record if
+            // one is waiting, else scan a message here, else wait for a
+            // helper. Ends when the input is dry and every helper is gone.
+            let mut reorder: BTreeMap<usize, Scanned<E>> = BTreeMap::new();
             let mut next = 0usize;
-            for (idx, bytes, record, encoded) in out_rx.iter() {
-                reorder.insert(idx, (bytes, record, encoded));
-                self.note_reorder_depth(reorder.len() as u64);
+            let mut dry = false;
+            loop {
                 while let Some((bytes, record, encoded)) = reorder.remove(&next) {
                     match encoded {
                         Ok(encoded) => deliver(record, encoded),
@@ -858,7 +911,38 @@ impl<'a> CrawlerBox<'a> {
                     let _ = token_tx.try_send(());
                     next += 1;
                 }
+                let ready = match out_rx.try_recv() {
+                    Ok(done) => Some(done),
+                    Err(_) if dry => None,
+                    Err(_) => match admit(&input, false) {
+                        Admission::Message((idx, message)) => {
+                            // `run_engine` may itself run on a `run_stealing`
+                            // worker: keep that thread's worker id.
+                            let outer = cb_telemetry::worker();
+                            cb_telemetry::set_worker(Some(0));
+                            let scanned = scan(message);
+                            cb_telemetry::set_worker(outer);
+                            Some((idx, scanned))
+                        }
+                        waiting => {
+                            dry = matches!(waiting, Admission::Dry);
+                            None
+                        }
+                    },
+                };
+                // Nothing admitted without waiting: a helper holds the head
+                // of the order, or the input is dry and the helpers finish.
+                let (idx, scanned) = match ready {
+                    Some(done) => done,
+                    None => match out_rx.recv() {
+                        Ok(done) => done,
+                        Err(_) => break,
+                    },
+                };
+                reorder.insert(idx, scanned);
+                self.note_reorder_depth(reorder.len() as u64);
             }
+            debug_assert!(reorder.is_empty(), "every admitted record was delivered");
         });
         if let Some(payload) = encode_panic {
             std::panic::resume_unwind(payload);
@@ -1707,6 +1791,23 @@ mod tests {
                 "{workers} worker(s) diverged from the fresh-box reference"
             );
         }
+        // The smallest window, in the short bursts a daemon sees, where the
+        // calling thread scans most or all of each burst itself.
+        for workers in [1, 2, 4] {
+            for burst in [1, 2, 3] {
+                let mut cbx = CrawlerBox::new(&corpus.world).with_stream_capacity(1);
+                cbx.parallelism = workers;
+                let mut records: Vec<ScanRecord> = Vec::new();
+                for chunk in subset.chunks(burst) {
+                    cbx.scan_stream(chunk.iter().cloned(), &mut records);
+                }
+                assert_eq!(
+                    cb_json::to_string(&records).unwrap(),
+                    reference_json,
+                    "{workers} worker(s), bursts of {burst}: diverged from the fresh-box reference"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1821,6 +1922,83 @@ mod tests {
             scan_twenty(PanicOn(usize::MAX), Some(3)).expect("scan engine hung on a sink panic");
         assert!(panicked, "the sink panic must reach the caller");
         assert_eq!(delivered, [0, 1, 2]);
+    }
+
+    /// Records the thread each record was encoded on.
+    #[derive(Default)]
+    struct ThreadLog(Mutex<Vec<std::thread::ThreadId>>);
+
+    impl RecordEncoder for ThreadLog {
+        type Encoded = ();
+
+        fn encode(&self, _record: &mut ScanRecord) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+    }
+
+    /// The threads a `scan_stream_encoded` call at `parallelism` encoded
+    /// `messages` on.
+    fn encoding_threads(
+        world: &Internet,
+        messages: &[ReportedMessage],
+        parallelism: usize,
+    ) -> HashSet<std::thread::ThreadId> {
+        let mut cbx = CrawlerBox::new(world);
+        cbx.parallelism = parallelism;
+        let log = ThreadLog::default();
+        let mut out: Vec<ScanRecord> = Vec::new();
+        let n = cbx.scan_stream_encoded(messages.iter().cloned(), &log, &mut out);
+        assert_eq!(n, messages.len());
+        let threads = log.0.into_inner().unwrap();
+        assert_eq!(threads.len(), messages.len(), "one encoding per record");
+        threads.into_iter().collect()
+    }
+
+    #[test]
+    fn a_one_message_burst_scans_on_the_calling_thread() {
+        let corpus = corpus();
+        let threads = encoding_threads(&corpus.world, &corpus.messages[..1], 4);
+        assert_eq!(
+            threads,
+            HashSet::from([std::thread::current().id()]),
+            "a one-message burst must run on the caller and spawn nothing"
+        );
+    }
+
+    #[test]
+    fn a_burst_scans_on_at_most_parallelism_threads_counting_the_caller() {
+        let corpus = corpus();
+        let burst = &corpus.messages[..64];
+        let caller = std::thread::current().id();
+        for parallelism in [1, 2, 4] {
+            let threads = encoding_threads(&corpus.world, burst, parallelism);
+            let helpers = threads.iter().filter(|&&t| t != caller).count();
+            assert!(
+                helpers < parallelism,
+                "parallelism {parallelism}: {helpers} helper thread(s) besides the caller"
+            );
+        }
+    }
+
+    #[test]
+    fn the_callers_telemetry_worker_id_survives_a_scan() {
+        let corpus = corpus();
+        let subset = &corpus.messages[..6];
+        for outer in [None, Some(7)] {
+            for parallelism in [1, 4] {
+                let mut cbx = CrawlerBox::new(&corpus.world);
+                cbx.parallelism = parallelism;
+                cb_telemetry::set_worker(outer);
+                cbx.scan_all(&subset[..1]);
+                cbx.scan_all(subset);
+                assert_eq!(
+                    cb_telemetry::worker(),
+                    outer,
+                    "parallelism {parallelism}: the caller's worker id changed"
+                );
+            }
+        }
+        cb_telemetry::set_worker(None);
     }
 
     #[test]

@@ -3,11 +3,18 @@
 //!
 //! This is the pool for fixed-size jobs whose results are wanted all at
 //! once: cb-store's parallel shard recovery, compaction, repair and batch
-//! appends, and cb-adaptive's experiment cells. (Scans go through the
-//! bounded streaming engine in `pipeline` instead, which also caps how many
-//! messages are resident.) Results come back in task order regardless of
-//! which worker ran what; a task whose worker died (panic) leaves `None` in
-//! its slot for the caller to turn into a degraded result or an error.
+//! appends, and cb-adaptive's experiment cells. Results come back in task
+//! order regardless of which worker ran what; a task whose worker died
+//! (panic) leaves `None` in its slot for the caller to turn into a degraded
+//! result or an error.
+//!
+//! Scans go through the bounded streaming engine in `pipeline` instead,
+//! which also caps how many messages are resident and delivers in message
+//! order as records finish. Both spawn nothing for a single task: here
+//! one task, or `workers <= 1`, runs inline on the caller; the engine goes
+//! further and always makes the calling thread its worker 0, scanning
+//! beside at most `parallelism − 1` helpers, so a one-message burst runs
+//! on the caller alone. Neither keeps threads between calls.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

@@ -4,11 +4,11 @@
 //! [`StoreEncoder`] runs canonical JSON serialization, meta derivation and
 //! CRC framing on the scan workers via
 //! [`scan_stream_encoded`](crawlerbox::CrawlerBox::scan_stream_encoded),
-//! off `scan_stream`'s delivery thread — the serial tail of the pipeline.
-//! Each worker emits an [`EncodedRecord`] carrying the pre-built (CRC'd)
+//! outside in-order delivery — the serial tail of the pipeline. Each
+//! worker emits an [`EncodedRecord`] carrying the pre-built (CRC'd)
 //! blob-ref + record frames, the derived [`RecordMeta`] and the captured
-//! artifacts, so the delivery thread only routes bytes to shards and the
-//! store only writes them. A screenshot captured on a page-key hit stays
+//! artifacts, so delivery only routes bytes to shards and the store only
+//! writes them. A screenshot captured on a page-key hit stays
 //! undrawn here; the store draws it only if its blob pack lacks the
 //! address. [`encode_record`] is the only encoder: [`Store::append`]
 //! runs it too, on the calling thread.

@@ -89,9 +89,9 @@ impl TraceEvent {
 /// All events recorded for one message during one stage.
 ///
 /// `stage` separates the scan itself (0) from sink delivery (1): delivery
-/// happens on the collector thread after the scan trace was already pushed,
-/// so it becomes its own buffer entry that the deterministic sort files
-/// directly after the scan events of the same message.
+/// happens on the engine's calling thread after the scan trace was already
+/// pushed, so it becomes its own buffer entry that the deterministic sort
+/// files directly after the scan events of the same message.
 #[derive(Debug, Clone)]
 pub struct MessageTrace {
     /// The scanned message's id.
@@ -269,8 +269,8 @@ impl Tracer {
     }
 
     /// Record a sink-delivery event for `message_id`. Delivery happens
-    /// outside the scan (on the collector thread, after the scan trace was
-    /// pushed), so it gets its own stage-1 entry.
+    /// outside the scan (on the engine's calling thread, after the scan trace
+    /// was pushed), so it gets its own stage-1 entry.
     pub fn delivery(&self, message_id: usize, fields: FieldList) {
         if !self.enabled {
             return;

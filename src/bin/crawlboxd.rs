@@ -15,6 +15,10 @@
 //! shard worker's group commit covers with one durable barrier, as in
 //! `repro --store`: a burst of queued tasks longer than N takes more than
 //! one barrier, and a task is `durable` once its barrier returns.
+//!
+//! `--workers N` (default 2) is the number of threads that scan each burst,
+//! the shard worker's own thread included, so crawlboxd scans on at most
+//! `shards × N` threads; a one-message burst runs on its shard worker alone.
 
 use crawlerbox_suite::daemon::{run, DaemonConfig};
 use std::path::PathBuf;
@@ -25,7 +29,8 @@ fn usage_exit(message: &str) -> ! {
     eprintln!(
         "usage: crawlboxd --store DIR [--addr IP] [--port N] [--shards N] \
          [--commit-batch N] [--seed N] [--scale F] [--workers N] [--queue N] \
-         [--read-timeout-ms N] [--max-body BYTES]"
+         [--read-timeout-ms N] [--max-body BYTES]\n\
+         --workers N: scanning threads per burst, each shard worker's own included"
     );
     std::process::exit(2);
 }
