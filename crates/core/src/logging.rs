@@ -492,13 +492,20 @@ mod tests {
 
     #[test]
     fn legacy_logs_without_fault_fields_still_deserialize() {
-        let v = empty_visit("https://a.example/");
-        let mut json = cb_json::to_value(&v).unwrap();
-        let obj = json.as_object_mut().unwrap();
-        obj.remove("attempts");
-        obj.remove("elapsed");
-        obj.remove("error");
-        let back: VisitLog = cb_json::from_value(json).unwrap();
+        // A visit as logged before certificate fingerprints, attempts,
+        // elapsed time and errors were recorded.
+        let legacy = concat!(
+            r#"{"requested_url":"https://a.example/","chain":[["https://a.example/",200]],"#,
+            r#""outcome":"Loaded","status":200,"login_form":false,"screenshot_hash":null,"#,
+            r#""spear":null,"subresources":[],"exfil":[],"console_hijacked":false,"#,
+            r#""debugger_hits":0,"gates_solved":[],"domain_registered_at":null,"#,
+            r#""registrar":null,"cert_issued_at":null,"dns_volume":null,"banner":null,"#,
+            r#""hue_rotated":false}"#
+        );
+        let back: VisitLog = cb_json::from_str(legacy).unwrap();
+        assert_eq!(back.requested_url, "https://a.example/");
+        assert_eq!(back.chain, vec![("https://a.example/".to_string(), 200)]);
+        assert!(back.cert_fingerprint.is_none());
         assert!(back.attempts.is_empty());
         assert_eq!(back.elapsed, SimDuration::ZERO);
         assert!(back.error.is_none());
@@ -525,24 +532,24 @@ mod tests {
 
     #[test]
     fn legacy_stats_without_streaming_gauges_still_deserialize() {
-        let stats = ScanStats {
-            messages: 9,
-            peak_in_flight: 5,
-            ..Default::default()
-        };
-        let mut json = cb_json::to_value(stats).unwrap();
-        let obj = json.as_object_mut().unwrap();
-        obj.remove("peak_in_flight");
-        obj.remove("peak_reorder");
-        obj.remove("peak_bytes_retained");
-        obj.remove("page_hits");
-        obj.remove("page_misses");
-        let back: ScanStats = cb_json::from_value(json).unwrap();
-        assert_eq!(back.messages, 9);
-        assert_eq!(back.peak_in_flight, 0);
-        assert_eq!(back.peak_reorder, 0);
-        assert_eq!(back.peak_bytes_retained, 0);
-        assert_eq!((back.page_hits, back.page_misses), (0, 0));
+        // Scan stats as written before page-cache counters, streaming
+        // gauges, skip counts and store drops existed.
+        let legacy = concat!(
+            r#"{"messages":9,"artifact_hits":1,"artifact_misses":2,"#,
+            r#""screenshot_hits":3,"screenshot_misses":4}"#
+        );
+        let back: ScanStats = cb_json::from_str(legacy).unwrap();
+        assert_eq!(
+            back,
+            ScanStats {
+                messages: 9,
+                artifact_hits: 1,
+                artifact_misses: 2,
+                screenshot_hits: 3,
+                screenshot_misses: 4,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]

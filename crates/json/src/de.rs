@@ -1,7 +1,6 @@
 //! The reader: [`Deserialize`] builds a value straight from JSON bytes
 //! through the pull parser [`Deserializer`], with no intermediate tree.
 
-use crate::value::{Map, Number, Value};
 use crate::Error;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -295,50 +294,6 @@ impl<'a> Deserializer<'a> {
         }
     }
 
-    /// Parse the next value into a [`Value`] tree.
-    pub(crate) fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            None => Err(self.err("EOF while parsing a value")),
-            Some(b'n') => self.eat("null").map(|_| Value::Null),
-            Some(b't' | b'f') => self.bool().map(Value::Bool),
-            Some(b'"') => self.str().map(|s| Value::String(s.into_owned())),
-            Some(b'[') => {
-                self.begin_array()?;
-                let mut items = Vec::new();
-                let mut first = true;
-                while self.next_element(first)? {
-                    first = false;
-                    items.push(self.value()?);
-                }
-                Ok(Value::Array(items))
-            }
-            Some(b'{') => {
-                self.begin_object()?;
-                let mut map = Map::new();
-                let mut first = true;
-                while let Some(k) = self.next_key(first)? {
-                    first = false;
-                    let v = self.value()?;
-                    map.insert(k.into_owned(), v);
-                }
-                Ok(Value::Object(map))
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let (text, float) = self.number()?;
-                let n = if float {
-                    text.parse::<f64>().ok().map(Number::Float)
-                } else if let Ok(i) = text.parse::<i128>() {
-                    Some(Number::Int(i))
-                } else {
-                    text.parse::<u128>().ok().map(Number::UInt)
-                };
-                n.map(Value::Number)
-                    .ok_or_else(|| self.err("invalid number"))
-            }
-            Some(_) => Err(self.err("expected value")),
-        }
-    }
-
     /// Skip the next value without building it.
     pub fn skip_value(&mut self) -> Result<(), Error> {
         match self.peek() {
@@ -361,17 +316,21 @@ impl<'a> Deserializer<'a> {
                 }
                 Ok(())
             }
-            _ => self.value().map(drop),
+            Some(b'n') => self.eat("null"),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'-' | b'0'..=b'9') => {
+                // Every number in the grammar reads as an `f64`; an
+                // integer must also fit 128 bits, as for an integer field.
+                let (text, float) = self.number()?;
+                if float || text.parse::<i128>().is_ok() || text.parse::<u128>().is_ok() {
+                    Ok(())
+                } else {
+                    Err(self.err("invalid number"))
+                }
+            }
+            Some(_) => Err(self.err("expected value")),
+            None => Err(self.err("EOF while parsing a value")),
         }
-    }
-}
-
-impl Deserialize for Value {
-    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
-        de.value()
-    }
-    fn missing_field(_: &'static str) -> Result<Self, Error> {
-        Ok(Value::Null)
     }
 }
 

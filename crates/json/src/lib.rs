@@ -1,18 +1,20 @@
 //! JSON for the CrawlerBox reproduction: crawl logs, store records,
 //! telemetry exports and the daemon's wire format.
 //!
-//! Types derive [`Serialize`] (compact JSON straight into a `String`) and
-//! [`Deserialize`] (built straight from bytes through the pull parser
-//! [`Deserializer`], with no intermediate tree). The shapes, the float
-//! layout and the pretty printer are `serde_json`'s, so files written by
-//! either read the same; the derives honour serde's `#[serde(skip)]`,
-//! `#[serde(default)]` and `#[serde(default = "path")]` spellings.
-//! [`Value`] is the dynamic tree for ad-hoc documents, built with [`json!`].
+//! Every document is a type: it derives [`Serialize`] (compact JSON
+//! straight into a `String`) and/or [`Deserialize`] (built straight from
+//! bytes through the pull parser [`Deserializer`], with no intermediate
+//! tree). A struct's keys are written in declaration order. The shapes,
+//! the float layout and the pretty printer are `serde_json`'s, so files
+//! written by either read the same; the derives honour serde's
+//! `#[serde(skip)]`, `#[serde(default)]` and `#[serde(default = "path")]`
+//! spellings. Unknown keys are skipped, and a skipped value is parsed as
+//! strictly as a known one.
 //!
 //! # Example
 //!
 //! ```
-//! use cb_json::{json, Deserialize, Serialize};
+//! use cb_json::{Deserialize, Serialize};
 //!
 //! #[derive(Serialize, Deserialize, Debug, PartialEq)]
 //! struct Visit {
@@ -22,10 +24,11 @@
 //!     retries: u32,
 //! }
 //!
-//! let v: Visit = cb_json::from_str(r#"{"url":"https://x.example/","status":200}"#).unwrap();
+//! let v: Visit =
+//!     cb_json::from_str(r#"{"url":"https://x.example/","status":200,"via":[null]}"#).unwrap();
 //! assert_eq!(v.retries, 0);
 //! assert_eq!(cb_json::to_string(&v).unwrap(), r#"{"url":"https://x.example/","status":200,"retries":0}"#);
-//! assert_eq!(json!({ "status": v.status })["status"], 200);
+//! assert!(cb_json::from_str::<Visit>(r#"{"url":"u","status":200,"via":01}"#).is_err());
 //! ```
 
 // The derives name `::cb_json`, which must also resolve inside this crate.
@@ -33,12 +36,10 @@ extern crate self as cb_json;
 
 mod de;
 mod ser;
-mod value;
 
 pub use cb_json_derive::{Deserialize, Serialize};
 pub use de::{Deserialize, Deserializer};
 pub use ser::Serialize;
-pub use value::{Index, Map, Number, Value};
 
 use std::fmt;
 use std::io;
@@ -104,16 +105,6 @@ pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) 
         .map_err(Error::custom)
 }
 
-/// The [`Value`] tree of `value` (by value or by reference).
-pub fn to_value<T: Serialize>(value: T) -> Result<Value> {
-    from_str(&to_string(&value)?)
-}
-
-/// Build `T` from a [`Value`] tree.
-pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
-    from_str(&to_string(&value)?)
-}
-
 /// Parse `T` from JSON text; only whitespace may follow it.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     from_slice(s.as_bytes())
@@ -125,49 +116,6 @@ pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
     let v = T::deserialize(&mut de)?;
     de.end()?;
     Ok(v)
-}
-
-#[doc(hidden)]
-pub fn __to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    to_value(value).expect("serializable value")
-}
-
-/// Build a [`Value`] from JSON-like syntax. Object keys are string
-/// literals; values are nested `{..}` or `[..]`, `null`, or any
-/// expression.
-#[macro_export]
-macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ({}) => { $crate::Value::Object($crate::Map::new()) };
-    ({ $($tt:tt)+ }) => {{
-        let mut __map = $crate::Map::new();
-        $crate::__json_object!(__map; $($tt)+);
-        $crate::Value::Object(__map)
-    }};
-    ([ $($e:expr),* $(,)? ]) => { $crate::Value::Array(vec![$($crate::json!($e)),*]) };
-    ($e:expr) => { $crate::__to_value(&$e) };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __json_object {
-    ($m:ident;) => {};
-    ($m:ident; $k:literal : null $(, $($rest:tt)*)?) => {
-        $m.insert(::std::string::String::from($k), $crate::Value::Null);
-        $crate::__json_object!($m; $($($rest)*)?);
-    };
-    ($m:ident; $k:literal : { $($v:tt)* } $(, $($rest:tt)*)?) => {
-        $m.insert(::std::string::String::from($k), $crate::json!({ $($v)* }));
-        $crate::__json_object!($m; $($($rest)*)?);
-    };
-    ($m:ident; $k:literal : [ $($v:tt)* ] $(, $($rest:tt)*)?) => {
-        $m.insert(::std::string::String::from($k), $crate::json!([ $($v)* ]));
-        $crate::__json_object!($m; $($($rest)*)?);
-    };
-    ($m:ident; $k:literal : $v:expr $(, $($rest:tt)*)?) => {
-        $m.insert(::std::string::String::from($k), $crate::json!($v));
-        $crate::__json_object!($m; $($($rest)*)?);
-    };
 }
 
 #[cfg(test)]
@@ -239,6 +187,14 @@ mod tests {
         de.end().unwrap();
     }
 
+    /// Carries whatever it is given under an unknown key, which the
+    /// derived reader skips.
+    #[derive(Deserialize, Debug)]
+    struct Known {
+        #[allow(dead_code)]
+        known: u8,
+    }
+
     #[test]
     fn numbers_follow_the_rfc_8259_grammar() {
         for bad in [
@@ -247,12 +203,10 @@ mod tests {
             assert!(from_str::<u64>(bad).is_err(), "{bad} as u64");
             assert!(from_str::<i64>(bad).is_err(), "{bad} as i64");
             assert!(from_str::<f64>(bad).is_err(), "{bad} as f64");
-            assert!(from_str::<Value>(bad).is_err(), "{bad} as Value");
             assert!(from_str::<()>(bad).is_err(), "{bad} skipped");
-            assert!(
-                from_str::<Vec<Value>>(&format!("[{bad}]")).is_err(),
-                "[{bad}]"
-            );
+            assert!(from_str::<Vec<()>>(&format!("[{bad}]")).is_err(), "[{bad}]");
+            let unknown = format!(r#"{{"unknown":{bad},"known":1}}"#);
+            assert!(from_str::<Known>(&unknown).is_err(), "{unknown}");
         }
         for (good, want) in [
             ("0", 0.0),
@@ -265,28 +219,89 @@ mod tests {
         ] {
             assert_eq!(from_str::<f64>(good).unwrap(), want, "{good}");
             assert!(from_str::<()>(good).is_ok(), "{good} skipped");
+            let unknown = format!(r#"{{"unknown":{good},"known":1}}"#);
+            assert!(from_str::<Known>(&unknown).is_ok(), "{unknown}");
         }
         assert_eq!(from_str::<u64>("2048").unwrap(), 2048);
         assert_eq!(from_str::<i64>("-0").unwrap(), 0);
-        assert_eq!(from_str::<Value>("-10").unwrap(), -10);
+        assert_eq!(from_str::<i64>("-10").unwrap(), -10);
     }
 
     #[test]
-    fn values_index_compare_and_pretty_print() {
-        let mut v = json!({ "a": [1, "x"], "b": { "c": null }, "d": true, "e": 2.5 });
-        assert_eq!(v["a"][1], "x");
-        assert_eq!(v["a"][0], 1);
-        assert_eq!(v["d"], true);
-        assert_eq!(v["e"], json!(2.5));
-        assert_eq!(v["missing"]["deeper"], Value::Null);
-        v.as_object_mut().unwrap().insert("f".into(), json!([]));
+    fn skipped_values_are_read_as_strictly_as_known_ones() {
+        // An integer must fit 128 bits even where nothing reads it.
+        let huge = format!("1{}", "0".repeat(39));
+        for bad in [
+            "nul",
+            "nulll",
+            "tru",
+            "falsey",
+            "True",
+            "'x'",
+            "",
+            "[1,]",
+            "[,1]",
+            "{,}",
+            r#"{"a"}"#,
+            r#"{"a":1,}"#,
+            r#"{1:2}"#,
+            r#""\x""#,
+            r#""\ud83d""#,
+            "\"a\tb\"",
+            &huge,
+            "-340282366920938463463374607431768211456",
+        ] {
+            assert!(from_str::<()>(bad).is_err(), "{bad} skipped");
+            let unknown = format!(r#"{{"unknown":{bad},"known":1}}"#);
+            assert!(from_str::<Known>(&unknown).is_err(), "{unknown}");
+        }
+        for good in [
+            "null",
+            "true",
+            "false",
+            r#""\ud83d\ude00""#,
+            r#"[1,[],{"k":[null,-0.5e3]}]"#,
+            "340282366920938463463374607431768211455",
+            "-170141183460469231731687303715884105728",
+            "1e400",
+        ] {
+            assert!(from_str::<()>(good).is_ok(), "{good} skipped");
+            let unknown = format!(r#"{{"unknown":{good},"known":1}}"#);
+            assert!(from_str::<Known>(&unknown).is_ok(), "{unknown}");
+        }
+    }
+
+    #[derive(Serialize, Deserialize, Debug, PartialEq)]
+    struct Leaf {
+        c: Option<u8>,
+    }
+
+    #[derive(Serialize, Deserialize, Debug, PartialEq)]
+    struct Doc {
+        a: (u8, String),
+        b: Leaf,
+        d: bool,
+        e: f64,
+        f: Vec<u8>,
+    }
+
+    #[test]
+    fn pretty_print_indents_nested_objects_and_arrays() {
+        let doc = Doc {
+            a: (1, "x".into()),
+            b: Leaf { c: None },
+            d: true,
+            e: 2.5,
+            f: Vec::new(),
+        };
+        let pretty = to_string_pretty(&doc).unwrap();
         assert_eq!(
-            to_string_pretty(&v).unwrap(),
+            pretty,
             "{\n  \"a\": [\n    1,\n    \"x\"\n  ],\n  \"b\": {\n    \"c\": null\n  },\n  \
              \"d\": true,\n  \"e\": 2.5,\n  \"f\": []\n}"
         );
-        assert_eq!(from_str::<Value>(&v.to_string()).unwrap(), v);
-        assert_eq!(to_value(v.clone()).unwrap(), v);
+        assert_eq!(from_str::<Doc>(&pretty).unwrap(), doc);
+        assert_eq!(from_str::<Doc>(&to_string(&doc).unwrap()).unwrap(), doc);
     }
 
     fn three() -> u32 {
@@ -371,7 +386,6 @@ mod tests {
             )
         );
         assert_eq!(from_str::<Outer>(&text).unwrap(), v);
-        assert_eq!(from_value::<Outer>(to_value(&v).unwrap()).unwrap(), v);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The writer: [`Serialize`] appends compact JSON to a `String`, and
 //! [`prettify`] re-indents it.
 
-use crate::value::{Number, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write;
 
@@ -53,18 +52,6 @@ pub(crate) fn write_f64(out: &mut String, f: f64) {
         let _ = write!(out, "{f}");
     } else {
         let _ = write!(out, "{f:?}");
-    }
-}
-
-pub(crate) fn write_number(out: &mut String, n: &Number) {
-    match n {
-        Number::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Number::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Number::Float(f) => write_f64(out, *f),
     }
 }
 
@@ -130,19 +117,6 @@ pub(crate) fn prettify(compact: &str) -> String {
         i += len;
     }
     out
-}
-
-impl Serialize for Value {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => b.write_json(out),
-            Value::Number(n) => write_number(out, n),
-            Value::String(s) => write_str(out, s),
-            Value::Array(a) => a.write_json(out),
-            Value::Object(m) => m.write_json(out),
-        }
-    }
 }
 
 impl Serialize for bool {

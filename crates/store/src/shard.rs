@@ -938,10 +938,7 @@ mod tests {
     #[test]
     fn replay_pairs_blob_refs_with_records() {
         let refs = vec![7u128, 9u128];
-        let record = cb_json::to_vec(&cb_json::json!({})).unwrap();
-        // A raw JSON Value won't decode as ScanRecord; build the walk
-        // on framing level only by checking bad classification.
-        let buf = encode_pair(&refs, &record);
+        let buf = encode_pair(&refs, b"{}");
         let replay = replay_segment(&buf);
         // "{}" is not a valid ScanRecord: corruption, flagged at the
         // record frame, just past the blob-ref frame.

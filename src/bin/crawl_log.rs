@@ -43,19 +43,23 @@ fn usage_exit(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Render a `[["k","v"], ...]` field array as ` k=v ...` (empty when the
-/// value is absent or not an array).
-fn render_fields(v: &cb_json::Value) -> String {
-    let Some(arr) = v.as_array() else {
-        return String::new();
-    };
-    let mut out = String::new();
-    for pair in arr {
-        if let (Some(k), Some(val)) = (pair[0].as_str(), pair[1].as_str()) {
-            out.push_str(&format!(" {k}={val}"));
-        }
-    }
-    out
+/// One line of a trace JSONL file (`repro --trace`). End events carry no
+/// `fields`; only full-mode exports carry `adv`. Other keys are skipped.
+#[derive(cb_json::Deserialize)]
+struct TraceLine {
+    msg: u64,
+    ph: String,
+    name: String,
+    t: i64,
+    #[serde(default)]
+    fields: Vec<(String, String)>,
+    #[serde(default)]
+    adv: Vec<(String, String)>,
+}
+
+/// Render a field list as ` k=v ...` (empty when there are none).
+fn render_fields(fields: &[(String, String)]) -> String {
+    fields.iter().map(|(k, v)| format!(" {k}={v}")).collect()
 }
 
 /// The `trace` subcommand: pretty-print a telemetry trace JSONL file as an
@@ -102,11 +106,11 @@ fn trace_main(mut iter: impl Iterator<Item = String>) {
         if line.trim().is_empty() {
             continue;
         }
-        let v: cb_json::Value = match cb_json::from_str(line) {
-            Ok(v) => v,
+        let line: TraceLine = match cb_json::from_str(line) {
+            Ok(line) => line,
             Err(e) => usage_exit(&format!("{path}:{}: not a trace line: {e}", lineno + 1)),
         };
-        let msg = v["msg"].as_u64().unwrap_or(0);
+        let msg = line.msg;
         if want_msg.map(|want| want != msg).unwrap_or(false) {
             continue;
         }
@@ -121,12 +125,10 @@ fn trace_main(mut iter: impl Iterator<Item = String>) {
             depth = 0;
             messages_shown += 1;
         }
-        let ph = v["ph"].as_str().unwrap_or("?");
-        let name = v["name"].as_str().unwrap_or("?");
-        let t = v["t"].as_i64().unwrap_or(0);
-        let fields = render_fields(&v["fields"]);
-        let adv = render_fields(&v["adv"]);
-        match ph {
+        let (name, t) = (&line.name, line.t);
+        let fields = render_fields(&line.fields);
+        let adv = render_fields(&line.adv);
+        match line.ph.as_str() {
             "B" => {
                 println!("{}> {name} @{t}s{fields}{adv}", "  ".repeat(depth + 1));
                 depth += 1;

@@ -60,9 +60,11 @@
 
 use cb_phishgen::{Corpus, CorpusSpec};
 use cb_stats::{Moments, P2Quantile};
-use cb_store::{Store, StoreEncoder, StoreSink};
+use cb_store::{Store, StoreEncoder, StoreSink, StoreStats};
 use crawlerbox::analysis::{analyze, fault_sweep, AnalysisReport};
-use crawlerbox::{ClassMixSink, CrawlerBox, ExportMode, RecordSink, ScanRecord, TruthLedger};
+use crawlerbox::{
+    ClassMixSink, CrawlerBox, ExportMode, RecordSink, ScanRecord, ScanStats, TruthLedger,
+};
 use crawlerbox_suite::daemon::BURST_CAP;
 use std::sync::Mutex;
 
@@ -506,21 +508,28 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
     let mix = sink.mix.mix();
     let agreement = sink.mix.agreement_rate();
     if args.json {
-        let value = cb_json::json!({
-            "delivered": delivered,
-            "class_mix": mix,
-            "agreement_rate": agreement,
-            "body_bytes": {
-                "mean": sink.body_bytes.mean(),
-                "stddev": sink.body_bytes.stddev(),
-                "median": sink.body_median.estimate(),
+        let summary = StreamJson {
+            agreement_rate: agreement,
+            body_bytes: BodyBytes {
+                mean: sink.body_bytes.mean(),
+                median: sink.body_median.estimate(),
+                stddev: sink.body_bytes.stddev(),
             },
-            "stats": stats,
-            "store": store_stats,
-        });
+            class_mix: SortedClassMix {
+                active_phish: mix.active_phish,
+                downloads: mix.downloads,
+                error_pages: mix.error_pages,
+                interaction_required: mix.interaction_required,
+                no_resource: mix.no_resource,
+                total: mix.total,
+            },
+            delivered,
+            stats,
+            store: store_stats,
+        };
         println!(
             "{}",
-            cb_json::to_string_pretty(&value).expect("summary serializes")
+            cb_json::to_string_pretty(&summary).expect("summary serializes")
         );
     } else {
         print!("== Class mix (streamed) ==\n{mix}");
@@ -538,6 +547,38 @@ fn run_stream(args: &Args, spec: &CorpusSpec) {
             None => println!("body bytes: n/a (no records)"),
         }
     }
+}
+
+/// The `--stream --json` summary. Its own keys, and those of
+/// `body_bytes` and `class_mix`, are in sorted order; `stats` and `store`
+/// keep their types' field order.
+#[derive(cb_json::Serialize)]
+struct StreamJson {
+    agreement_rate: Option<f64>,
+    body_bytes: BodyBytes,
+    class_mix: SortedClassMix,
+    delivered: usize,
+    stats: ScanStats,
+    store: Option<StoreStats>,
+}
+
+#[derive(cb_json::Serialize)]
+struct BodyBytes {
+    mean: f64,
+    median: Option<f64>,
+    stddev: f64,
+}
+
+/// [`crawlerbox::analysis::tables::ClassMix`] with its fields in sorted
+/// order.
+#[derive(cb_json::Serialize)]
+struct SortedClassMix {
+    active_phish: usize,
+    downloads: usize,
+    error_pages: usize,
+    interaction_required: usize,
+    no_resource: usize,
+    total: usize,
 }
 
 /// The `adaptive` experiment: race the bandit against fixed NotABot over

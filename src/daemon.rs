@@ -38,7 +38,6 @@
 //! encode or store error fails the rest of its burst.
 
 use cb_httpd::{serve, Handler, Limits, Response, ServerConfig};
-use cb_json::json;
 use cb_phishgen::messages::Carrier;
 use cb_phishgen::{Corpus, CorpusSpec, GroundTruth, MessageClass, ReportedMessage};
 use cb_sim::SimTime;
@@ -46,6 +45,7 @@ use cb_store::{Store, StoreEncoder, StoreOptions, StoreSink, StoreWatch};
 use cb_telemetry::{Determinism, ExportMode, MetricsRegistry, MetricsSnapshot};
 use crawlerbox::tasks::{route_shard, TaskRegistry, TaskState};
 use crawlerbox::{message_content_hash, CrawlerBox, RecordSink, ScanRecord};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -341,9 +341,9 @@ fn handle(state: &DaemonState, req: &cb_httpd::Request) -> Response {
         (_, path) if path.starts_with("/tasks/") => task_status(state, req),
         (_, path) if path.starts_with("/records/") => record_status(state, req),
         (_, "/health" | "/metrics" | "/campaigns" | "/ingest" | "/shutdown") => {
-            Response::json(405, r#"{"error":"method not allowed"}"#)
+            error(405, "method not allowed")
         }
-        _ => Response::json(404, r#"{"error":"no such endpoint"}"#),
+        _ => error(404, "no such endpoint"),
     };
     if response.status >= 400 {
         state.dm.http_errors.incr();
@@ -351,44 +351,80 @@ fn handle(state: &DaemonState, req: &cb_httpd::Request) -> Response {
     response
 }
 
+// The response bodies. Each view declares its fields in sorted order, so
+// every body keeps its keys sorted.
+
+/// `{"error": ..}`, the body of every 4xx/5xx JSON response.
+#[derive(cb_json::Serialize)]
+struct ErrorView {
+    error: String,
+}
+
+fn error(status: u16, error: impl Into<String>) -> Response {
+    json(
+        status,
+        &ErrorView {
+            error: error.into(),
+        },
+    )
+}
+
+fn json(status: u16, view: &impl cb_json::Serialize) -> Response {
+    Response::json(status, cb_json::to_string(view).expect("view serializes"))
+}
+
+/// `GET /health`.
+#[derive(cb_json::Serialize)]
+struct HealthView {
+    partitions: Vec<PartitionView>,
+    queued: u64,
+    shards: usize,
+    status: &'static str,
+}
+
+#[derive(cb_json::Serialize)]
+struct PartitionView {
+    acked: u64,
+    append_errors: u64,
+    appended: u64,
+    commit_batches: u64,
+    degraded: bool,
+    id: usize,
+    pending: u64,
+}
+
 fn health(state: &DaemonState) -> Response {
-    let mut degraded = false;
-    let partitions: Vec<cb_json::Value> = state
+    let partitions: Vec<PartitionView> = state
         .watches
         .iter()
         .enumerate()
-        .map(|(w, watch)| {
-            degraded |= watch.is_degraded();
-            json!({
-                "id": w,
-                "appended": watch.appended(),
-                "acked": watch.acked(),
-                "pending": watch.pending(),
-                "commit_batches": watch.commit_batches(),
-                "append_errors": watch.append_errors(),
-                "degraded": watch.is_degraded(),
-            })
+        .map(|(w, watch)| PartitionView {
+            acked: watch.acked(),
+            append_errors: watch.append_errors(),
+            appended: watch.appended(),
+            commit_batches: watch.commit_batches(),
+            degraded: watch.is_degraded(),
+            id: w,
+            pending: watch.pending(),
         })
         .collect();
-    let body = json!({
-        "status": if degraded { "degraded" } else { "ok" },
-        "shards": state.watches.len(),
-        "queued": state.dm.queue_depth.level(),
-        "partitions": partitions,
-    });
-    Response::json(200, body.to_string())
+    let degraded = partitions.iter().any(|p| p.degraded);
+    json(
+        200,
+        &HealthView {
+            partitions,
+            queued: state.dm.queue_depth.level(),
+            shards: state.watches.len(),
+            status: if degraded { "degraded" } else { "ok" },
+        },
+    )
 }
 
 fn metrics(state: &DaemonState, req: &cb_httpd::Request) -> Response {
     let mode = match req.query_param("mode") {
         None | Some("full") => ExportMode::Full,
         Some("canonical") => ExportMode::Canonical,
-        Some(other) => {
-            return Response::json(
-                400,
-                json!({"error": format!("unknown mode {other}")}).to_string(),
-            )
-        }
+        Some(other) => return error(400, format!("unknown mode {other}")),
     };
     let mut sections: Vec<(Vec<(String, String)>, MetricsSnapshot)> =
         vec![(Vec::new(), state.registry.snapshot(mode))];
@@ -408,37 +444,54 @@ fn campaigns(state: &DaemonState) -> Response {
     for (w, store) in state.stores.iter().enumerate() {
         clusterer.absorb(store.lock().expect("store lock").campaign_fragment(w * 256));
     }
-    let campaigns: Vec<cb_json::Value> = clusterer
+    let campaigns = clusterer
         .finish()
         .into_iter()
-        .map(|c| {
-            json!({
-                "id": c.id,
-                "messages": c.message_ids.len(),
-                "domains": c.domains.iter().collect::<Vec<_>>(),
-                "url_schemes": c.url_schemes.iter().collect::<Vec<_>>(),
-                "classes": c.classes.iter().map(|(k, v)| (format!("{k:?}"), *v))
-                    .collect::<std::collections::BTreeMap<_, _>>(),
-            })
+        .map(|c| CampaignView {
+            classes: c
+                .classes
+                .iter()
+                .map(|(k, v)| (format!("{k:?}"), *v))
+                .collect(),
+            domains: c.domains,
+            id: c.id,
+            messages: c.message_ids.len(),
+            url_schemes: c.url_schemes,
         })
         .collect();
-    Response::json(200, json!({ "campaigns": campaigns }).to_string())
+    json(200, &CampaignsView { campaigns })
+}
+
+/// `GET /campaigns`.
+#[derive(cb_json::Serialize)]
+struct CampaignsView {
+    campaigns: Vec<CampaignView>,
+}
+
+#[derive(cb_json::Serialize)]
+struct CampaignView {
+    /// Members per class, keyed by the class's `Debug` name.
+    classes: BTreeMap<String, usize>,
+    domains: BTreeSet<String>,
+    id: usize,
+    messages: usize,
+    url_schemes: BTreeSet<String>,
 }
 
 fn ingest(state: &DaemonState, req: &cb_httpd::Request) -> Response {
     if state.shutting_down.load(Ordering::SeqCst) {
-        return Response::json(503, r#"{"error":"shutting down"}"#);
+        return error(503, "shutting down");
     }
     let raws = match parse_ingest_body(req) {
         Ok(raws) => raws,
-        Err(reason) => return Response::json(400, json!({ "error": reason }).to_string()),
+        Err(reason) => return error(400, reason),
     };
 
     let shards = state.stores.len();
     let mut out = Vec::with_capacity(raws.len());
     let senders = state.senders.lock().expect("senders lock");
     let Some(senders) = senders.as_ref() else {
-        return Response::json(503, r#"{"error":"shutting down"}"#);
+        return error(503, "shutting down");
     };
     for raw in raws {
         let hash = message_content_hash(&raw);
@@ -487,14 +540,28 @@ fn ingest(state: &DaemonState, req: &cb_httpd::Request) -> Response {
             }
         }
         let snap = state.tasks.get(task.id).unwrap_or(task);
-        out.push(json!({
-            "id": snap.id,
-            "shard": snap.shard,
-            "content_hash": format!("{:032x}", snap.content_hash),
-            "state": snap.state.as_str(),
-        }));
+        out.push(AckView {
+            content_hash: format!("{:032x}", snap.content_hash),
+            id: snap.id,
+            shard: snap.shard,
+            state: snap.state.as_str(),
+        });
     }
-    Response::json(202, json!({ "tasks": out }).to_string())
+    json(202, &IngestView { tasks: out })
+}
+
+/// The `POST /ingest` ack.
+#[derive(cb_json::Serialize)]
+struct IngestView {
+    tasks: Vec<AckView>,
+}
+
+#[derive(cb_json::Serialize)]
+struct AckView {
+    content_hash: String,
+    id: u64,
+    shard: usize,
+    state: &'static str,
 }
 
 /// A JSON ingest batch: `{"messages": ["raw", ..]}`.
@@ -529,56 +596,73 @@ fn parse_ingest_body(req: &cb_httpd::Request) -> Result<Vec<String>, &'static st
 
 fn task_status(state: &DaemonState, req: &cb_httpd::Request) -> Response {
     if req.method != "GET" {
-        return Response::json(405, r#"{"error":"method not allowed"}"#);
+        return error(405, "method not allowed");
     }
     let Some(id) = req
         .path()
         .strip_prefix("/tasks/")
         .and_then(|s| s.parse::<u64>().ok())
     else {
-        return Response::json(400, r#"{"error":"task ids are integers"}"#);
+        return error(400, "task ids are integers");
     };
     match state.tasks.get(id) {
-        Some(task) => Response::json(
+        Some(task) => json(
             200,
-            json!({
-                "id": task.id,
-                "shard": task.shard,
-                "content_hash": format!("{:032x}", task.content_hash),
-                "state": task.state.as_str(),
-                "error": task.error,
-            })
-            .to_string(),
+            &TaskView {
+                content_hash: format!("{:032x}", task.content_hash),
+                error: task.error,
+                id: task.id,
+                shard: task.shard,
+                state: task.state.as_str(),
+            },
         ),
-        None => Response::json(404, r#"{"error":"unknown task"}"#),
+        None => error(404, "unknown task"),
     }
+}
+
+/// `GET /tasks/{id}`.
+#[derive(cb_json::Serialize)]
+struct TaskView {
+    content_hash: String,
+    /// The failure reason; `null` unless the task failed.
+    error: Option<String>,
+    id: u64,
+    shard: usize,
+    state: &'static str,
 }
 
 fn record_status(state: &DaemonState, req: &cb_httpd::Request) -> Response {
     if req.method != "GET" {
-        return Response::json(405, r#"{"error":"method not allowed"}"#);
+        return error(405, "method not allowed");
     }
     let Some(hash) = req
         .path()
         .strip_prefix("/records/")
         .and_then(|s| u128::from_str_radix(s, 16).ok())
     else {
-        return Response::json(400, r#"{"error":"record keys are content hashes in hex"}"#);
+        return error(400, "record keys are content hashes in hex");
     };
     let shard = route_shard(hash, state.stores.len());
     let present = state.stores[shard]
         .lock()
         .expect("store lock")
         .contains_hash(hash);
-    Response::json(
+    json(
         200,
-        json!({
-            "content_hash": format!("{hash:032x}"),
-            "shard": shard,
-            "present": present,
-        })
-        .to_string(),
+        &RecordView {
+            content_hash: format!("{hash:032x}"),
+            present,
+            shard,
+        },
     )
+}
+
+/// `GET /records/{hash}`.
+#[derive(cb_json::Serialize)]
+struct RecordView {
+    content_hash: String,
+    present: bool,
+    shard: usize,
 }
 
 fn shutdown(state: &DaemonState) -> Response {
@@ -586,5 +670,11 @@ fn shutdown(state: &DaemonState) -> Response {
     if let Some(tx) = state.shutdown.lock().expect("shutdown lock").take() {
         let _ = tx.send(());
     }
-    Response::json(202, r#"{"status":"stopping"}"#)
+    json(202, &StatusView { status: "stopping" })
+}
+
+/// The `POST /shutdown` ack.
+#[derive(cb_json::Serialize)]
+struct StatusView {
+    status: &'static str,
 }

@@ -13,6 +13,8 @@
 //! 16 acks up to 16 at once.
 
 use cb_phishgen::{Corpus, CorpusSpec, ReportedMessage};
+use crawlerbox::message_content_hash;
+use crawlerbox::tasks::route_shard;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -30,6 +32,64 @@ fn corpus_subset(seed: u64, n: usize) -> (Corpus, Vec<ReportedMessage>) {
     let corpus = Corpus::generate(&CorpusSpec::paper().with_scale(0.01), seed);
     let subset = corpus.messages.iter().take(n).cloned().collect();
     (corpus, subset)
+}
+
+/// The fields of an ingest ack task the tests read.
+#[derive(cb_json::Deserialize)]
+struct AckTask {
+    id: u64,
+    content_hash: String,
+    state: String,
+}
+
+#[derive(cb_json::Deserialize)]
+struct Ack {
+    tasks: Vec<AckTask>,
+}
+
+/// The fields of a `/tasks/{id}` body the tests read.
+#[derive(cb_json::Deserialize, Debug)]
+struct TaskBody {
+    content_hash: String,
+    state: String,
+    error: Option<String>,
+}
+
+#[derive(cb_json::Deserialize)]
+struct RecordBody {
+    present: bool,
+}
+
+#[derive(cb_json::Deserialize)]
+struct PartitionBody {
+    appended: u64,
+    acked: u64,
+}
+
+#[derive(cb_json::Deserialize)]
+struct HealthBody {
+    partitions: Vec<PartitionBody>,
+}
+
+#[derive(cb_json::Deserialize)]
+struct CampaignBody {
+    messages: u64,
+}
+
+#[derive(cb_json::Deserialize)]
+struct CampaignsBody {
+    campaigns: Vec<CampaignBody>,
+}
+
+/// A JSON ingest batch, as a client sends it.
+#[derive(cb_json::Serialize)]
+struct IngestPayload {
+    messages: Vec<String>,
+}
+
+fn batch_payload<'a>(messages: impl IntoIterator<Item = &'a ReportedMessage>) -> String {
+    let messages = messages.into_iter().map(|m| m.raw.clone()).collect();
+    cb_json::to_string(&IngestPayload { messages }).expect("JSON batch")
 }
 
 /// A spawned daemon child plus the address it printed. Killed on drop so
@@ -121,16 +181,16 @@ impl Daemon {
     }
 
     /// Await a task state: `durable` panics if the task fails first.
-    fn await_durable(&self, id: u64) -> cb_json::Value {
+    fn await_durable(&self, id: u64) -> TaskBody {
         let deadline = Instant::now() + Duration::from_secs(180);
         loop {
             let (status, body) = self.get(&format!("/tasks/{id}"));
             assert_eq!(status, 200, "task {id} lookup: {body}");
-            let task: cb_json::Value = cb_json::from_str(&body).expect("task json");
-            match task["state"].as_str().unwrap_or("") {
+            let task: TaskBody = cb_json::from_str(&body).expect("task json");
+            match task.state.as_str() {
                 "durable" => return task,
-                "failed" => panic!("task {id} failed: {}", task["error"]),
-                _ if Instant::now() > deadline => panic!("task {id} never durable: {task}"),
+                "failed" => panic!("task {id} failed: {:?}", task.error),
+                _ if Instant::now() > deadline => panic!("task {id} never durable: {body}"),
                 _ => std::thread::sleep(Duration::from_millis(20)),
             }
         }
@@ -192,10 +252,12 @@ fn raw_exchange(addr: &str, wire: &[u8], want: usize) -> String {
     String::from_utf8_lossy(&out).to_string()
 }
 
-fn ingested_tasks(body: &str) -> Vec<cb_json::Value> {
-    let v: cb_json::Value = cb_json::from_str(body).expect("ingest json");
-    v["tasks"].as_array().expect("tasks array").clone()
+fn ingested_tasks(body: &str) -> Vec<AckTask> {
+    cb_json::from_str::<Ack>(body).expect("ingest json").tasks
 }
+
+const EMPTY_PARTITION: &str =
+    r#""acked":0,"append_errors":0,"appended":0,"commit_batches":0,"degraded":false"#;
 
 #[test]
 fn health_metrics_and_route_errors() {
@@ -204,10 +266,13 @@ fn health_metrics_and_route_errors() {
 
     let (status, body) = d.get("/health");
     assert_eq!(status, 200);
-    let health: cb_json::Value = cb_json::from_str(&body).unwrap();
-    assert_eq!(health["status"], "ok");
-    assert_eq!(health["shards"], 2);
-    assert_eq!(health["partitions"].as_array().unwrap().len(), 2);
+    assert_eq!(
+        body,
+        format!(
+            r#"{{"partitions":[{{{EMPTY_PARTITION},"id":0,"pending":0}},{{{EMPTY_PARTITION},"id":1,"pending":0}}],"queued":0,"shards":2,"status":"ok"}}"#
+        )
+    );
+    assert_eq!(d.get("/campaigns"), (200, r#"{"campaigns":[]}"#.into()));
 
     let (status, text) = d.get("/metrics");
     assert_eq!(status, 200);
@@ -235,24 +300,57 @@ fn health_metrics_and_route_errors() {
         canonical.contains("cb_daemon_ingest_messages"),
         "{canonical}"
     );
-    let (status, _) = d.get("/metrics?mode=wat");
-    assert_eq!(status, 400);
+    assert_eq!(
+        d.get("/metrics?mode=bogus"),
+        (400, r#"{"error":"unknown mode bogus"}"#.into())
+    );
+    assert_eq!(
+        d.get("/metrics?mode=%22q%22"),
+        (400, r#"{"error":"unknown mode %22q%22"}"#.into())
+    );
 
-    assert_eq!(d.get("/nope").0, 404);
-    assert_eq!(d.request("DELETE", "/health", None, b"").0, 405);
-    assert_eq!(d.request("PUT", "/tasks/1", None, b"").0, 405);
-    assert_eq!(d.get("/tasks/xyz").0, 400);
-    assert_eq!(d.get("/tasks/999999").0, 404);
-    assert_eq!(d.get("/records/zz").0, 400);
-    assert_eq!(d.post_raw("/ingest", "").0, 400);
-    assert_eq!(d.post_json("/ingest", "{]").0, 400);
-    assert_eq!(d.post_json("/ingest", r#"{"messages": []}"#).0, 400);
-    assert_eq!(d.post_json("/ingest", r#"{"messages": [42]}"#).0, 400);
-    assert_eq!(d.post_json("/ingest", "{}").0, 400);
-    assert_eq!(d.post_json("/ingest", "not json").0, 400);
-    assert_eq!(d.post_json("/ingest", r#"{"messages":"x"}"#).0, 400);
+    let err = |status: u16, msg: &str| (status, format!(r#"{{"error":"{msg}"}}"#));
+    assert_eq!(d.get("/nope"), err(404, "no such endpoint"));
+    assert_eq!(
+        d.request("DELETE", "/health", None, b""),
+        err(405, "method not allowed")
+    );
+    assert_eq!(
+        d.request("PUT", "/tasks/1", None, b""),
+        err(405, "method not allowed")
+    );
+    assert_eq!(d.get("/tasks/xyz"), err(400, "task ids are integers"));
+    assert_eq!(d.get("/tasks/999999"), err(404, "unknown task"));
+    assert_eq!(
+        d.get("/records/zz"),
+        err(400, "record keys are content hashes in hex")
+    );
+    assert_eq!(d.post_raw("/ingest", ""), err(400, "empty message body"));
+    assert_eq!(
+        d.post_raw("/ingest", " \r\n"),
+        err(400, "empty message body")
+    );
+    assert_eq!(
+        d.request(
+            "POST",
+            "/ingest",
+            Some("message/rfc822"),
+            b"Subject: \xff\r\n"
+        ),
+        err(400, "body is not UTF-8")
+    );
+    let not_a_batch = err(400, r#"expected {\"messages\": [\"raw\", ...]}"#);
+    assert_eq!(d.post_json("/ingest", "{]"), not_a_batch);
+    assert_eq!(
+        d.post_json("/ingest", r#"{"messages": []}"#),
+        err(400, "empty message batch")
+    );
+    assert_eq!(d.post_json("/ingest", r#"{"messages": [42]}"#), not_a_batch);
+    assert_eq!(d.post_json("/ingest", "{}"), not_a_batch);
+    assert_eq!(d.post_json("/ingest", "not json"), not_a_batch);
+    assert_eq!(d.post_json("/ingest", r#"{"messages":"x"}"#), not_a_batch);
     let repeated = r#"{"messages":["a"],"messages":["b"]}"#;
-    assert_eq!(d.post_json("/ingest", repeated).0, 400);
+    assert_eq!(d.post_json("/ingest", repeated), not_a_batch);
 
     // Media types are case-insensitive: a JSON batch sent as
     // `Application/JSON` is two messages, not one raw message of JSON text.
@@ -283,33 +381,26 @@ fn raw_ingest_reaches_durable_and_dedups_resubmission() {
     assert_eq!(status, 202, "{body}");
     let tasks = ingested_tasks(&body);
     assert_eq!(tasks.len(), 1);
-    let id = tasks[0]["id"].as_u64().unwrap();
-    let hash = tasks[0]["content_hash"].as_str().unwrap().to_string();
+    let id = tasks[0].id;
+    let hash = tasks[0].content_hash.clone();
 
     let task = d.await_durable(id);
-    assert_eq!(task["content_hash"].as_str().unwrap(), hash);
+    assert_eq!(task.content_hash, hash);
 
     let (status, body) = d.get(&format!("/records/{hash}"));
     assert_eq!(status, 200);
-    let record: cb_json::Value = cb_json::from_str(&body).unwrap();
-    assert_eq!(record["present"], true, "{record}");
+    let record: RecordBody = cb_json::from_str(&body).unwrap();
+    assert!(record.present, "{body}");
 
     // Same bytes again: recognized as already durable, no rescan.
     let (status, body) = d.post_raw("/ingest", &subset[0].raw);
     assert_eq!(status, 202);
-    assert_eq!(ingested_tasks(&body)[0]["state"], "durable");
+    assert_eq!(ingested_tasks(&body)[0].state, "durable");
 
     let (_, body) = d.get("/health");
-    let health: cb_json::Value = cb_json::from_str(&body).unwrap();
-    assert_eq!(
-        health["partitions"][0]["appended"].as_u64().unwrap(),
-        1,
-        "{health}"
-    );
-    assert!(
-        health["partitions"][0]["acked"].as_u64().unwrap() >= 1,
-        "{health}"
-    );
+    let health: HealthBody = cb_json::from_str(&body).unwrap();
+    assert_eq!(health.partitions[0].appended, 1, "{body}");
+    assert!(health.partitions[0].acked >= 1, "{body}");
 
     d.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -336,32 +427,217 @@ fn json_batch_ingest_clusters_campaigns() {
 
     let dir = scratch("campaigns");
     let d = Daemon::spawn(&dir, &["--shards", "2", "--commit-batch", "4"]);
-    let payload = cb_json::json!({
-        "messages": batch.iter().map(|m| m.raw.clone()).collect::<Vec<String>>(),
-    });
-    let (status, body) = d.post_json("/ingest", &payload.to_string());
+    let (status, body) = d.post_json("/ingest", &batch_payload(batch.iter().copied()));
     assert_eq!(status, 202, "{body}");
     let tasks = ingested_tasks(&body);
     assert_eq!(tasks.len(), batch.len());
     for task in &tasks {
-        d.await_durable(task["id"].as_u64().unwrap());
+        d.await_durable(task.id);
     }
 
     let (status, body) = d.get("/campaigns");
     assert_eq!(status, 200);
-    let parsed: cb_json::Value = cb_json::from_str(&body).unwrap();
-    let campaigns = parsed["campaigns"].as_array().unwrap();
-    assert!(!campaigns.is_empty(), "{parsed}");
-    let clustered: u64 = campaigns
-        .iter()
-        .map(|c| c["messages"].as_u64().unwrap())
-        .sum();
+    let campaigns = cb_json::from_str::<CampaignsBody>(&body).unwrap().campaigns;
+    assert!(!campaigns.is_empty(), "{body}");
+    let clustered: u64 = campaigns.iter().map(|c| c.messages).sum();
     assert_eq!(
         clustered as usize,
         batch.len(),
         "every record in exactly one campaign"
     );
 
+    d.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The states an ack may report for a task that was queued: the shard
+/// worker may already have picked it up, or even committed it.
+const IN_FLIGHT: [&str; 3] = ["queued", "scanning", "durable"];
+
+/// The exact bytes of an ingest ack for `tasks` as `(id, content hash,
+/// shard, state)`.
+fn ack_body(tasks: &[(u64, u128, usize, &str)]) -> String {
+    let tasks: Vec<String> = tasks
+        .iter()
+        .map(|(id, hash, shard, state)| {
+            format!(
+                r#"{{"content_hash":"{hash:032x}","id":{id},"shard":{shard},"state":"{state}"}}"#
+            )
+        })
+        .collect();
+    format!(r#"{{"tasks":[{}]}}"#, tasks.join(","))
+}
+
+/// Check an ack of freshly queued tasks byte for byte, allowing each task
+/// any state in `states`; returns the states seen.
+fn assert_ack(body: &str, tasks: &[(u64, u128, usize)], states: &[&str]) -> Vec<String> {
+    let seen: Vec<String> = ingested_tasks(body).into_iter().map(|t| t.state).collect();
+    assert_eq!(seen.len(), tasks.len(), "{body}");
+    for state in &seen {
+        assert!(states.contains(&state.as_str()), "{body}");
+    }
+    let want: Vec<(u64, u128, usize, &str)> = tasks
+        .iter()
+        .zip(&seen)
+        .map(|(&(id, hash, shard), state)| (id, hash, shard, state.as_str()))
+        .collect();
+    assert_eq!(body, ack_body(&want));
+    seen
+}
+
+/// The exact bytes of `GET /tasks/{id}`.
+fn task_body(id: u64, hash: u128, shard: usize, state: &str, error: Option<&str>) -> String {
+    let error = error.map_or("null".to_string(), |e| format!(r#""{e}""#));
+    format!(
+        r#"{{"content_hash":"{hash:032x}","error":{error},"id":{id},"shard":{shard},"state":"{state}"}}"#
+    )
+}
+
+/// Every JSON body crawlboxd writes for ingest, tasks, records, health
+/// and campaigns, pinned byte for byte on a fixed three-message subset:
+/// keys come out sorted, `error` is `null` until a task fails, content
+/// hashes are 32 lowercase hex digits.
+#[test]
+fn wire_bodies_are_pinned() {
+    let (_corpus, subset) = corpus_subset(2024, 3);
+    let dir = scratch("pins");
+    let d = Daemon::spawn(&dir, &["--shards", "2", "--commit-batch", "4"]);
+    let hash: Vec<u128> = subset
+        .iter()
+        .map(|m| message_content_hash(&m.raw))
+        .collect();
+    let shard: Vec<usize> = hash.iter().map(|&h| route_shard(h, 2)).collect();
+
+    // A raw message: task 1.
+    let (status, body) = d.post_raw("/ingest", &subset[0].raw);
+    assert_eq!(status, 202);
+    assert_ack(&body, &[(1, hash[0], shard[0])], &IN_FLIGHT);
+    d.await_durable(1);
+    assert_eq!(
+        d.get("/tasks/1"),
+        (200, task_body(1, hash[0], shard[0], "durable", None))
+    );
+    let partition = |w: usize| {
+        let n = usize::from(shard[0] == w);
+        format!(
+            r#"{{"acked":{n},"append_errors":0,"appended":{n},"commit_batches":{n},"degraded":false,"id":{w},"pending":0}}"#
+        )
+    };
+    assert_eq!(
+        d.get("/health"),
+        (
+            200,
+            format!(
+                r#"{{"partitions":[{},{}],"queued":0,"shards":2,"status":"ok"}}"#,
+                partition(0),
+                partition(1)
+            )
+        )
+    );
+
+    // A JSON batch of the other two: tasks 2 and 3.
+    let (status, body) = d.post_json("/ingest", &batch_payload(&subset[1..]));
+    assert_eq!(status, 202);
+    assert_ack(
+        &body,
+        &[(2, hash[1], shard[1]), (3, hash[2], shard[2])],
+        &IN_FLIGHT,
+    );
+    d.await_durable(2);
+    d.await_durable(3);
+
+    // Resubmissions are durable in the ack itself, raw or batched.
+    let (status, body) = d.post_raw("/ingest", &subset[0].raw);
+    assert_eq!(status, 202);
+    assert_eq!(body, ack_body(&[(4, hash[0], shard[0], "durable")]));
+    let (status, body) = d.post_json("/ingest", &batch_payload([&subset[2], &subset[0]]));
+    assert_eq!(status, 202);
+    assert_eq!(
+        body,
+        ack_body(&[
+            (5, hash[2], shard[2], "durable"),
+            (6, hash[0], shard[0], "durable"),
+        ])
+    );
+    assert_eq!(
+        d.get("/tasks/5"),
+        (200, task_body(5, hash[2], shard[2], "durable", None))
+    );
+
+    // Records: present by its hash, absent by any other; upper-case hex
+    // is read, lower-case hex is written.
+    assert_eq!(
+        d.get(&format!("/records/{:032x}", hash[1])),
+        (
+            200,
+            format!(
+                r#"{{"content_hash":"{:032x}","present":true,"shard":{}}}"#,
+                hash[1], shard[1]
+            )
+        )
+    );
+    assert_eq!(
+        d.get("/records/ABC"),
+        (
+            200,
+            format!(
+                r#"{{"content_hash":"{:032x}","present":false,"shard":{}}}"#,
+                0xabc,
+                route_shard(0xabc, 2)
+            )
+        )
+    );
+
+    let (status, body) = d.get("/campaigns");
+    assert_eq!(status, 200);
+    assert_eq!(body, CAMPAIGNS_OF_THREE);
+
+    d.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `/campaigns` over the first three messages of the seed-2024,
+/// scale-0.01 corpus, ingested as tasks 1–3 on two shards.
+const CAMPAIGNS_OF_THREE: &str = concat!(
+    r#"{"campaigns":[{"classes":{"ErrorPage":1},"domains":["fare10gic0.com"],"id":0,"#,
+    r#""messages":1,"url_schemes":["m8"]},{"classes":{"NoResource":1},"domains":[],"#,
+    r#""id":1,"messages":1,"url_schemes":[]},{"classes":{"NoResource":1},"domains":[],"#,
+    r#""id":2,"messages":1,"url_schemes":[]}]}"#
+);
+
+/// A task the wire could not queue fails with its reason: `/tasks/{id}`
+/// carries it in `error`.
+#[test]
+fn failed_task_body_carries_its_error() {
+    let (_corpus, subset) = corpus_subset(2024, 12);
+    let dir = scratch("queue-full");
+    let d = Daemon::spawn(&dir, &["--shards", "1", "--queue", "1"]);
+    // Twelve messages into a one-slot queue in one request: the worker
+    // scans for milliseconds per message, so most find the queue full.
+    let (status, body) = d.post_json("/ingest", &batch_payload(&subset));
+    assert_eq!(status, 202);
+    let tasks: Vec<(u64, u128, usize)> = subset
+        .iter()
+        .zip(1..)
+        .map(|(m, id)| (id, message_content_hash(&m.raw), 0))
+        .collect();
+    let states = assert_ack(&body, &tasks, &["queued", "scanning", "durable", "failed"]);
+    let mut failed = 0;
+    for (&(id, hash, shard), state) in tasks.iter().zip(&states) {
+        if state == "failed" {
+            failed += 1;
+            assert_eq!(
+                d.get(&format!("/tasks/{id}")),
+                (
+                    200,
+                    task_body(id, hash, shard, "failed", Some("shard queue full"))
+                )
+            );
+        } else {
+            d.await_durable(id);
+        }
+    }
+    assert!(failed > 0, "a one-slot queue took twelve messages: {body}");
     d.shutdown_and_wait();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -387,8 +663,8 @@ fn concurrent_bursts_survive_clean_shutdown() {
                     let (status, body) = d.post_raw("/ingest", &m.raw);
                     assert_eq!(status, 202, "{body}");
                     for task in ingested_tasks(&body) {
-                        assert_ne!(task["state"], "failed", "{task}");
-                        hashes.push(task["content_hash"].as_str().unwrap().to_string());
+                        assert_ne!(task.state, "failed", "{body}");
+                        hashes.push(task.content_hash);
                     }
                 }
                 hashes
@@ -554,10 +830,7 @@ fn kill_and_restart_preserves_durable_acks() {
             let (status, body) = d.post_raw("/ingest", &m.raw);
             assert_eq!(status, 202, "{body}");
             let task = &ingested_tasks(&body)[0];
-            ids.push((
-                task["id"].as_u64().unwrap(),
-                task["content_hash"].as_str().unwrap().to_string(),
-            ));
+            ids.push((task.id, task.content_hash.clone()));
         }
 
         // Poll until at least half the tasks are acked durable, then
@@ -572,8 +845,8 @@ fn kill_and_restart_preserves_durable_acks() {
             );
             for (id, hash) in &ids {
                 let (_, body) = d.get(&format!("/tasks/{id}"));
-                let task: cb_json::Value = cb_json::from_str(&body).unwrap();
-                if task["state"] == "durable" {
+                let task: TaskBody = cb_json::from_str(&body).unwrap();
+                if task.state == "durable" {
                     durable.insert(hash.clone());
                 }
             }
@@ -585,17 +858,17 @@ fn kill_and_restart_preserves_durable_acks() {
         for hash in &durable {
             let (status, body) = d.get(&format!("/records/{hash}"));
             assert_eq!(status, 200);
-            let record: cb_json::Value = cb_json::from_str(&body).unwrap();
-            assert_eq!(
-                record["present"], true,
+            let record: RecordBody = cb_json::from_str(&body).unwrap();
+            assert!(
+                record.present,
                 "durable-acked {hash} lost across SIGKILL (batch {commit_batch}, shards {shards})"
             );
         }
         // The restarted daemon still ingests.
         let (_, body) = d.post_raw("/ingest", &subset[0].raw);
         let task = &ingested_tasks(&body)[0];
-        if task["state"] != "durable" {
-            d.await_durable(task["id"].as_u64().unwrap());
+        if task.state != "durable" {
+            d.await_durable(task.id);
         }
         d.shutdown_and_wait();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -611,15 +884,12 @@ fn commit_batch_bounds_records_per_barrier() {
     assert_eq!(subset.len(), 40);
     let dir = scratch("commit-batch");
     let d = Daemon::spawn(&dir, &["--shards", "1", "--commit-batch", "16"]);
-    let payload = cb_json::json!({
-        "messages": subset.iter().map(|m| m.raw.clone()).collect::<Vec<String>>(),
-    });
-    let (status, body) = d.post_json("/ingest", &payload.to_string());
+    let (status, body) = d.post_json("/ingest", &batch_payload(&subset));
     assert_eq!(status, 202, "{body}");
     let tasks = ingested_tasks(&body);
     assert_eq!(tasks.len(), 40);
     for task in &tasks {
-        d.await_durable(task["id"].as_u64().unwrap());
+        d.await_durable(task.id);
     }
 
     let (status, text) = d.get("/metrics?mode=canonical");
@@ -660,7 +930,7 @@ fn metrics_canonical_byte_identical_across_worker_counts() {
         for m in &subset {
             let (status, body) = d.post_raw("/ingest", &m.raw);
             assert_eq!(status, 202, "{body}");
-            d.await_durable(ingested_tasks(&body)[0]["id"].as_u64().unwrap());
+            d.await_durable(ingested_tasks(&body)[0].id);
         }
         let (status, text) = d.get("/metrics?mode=canonical");
         assert_eq!(status, 200);

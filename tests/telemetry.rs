@@ -405,3 +405,76 @@ fn repro_writes_trace_and_metrics_files() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+fn crawl_log_trace(path: &std::path::Path) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_crawl-log"))
+        .arg("trace")
+        .arg(path)
+        .output()
+        .expect("spawn crawl-log");
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `crawl-log trace` stdout is pinned byte for byte: the committed golden
+/// trace renders to `trace_small.pretty.txt`, and a hand-written
+/// full-mode trace (advisory fields, an instant event, an `E` line with
+/// no fields, an unknown key) renders to the text below. A line that is
+/// not a trace event exits 2.
+#[test]
+fn crawl_log_trace_output_is_pinned() {
+    let (code, stdout, stderr) = crawl_log_trace(&golden_path("trace_small.jsonl"));
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_golden("trace_small.pretty.txt", &stdout);
+
+    let dir = std::env::temp_dir().join(format!("cb-trace-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let full = dir.join("full.jsonl");
+    std::fs::write(
+        &full,
+        concat!(
+            r#"{"msg":3,"seq":0,"t":0,"ph":"B","name":"scan","fields":[],"adv":[["worker","1"]]}"#,
+            "\n",
+            r#"{"msg":3,"seq":1,"t":2,"ph":"I","name":"screenshot","fields":[["url","https://a.example/?q=\"x\""]],"adv":[["cache","hit"]]}"#,
+            "\n",
+            r#"{"msg":3,"seq":2,"t":5,"ph":"E","name":"scan"}"#,
+            "\n\n",
+            r#"{"msg":4,"seq":0,"t":7,"ph":"B","name":"visit","fields":[["url","http://b/"],["n","2"]],"extra":{"k":[1,null]}}"#,
+            "\n",
+            r#"{"msg":4,"seq":1,"t":7,"ph":"I","name":"note","fields":[],"adv":[["worker","0"],["cache","miss"]]}"#,
+            "\n",
+            r#"{"msg":4,"seq":2,"t":9,"ph":"E","name":"visit"}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let (code, stdout, stderr) = crawl_log_trace(&full);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(
+        stdout,
+        concat!(
+            "message 3\n",
+            "  > scan @0s worker=1\n",
+            "    . screenshot @2s url=https://a.example/?q=\"x\" cache=hit\n",
+            "  < scan @5s\n",
+            "message 4\n",
+            "  > visit @7s url=http://b/ n=2\n",
+            "    . note @7s worker=0 cache=miss\n",
+            "  < visit @9s\n",
+        )
+    );
+
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(
+        &bad,
+        "{\"msg\":0,\"ph\":\"B\",\"name\":\"scan\",\"t\":0}\nnot json\n",
+    )
+    .unwrap();
+    let (code, _, stderr) = crawl_log_trace(&bad);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("bad.jsonl:2: not a trace line"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
